@@ -19,7 +19,7 @@ from mpmath import mp
 
 from . import geometry, oracle
 from .derive import derive_operator
-from .exactpoly import MultiPoly
+from .exactpoly import MultiPoly, weighted_monomials
 from .operator import (
     WP_PARAM_NAMES,
     apply,
@@ -47,6 +47,16 @@ def _parse_system(text: str) -> str:
     if kind not in SYSTEMS:
         raise argparse.ArgumentTypeError(f"unknown system {text!r}")
     return kind
+
+
+def _parse_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -329,7 +339,7 @@ def _required_frames(op, entries) -> int:
     for which in entries:
         kind_, i, j = oracle._entry_indices(which)
         bound = op.cv[i] + op.cv[j] if kind_ == "A" else op.cv[i]
-        size = len(oracle._monomial_basis(op.cv, bound))
+        size = len(weighted_monomials(op.cv, bound))
         need = 2 * size + 8
         worst = max(worst, need if kind_ == "A" else (need + 1) // 2)
     return worst + 8
@@ -444,7 +454,7 @@ def _add_common(p, *, samples=None, seed=0, tol=None, precision=False,
     if nu is not None:
         p.add_argument("--nu", type=_parse_floats, default=_parse_floats(nu))
     if n is not None:
-        p.add_argument("--n", type=int, default=n)
+        p.add_argument("--n", type=_parse_count, default=n)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 
@@ -333,3 +334,12 @@ def _power_table(point: Sequence, terms) -> list[list]:
             row.append(row[-1] * point[i])
         table.append(row)
     return table
+
+
+def weighted_monomials(cv: Sequence[int], bound: int) -> list[tuple[int, ...]]:
+    """Every exponent tuple p with sum(cv_i p_i) <= bound, in lexicographic order."""
+    return [
+        p
+        for p in product(*[range(bound // c + 1) for c in cv])
+        if sum(c * e for c, e in zip(cv, p)) <= bound
+    ]

@@ -17,7 +17,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .exactpoly import MultiPoly
-from .operator import AlgebraicOperator
+from .operator import AlgebraicOperator, stored_data_report
 from .oracle import CLEARANCE, SamplePoint, clearance, hp_digits, tau_numeric
 from .rootsys import RootSystem
 
@@ -107,11 +107,13 @@ def with_coefficient(
     rows[i - 1][j - 1] = fixed
     if i != j:
         rows[j - 1][i - 1] = fixed
-    return replace(
+    new = replace(
         op,
         A=tuple(tuple(r) for r in rows),
         variant=op.variant + "+fault",
     )
+    object.__setattr__(new, "violations", stored_data_report(new))
+    return new
 
 
 def sabotaged(op: AlgebraicOperator) -> AlgebraicOperator:

@@ -14,20 +14,20 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import heapq
 import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from itertools import product
 
-from .exactpoly import MultiPoly, NuLinear
+from .exactpoly import MultiPoly, NuLinear, weighted_monomials
 from .rootsys import (
     RootSystem,
     build_system,
     characteristic_vector,
-    dominance_leq,
+    integer_weight_coords,
     vadd,
     vdot,
     vscale,
@@ -246,6 +246,36 @@ def _system_for_cv(cv: tuple[int, ...]) -> RootSystem | None:
     return None
 
 
+def _dominance_sorted(block: list, heights: dict) -> list:
+    """Kahn's algorithm over one grade, smallest ready monomial first.
+
+    q sits below p when heights[q] <= heights[p] componentwise.  The heap
+    always yields the lexicographically least monomial with nothing below
+    it among those not yet placed.
+    """
+    above: dict = {p: [] for p in block}
+    indegree = dict.fromkeys(block, 0)
+    for q in block:
+        hq = heights[q]
+        for p in block:
+            if p != q and all(a <= b for a, b in zip(hq, heights[p])):
+                above[q].append(p)
+                indegree[p] += 1
+    ready = [p for p in block if not indegree[p]]
+    heapq.heapify(ready)
+    placed = []
+    while ready:
+        q = heapq.heappop(ready)
+        placed.append(q)
+        for p in above[q]:
+            indegree[p] -= 1
+            if not indegree[p]:
+                heapq.heappush(ready, p)
+    if len(placed) != len(block):
+        raise RuntimeError("dominance order has a cycle")
+    return placed
+
+
 @lru_cache(maxsize=None)
 def enumerate_flag_basis(cv: tuple[int, ...], n: int, kind: str | None = None) -> FlagBasis:
     """All monomials with sum(cv_i p_i) <= n, graded, dominance-refined.
@@ -253,20 +283,19 @@ def enumerate_flag_basis(cv: tuple[int, ...], n: int, kind: str | None = None) -
     Within a grade the monomials are topologically sorted so that a
     monomial whose weight is dominated comes first (deterministic
     lexicographic tie-break).  This makes the operator's matrix on the
-    basis upper triangular.
+    basis upper triangular.  Dominance is compared on the integer
+    simple-root coordinates of the weights (integer_weight_coords).
     """
     cv = tuple(cv)
     if n < 0:
         raise ValueError("n must be >= 0")
     sysr = build_system(kind) if kind else _system_for_cv(cv)
-    monos = [
-        p
-        for p in product(*[range(n // c + 1) for c in cv])
-        if sum(c * e for c, e in zip(cv, p)) <= n
-    ]
+    monos = weighted_monomials(cv, n)
     weights = {}
+    heights = {}
     if sysr is not None:
         fw = sysr.fundamental_weights
+        coords = integer_weight_coords(sysr)
         zero = vscale(Fraction(0), fw[0])
         for p in monos:
             lam = zero
@@ -274,6 +303,9 @@ def enumerate_flag_basis(cv: tuple[int, ...], n: int, kind: str | None = None) -
                 if e:
                     lam = vadd(lam, vscale(Fraction(e), fw[a]))
             weights[p] = lam
+            heights[p] = tuple(
+                sum(e * c[k] for e, c in zip(p, coords)) for k in range(sysr.rank)
+            )
 
     def grade(p):
         return sum(c * e for c, e in zip(cv, p))
@@ -287,23 +319,7 @@ def enumerate_flag_basis(cv: tuple[int, ...], n: int, kind: str | None = None) -
         if sysr is None:
             ordered.extend(block)
             continue
-        placed: list[tuple[int, ...]] = []
-        remaining = list(block)
-        while remaining:
-            ready = [
-                p
-                for p in remaining
-                if not any(
-                    q != p and dominance_leq(sysr, weights[q], weights[p])
-                    for q in remaining
-                )
-            ]
-            if not ready:
-                raise RuntimeError("dominance order has a cycle")
-            pick = min(ready)
-            placed.append(pick)
-            remaining.remove(pick)
-        ordered.extend(placed)
+        ordered.extend(_dominance_sorted(block, heights))
     return FlagBasis(
         n=n,
         cv=cv,

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from mpmath import mp, mpf, matrix, qr_solve
 
-from .exactpoly import MultiPoly, NuLinear
+from .exactpoly import MultiPoly, NuLinear, weighted_monomials
 from .operator import AlgebraicOperator, stored_data_report
 from .rootsys import RootSystem, build_system, deformed_weyl_vector, weyl_orbit
 
@@ -620,17 +620,6 @@ def _entry_indices(which: str) -> tuple[str, int, int | None]:
     raise ValueError(f"bad entry id {which!r}")
 
 
-def _monomial_basis(cv, bound):
-    from itertools import product as iproduct
-
-    out = [
-        p
-        for p in iproduct(*[range(bound // c + 1) for c in cv])
-        if sum(c * e for c, e in zip(cv, p)) <= bound
-    ]
-    return sorted(out)
-
-
 class FramePool:
     """Shared high-precision frames so several fits reuse the geometry."""
 
@@ -663,7 +652,7 @@ def fit_entry(
     cv = op.cv
     kind_, i, j = _entry_indices(which)
     bound = cv[i] + cv[j] if kind_ == "A" else cv[i]
-    basis = _monomial_basis(cv, bound)
+    basis = weighted_monomials(cv, bound)
     unknowns = len(basis) * (1 if kind_ == "A" else 2)
     needed = samples or 2 * len(basis) + 8
     dps = precision_digits or max(hp_digits(), 50)

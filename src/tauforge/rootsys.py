@@ -9,6 +9,7 @@ generation and dominance tests need no tolerances.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -351,6 +352,31 @@ def dominance_leq(sys: RootSystem, mu: Vec, lam: Vec) -> bool:
     for c, s in zip(coords, sys.simple_roots):
         recon = vadd(recon, vscale(c, s))
     return recon == diff
+
+
+@lru_cache(maxsize=None)
+def integer_weight_coords(sys: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """Simple-root coordinates of the fundamental weights, scaled to integers.
+
+    Row a is D * simple_root_coords(w_a), where D > 0 is the common
+    denominator of all rows (2 for E7).  The coordinates are linear, so
+    sum q_a w_a <= sum p_a w_a in the dominance order exactly when
+    sum q_a row_a <= sum p_a row_a componentwise: the same answer as
+    dominance_leq, in integer arithmetic.
+    """
+    coords = []
+    for w in sys.fundamental_weights:
+        c = simple_root_coords(sys, w)
+        recon = (Fraction(0),) * sys.ambient_dim
+        for x, s in zip(c, sys.simple_roots):
+            recon = vadd(recon, vscale(x, s))
+        # dominance_leq rejects off-span differences; a weight off the
+        # root span would make the integer test disagree with it
+        if recon != w:
+            raise ValueError(f"fundamental weight {w} is not in the root span")
+        coords.append(c)
+    scale = math.lcm(*(x.denominator for c in coords for x in c))
+    return tuple(tuple(int(x * scale) for x in c) for c in coords)
 
 
 def weight_exponents(sys: RootSystem, lam: Vec) -> tuple[int, ...]:

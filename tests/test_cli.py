@@ -160,3 +160,13 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["orbits", "--system", "B3"])
+
+
+@pytest.mark.parametrize("command", ["spectrum", "invariance", "flag-check"])
+def test_negative_n_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("argument --n: must be >= 0, got -1")
+    assert "Traceback" not in err

@@ -109,6 +109,14 @@ def test_with_coefficient_is_symmetric_and_guarded():
     assert bad.a_entry(1, 7).terms[exp].c0 == -4
 
 
+def test_faulted_copy_reports_its_own_violations():
+    can = e7_operator("canonical")
+    assert can.violations == ()
+    assert sabotaged(can).violations == (
+        "A11: coefficient of tau_1tau_1 is -2, leading law needs -3/2",
+    )
+
+
 def test_rank_one_metric_is_exactly_flat():
     op = derive_operator(build_system("A1"))
     assert riemann_at(op, (0.3,)) == 0.0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,7 +18,13 @@ from tauforge.operator import (
     stored_data_report,
     weighted_projective_check,
 )
-from tauforge.rootsys import build_system
+from tauforge.rootsys import (
+    build_system,
+    characteristic_vector,
+    dominance_leq,
+    vadd,
+    vscale,
+)
 
 
 def test_variants_load_and_are_checksummed():
@@ -111,19 +118,72 @@ def test_spectrum_on_the_two_smallest_flags():
     assert c.at(Fraction(1, 2)) == [0, Fraction(-3, 2) - Fraction(27, 2)]
 
 
-def test_free_spectrum_matches_weight_norms():
-    # at nu = 0 the eigenvalue on the monomial lambda-flag is -(lambda, lambda)
+def _free_spectrum(monomials):
+    """-(lambda, lambda) for the weight lambda of each monomial, in order."""
     sysr = build_system("E7")
     w = [sysr.y_rep(v) for v in sysr.fundamental_weights]
-    s = spectrum(e7_operator("raw"), 3)
-    got = sorted(s.at(0))
-    expected = []
-    for mono in s.basis.monomials:
+    out = []
+    for mono in monomials:
         lam = tuple(
             sum(p * w[a][k] for a, p in enumerate(mono)) for k in range(7)
         )
-        expected.append(-sysr.dot_y(lam, lam))
-    assert got == sorted(expected)
+        out.append(-sysr.dot_y(lam, lam))
+    return out
+
+
+def test_free_spectrum_matches_weight_norms():
+    # at nu = 0 the eigenvalue on the monomial lambda-flag is -(lambda, lambda)
+    s = spectrum(e7_operator("raw"), 3)
+    assert sorted(s.at(0)) == sorted(_free_spectrum(s.basis.monomials))
+
+
+def test_canonical_spectrum_stays_triangular_at_n9():
+    s = spectrum(e7_operator("canonical"), 9)
+    assert s.basis.dim == 318
+    assert s.certificate == "dominance-triangular"
+    assert s.at(0) == _free_spectrum(s.basis.monomials)
+
+
+def _ready_set_order(sysr, cv, n):
+    """Reference flag order: the quadratic ready-set loop on dominance_leq."""
+    fw = sysr.fundamental_weights
+
+    def weight(p):
+        lam = vscale(0, fw[0])
+        for a, e in enumerate(p):
+            lam = vadd(lam, vscale(e, fw[a]))
+        return lam
+
+    by_grade = {}
+    for p in product(*[range(n // c + 1) for c in cv]):
+        g = sum(c * e for c, e in zip(cv, p))
+        if g <= n:
+            by_grade.setdefault(g, []).append(p)
+    ordered = []
+    for g in sorted(by_grade):
+        remaining = sorted(by_grade[g])
+        while remaining:
+            ready = [
+                p
+                for p in remaining
+                if not any(
+                    q != p and dominance_leq(sysr, weight(q), weight(p))
+                    for q in remaining
+                )
+            ]
+            pick = min(ready)
+            ordered.append(pick)
+            remaining.remove(pick)
+    return tuple(ordered)
+
+
+@pytest.mark.parametrize("kind, top", [("E7", 5), ("A1", 10), ("A2", 10), ("G2", 10)])
+def test_flag_order_matches_the_ready_set_reference(kind, top):
+    sysr = build_system(kind)
+    cv = characteristic_vector(sysr)
+    for n in range(top + 1):
+        basis = enumerate_flag_basis(cv, n, kind=kind)
+        assert basis.monomials == _ready_set_order(sysr, cv, n)
 
 
 def test_wp_invariance_sequential_round_trip():
