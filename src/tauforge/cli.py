@@ -49,14 +49,23 @@ def _parse_system(text: str) -> str:
     return kind
 
 
-def _parse_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+class UsageError(ValueError):
+    """An argument value that parsing accepted but the command cannot use."""
+
+
+def _count(minimum: int):
+    """argparse type: an int that is at least `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -73,7 +82,7 @@ def _parse_rational(text: str):
 def _operator_for(kind: str, variant: str):
     if kind == "E7":
         if variant == "derived":
-            raise SystemExit("E7 has no derived variant; use raw or canonical")
+            raise UsageError("E7 has no derived variant; use raw or canonical")
         return e7_operator(variant)
     return derive_operator(build_system(kind))
 
@@ -189,29 +198,30 @@ def _cmd_verify_ground_state(args) -> dict:
     rho = deformed_weyl_vector(sysr)
     rows = []
     worst = 0.0
-    for beta in args.beta:
-        for nu in args.nu:
-            pts = oracle.sample_points(
-                sysr, args.samples, seed=args.seed, beta=beta, nu=nu,
-                precision=args.precision,
-            )
-            jobs = args.jobs if args.precision == "double" else 1
-            res = _map_jobs(
-                lambda pt: float(oracle.ground_state_residual(sysr, pt)),
-                pts,
-                jobs,
-            )
-            peak = max(res)
-            worst = max(worst, peak)
-            rows.append(
-                {
-                    "beta": beta,
-                    "nu": nu,
-                    "samples": len(pts),
-                    "energy": float(oracle.ground_state_energy(sysr, beta, nu)),
-                    "max_residual": peak,
-                }
-            )
+    with mp.workdps(oracle.hp_digits()):
+        for beta in args.beta:
+            for nu in args.nu:
+                pts = oracle.sample_points(
+                    sysr, args.samples, seed=args.seed, beta=beta, nu=nu,
+                    precision=args.precision,
+                )
+                jobs = args.jobs if args.precision == "double" else 1
+                res = _map_jobs(
+                    lambda pt: float(oracle.ground_state_residual(sysr, pt)),
+                    pts,
+                    jobs,
+                )
+                peak = max(res)
+                worst = max(worst, peak)
+                rows.append(
+                    {
+                        "beta": beta,
+                        "nu": nu,
+                        "samples": len(pts),
+                        "energy": float(oracle.ground_state_energy(sysr, beta, nu)),
+                        "max_residual": peak,
+                    }
+                )
     return {
         "ok": worst < args.tol,
         "result": {
@@ -337,7 +347,7 @@ def _cmd_invariance(args) -> dict:
 def _required_frames(op, entries) -> int:
     worst = 0
     for which in entries:
-        kind_, i, j = oracle._entry_indices(which)
+        kind_, i, j = oracle._entry_indices(which, op.rank)
         bound = op.cv[i] + op.cv[j] if kind_ == "A" else op.cv[i]
         size = len(weighted_monomials(op.cv, bound))
         need = 2 * size + 8
@@ -353,6 +363,11 @@ def _cmd_fit(args) -> dict:
             op, samples=20, seed=args.seed, tol=args.tol, precision="double"
         )
         entries = quick["discrepant"]
+    for which in entries:
+        try:
+            oracle._entry_indices(which, op.rank)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     count = args.samples or (_required_frames(op, entries) if entries else 0)
     pool = oracle.FramePool(
         op.system, count, seed=args.seed, beta=args.beta[0]
@@ -376,7 +391,7 @@ def _cmd_fit(args) -> dict:
 
 def _cmd_derive(args) -> dict:
     if args.system == "E7":
-        raise SystemExit("derivation is limited to rank <= 2 systems")
+        raise UsageError("derivation is limited to rank <= 2 systems")
     op = derive_operator(build_system(args.system))
     rep = oracle.verify_tables(
         op, samples=20, seed=args.seed, tol=args.tol, precision="hp"
@@ -438,9 +453,11 @@ def _add_common(p, *, samples=None, seed=0, tol=None, precision=False,
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--output", default=None)
-    p.add_argument("--precision-digits", type=int, default=None)
+    p.add_argument("--precision-digits", type=_count(1), default=None)
     if samples is not None:
-        p.add_argument("--samples", type=int, default=samples)
+        # fit's default of 0 sizes the frame pool from the entries
+        p.add_argument("--samples", type=_count(0 if samples == 0 else 1),
+                       default=samples)
     if tol is not None:
         p.add_argument("--tol", type=float, default=tol)
     if precision:
@@ -454,7 +471,7 @@ def _add_common(p, *, samples=None, seed=0, tol=None, precision=False,
     if nu is not None:
         p.add_argument("--nu", type=_parse_floats, default=_parse_floats(nu))
     if n is not None:
-        p.add_argument("--n", type=_parse_count, default=n)
+        p.add_argument("--n", type=_count(0), default=n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flatness", help="Riemann residuals of the metric")
     _add_common(p, seed=11, precision=True, variant="canonical")
-    p.add_argument("--points", type=int, default=10)
+    p.add_argument("--points", type=_count(1), default=10)
     p.add_argument("--tol", type=float, default=None,
                    help="default 1e-6 double, 1e-30 hp")
     p.add_argument("--fault", action="store_true",
@@ -502,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariance", help="weighted-projective substitution")
     _add_common(p, seed=5, beta=None, n=6)
-    p.add_argument("--sets", type=int, default=3)
+    p.add_argument("--sets", type=_count(1), default=3)
     p.add_argument("--mode", choices=("sequential", "simultaneous"),
                    default="sequential")
     p.set_defaults(handler=_cmd_invariance)
@@ -519,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="dump tables or flag matrices")
     _add_common(p, variant="raw", beta=None, formats=("json", "csv"))
-    p.add_argument("--matrix-n", type=int, default=None)
+    p.add_argument("--matrix-n", type=_count(0), default=None)
     p.add_argument("--nu", type=_parse_rational, default=None)
     p.set_defaults(handler=_cmd_export)
 
@@ -527,10 +544,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.precision_digits is not None:
         os.environ["TAUFORGE_PRECISION"] = str(args.precision_digits)
-    body = args.handler(args)
+    try:
+        body = args.handler(args)
+    except UsageError as exc:
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
     if "raw_text" in body:
         if args.output:
             with open(args.output, "w") as fh:

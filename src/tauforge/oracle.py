@@ -109,15 +109,6 @@ def _root_array(kind: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _orbit_mp(kind: str, dps: int) -> list:
-    with mp.workdps(dps):
-        return [
-            [[mpf(c.numerator) / c.denominator for c in v] for v in m]
-            for m in _orbit_vectors(kind)
-        ]
-
-
-@lru_cache(maxsize=None)
 def _root_mp(kind: str, dps: int) -> list:
     with mp.workdps(dps):
         return [
@@ -211,114 +202,90 @@ def _geom_double(sysr: RootSystem, y_arr: np.ndarray, beta: float):
     return taus, jacs, laps, cotg
 
 
-def _geom_hp_direct(sysr: RootSystem, y, beta):
-    dps = mp.dps
-    gw = [mpf(g.numerator) / g.denominator for g in sysr.metric_weights[: sysr.y_dim]]
-    taus, jacs, laps = [], [], []
-    dim = sysr.y_dim
-    for M in _orbit_mp(sysr.kind, dps):
-        cs = [mp.cos_sin(beta * sum(w[k] * y[k] for k in range(dim))) for w in M]
-        size = len(M)
-        sin_sum = sum(s for c, s in cs)
-        if sysr.has_minus_one:
-            if abs(sin_sum) / size > mpf("1e-10"):
-                raise CancellationError("orbit sine sum did not cancel")
-            taus.append(sum(c for c, s in cs))
-            jacs.append(
-                [-beta * sum(w[k] * s for w, (c, s) in zip(M, cs)) for k in range(dim)]
-            )
-            laps.append(
-                -beta**2
-                * sum(
-                    sum(g * wk**2 for g, wk in zip(gw, w)) * c
-                    for w, (c, s) in zip(M, cs)
-                )
-            )
-        else:
-            taus.append(sum(c for c, s in cs) + 1j * sin_sum)
-            jacs.append(
-                [
-                    -beta * sum(w[k] * s for w, (c, s) in zip(M, cs))
-                    + 1j * beta * sum(w[k] * c for w, (c, s) in zip(M, cs))
-                    for k in range(dim)
-                ]
-            )
-            laps.append(
-                -beta**2
-                * sum(
-                    sum(g * wk**2 for g, wk in zip(gw, w)) * (c + 1j * s)
-                    for w, (c, s) in zip(M, cs)
-                )
-            )
-    cotg = [mpf(0)] * dim
-    for r in _root_mp(sysr.kind, dps):
-        c, s = mp.cos_sin(beta * sum(r[k] * y[k] for k in range(dim)) / 2)
-        ct = (beta / 2) * c / s
-        for k in range(dim):
-            cotg[k] += ct * r[k]
-    return taus, jacs, laps, cotg
-
-
 try:
     from gmpy2 import mpz as _mpz
 except ImportError:
     _mpz = int
 
 
-@lru_cache(maxsize=None)
-def _orbit_ints(kind: str):
-    """Orbit vectors as scaled integers: (scale M, per-orbit rows).
+@dataclass(frozen=True)
+class _HpPlan:
+    """The hp kernel's walk over the orbits, built once per system.
 
-    Each row is (nonzero (k, u_k) pairs, u, w2num) with u = M*w and
-    w2num = M^2 * sum_k g_k w_k^2, both integral.
+    Vectors are scaled by `scale` to integers u.  Each orbit's rows
+    (share, tail, nz, w2num) are sorted by their nonzero (k, u_k) list nz;
+    the first `share` factors of a row are those of the row before it, so
+    only `tail` is multiplied in.  w2num = sum_k g_k u_k^2.  When `paired`,
+    only rows whose first nonzero u_k is positive are kept: each stands
+    for itself and its negative.
+    """
+
+    scale: int
+    max_u: tuple
+    paired: bool
+    orbits: tuple
+
+
+def _build_hp_plan(vecs, gws, paired: bool) -> _HpPlan:
+    """Plan for orbit vectors `vecs` (exact rationals) and metric weights `gws`.
+
+    With `paired`, raises CancellationError unless every orbit is closed
+    under negation.
     """
     from math import lcm
 
-    vecs = _orbit_vectors(kind)
-    sysr = build_system(kind)
-    gws = [int(g) for g in sysr.metric_weights[: sysr.y_dim]]
-    scale = 1
-    for m in vecs:
-        for v in m:
-            for c in v:
-                scale = lcm(scale, c.denominator)
+    scale = lcm(*(c.denominator for m in vecs for v in m for c in v))
+    max_u = [0] * len(gws)
     orbits = []
     for m in vecs:
-        rows = []
-        for v in m:
-            u = tuple(int(c * scale) for c in v)
-            w2num = sum(g * uk * uk for g, uk in zip(gws, u))
-            nz = tuple((k, uk) for k, uk in enumerate(u) if uk)
-            rows.append((nz, u, w2num))
-        orbits.append(rows)
-    return scale, orbits
+        us = {tuple(int(c * scale) for c in v) for v in m}
+        if paired and any(tuple(-uk for uk in u) not in us for u in us):
+            raise CancellationError("orbit is not closed under negation")
+        rows, prev = [], ()
+        for nz in sorted(tuple((k, uk) for k, uk in enumerate(u) if uk) for u in us):
+            for k, uk in nz:
+                max_u[k] = max(max_u[k], abs(uk))
+            if paired and nz[0][1] < 0:
+                continue
+            share = 0
+            while share < min(len(nz), len(prev)) and nz[share] == prev[share]:
+                share += 1
+            w2num = sum(gws[k] * uk * uk for k, uk in nz)
+            rows.append((share, nz[share:], nz, w2num))
+            prev = nz
+        orbits.append(tuple(rows))
+    return _HpPlan(scale, tuple(max_u), paired, tuple(orbits))
+
+
+@lru_cache(maxsize=None)
+def _hp_plan(kind: str) -> _HpPlan:
+    sysr = build_system(kind)
+    gws = [int(g) for g in sysr.metric_weights[: sysr.y_dim]]
+    return _build_hp_plan(_orbit_vectors(kind), gws, sysr.has_minus_one)
 
 
 def _geom_hp(sysr: RootSystem, y, beta):
     """Fixed-point evaluation of the orbit sums at the current mp precision.
 
-    Phase factors e^{i beta w.y} are products of per-coordinate roots
+    Phase factors e^{i beta u.y / M} are products of per-coordinate roots
     e^{i beta y_k / M} raised to small integer powers, computed in integer
-    arithmetic with 64 guard bits; exact integer accumulation over the
-    orbit.  Cross-checked against _geom_hp_direct in the test suite.
+    arithmetic with 64 guard bits and accumulated exactly over the orbit.
+    The walk follows _hp_plan: rows share prefix products through a stack,
+    and for systems containing -1 the row of -u is the conjugate of the row
+    of u, so the sums over half the orbit are doubled.
     """
     dim = sysr.y_dim
-    scale, orbits = _orbit_ints(sysr.kind)
-    prec = mp.prec
-    shift = prec + 64
-    s_unit = 1 << shift
+    plan = _hp_plan(sysr.kind)
+    scale = plan.scale
+    shift = mp.prec + 64
     half = 1 << (shift - 1)
 
     with mp.workprec(shift + 16):
         theta = [beta * yk / scale for yk in y]
-        max_u = [
-            max((abs(row[1][k]) for m in orbits for row in m), default=0)
-            for k in range(dim)
-        ]
         table = []
         for k in range(dim):
             row = {}
-            for u in range(-max_u[k], max_u[k] + 1):
+            for u in range(-plan.max_u[k], plan.max_u[k] + 1):
                 c, s = mp.cos_sin(u * theta[k])
                 row[u] = (
                     _mpz(int(mp.floor(mp.ldexp(c, shift) + mpf(1) / 2))),
@@ -327,35 +294,37 @@ def _geom_hp(sysr: RootSystem, y, beta):
             table.append(row)
 
     zero = _mpz(0)
-    unit = _mpz(s_unit)
+    stack = [(_mpz(1 << shift), zero)] * (dim + 1)
+    full = not plan.paired
+    to_mpf = lambda acc, down: mp.ldexp(mpf(int(acc)), -shift) / down
     taus, jacs, laps = [], [], []
-    for m in orbits:
+    for rows in plan.orbits:
         tau_c = tau_s = lap_c = lap_s = zero
         jac_c = [zero] * dim
         jac_s = [zero] * dim
-        for nz, _, w2num in m:
-            fc, fs = unit, zero
-            for k, uk in nz:
+        for depth, tail, nz, w2num in rows:
+            fc, fs = stack[depth]
+            for k, uk in tail:
                 c, s = table[k][uk]
                 fc, fs = (
                     (fc * c - fs * s + half) >> shift,
                     (fc * s + fs * c + half) >> shift,
                 )
+                depth += 1
+                stack[depth] = (fc, fs)
             tau_c += fc
-            tau_s += fs
             lap_c += w2num * fc
-            lap_s += w2num * fs
             for k, uk in nz:
-                jac_c[k] += uk * fc
                 jac_s[k] += uk * fs
-        size = len(m)
-        to_mpf = lambda acc, down: mp.ldexp(mpf(int(acc)), -shift) / down
-        if sysr.has_minus_one:
-            if abs(to_mpf(tau_s, 1)) / size > mpf("1e-10"):
-                raise CancellationError("orbit sine sum did not cancel")
-            taus.append(to_mpf(tau_c, 1))
-            jacs.append([-beta * to_mpf(jac_s[k], scale) for k in range(dim)])
-            laps.append(-(beta**2) * to_mpf(lap_c, scale**2))
+            if full:
+                tau_s += fs
+                lap_s += w2num * fs
+                for k, uk in nz:
+                    jac_c[k] += uk * fc
+        if plan.paired:
+            taus.append(to_mpf(2 * tau_c, 1))
+            jacs.append([-beta * to_mpf(2 * jac_s[k], scale) for k in range(dim)])
+            laps.append(-(beta**2) * to_mpf(2 * lap_c, scale**2))
         else:
             taus.append(to_mpf(tau_c, 1) + 1j * to_mpf(tau_s, 1))
             jacs.append(
@@ -611,13 +580,18 @@ def verify_tables(
 # refitting
 
 
-def _entry_indices(which: str) -> tuple[str, int, int | None]:
-    which = which.strip().upper()
-    if which.startswith("A") and len(which) == 3:
-        return "A", int(which[1]) - 1, int(which[2]) - 1
-    if which.startswith("B") and len(which) >= 2:
-        return "B", int(which[1:]) - 1, None
-    raise ValueError(f"bad entry id {which!r}")
+def _entry_indices(which: str, rank: int) -> tuple[str, int, int | None]:
+    """Zero-based ("A", i, j) or ("B", i, None) for an id such as A17 or B3."""
+    key = which.strip().upper()
+    digits = key[1:]
+    if digits.isdecimal():
+        if key[0] == "A" and len(digits) == 2:
+            i, j = int(digits[0]) - 1, int(digits[1]) - 1
+            if 0 <= i < rank and 0 <= j < rank:
+                return "A", i, j
+        if key[0] == "B" and 0 < int(digits) <= rank:
+            return "B", int(digits) - 1, None
+    raise ValueError(f"bad entry id {which!r} for rank {rank}")
 
 
 class FramePool:
@@ -650,7 +624,7 @@ def fit_entry(
     """
     sysr = op.system
     cv = op.cv
-    kind_, i, j = _entry_indices(which)
+    kind_, i, j = _entry_indices(which, op.rank)
     bound = cv[i] + cv[j] if kind_ == "A" else cv[i]
     basis = weighted_monomials(cv, bound)
     unknowns = len(basis) * (1 if kind_ == "A" else 2)
@@ -739,7 +713,7 @@ def fit_entry(
 
 def with_entry(op: AlgebraicOperator, which: str, poly: MultiPoly) -> AlgebraicOperator:
     """A copy of the operator with one table entry replaced."""
-    kind_, i, j = _entry_indices(which)
+    kind_, i, j = _entry_indices(which, op.rank)
     A = [list(row) for row in op.A]
     B = list(op.B)
     if kind_ == "A":

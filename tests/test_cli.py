@@ -170,3 +170,74 @@ def test_negative_n_is_a_usage_error(capsys, command):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith("argument --n: must be >= 0, got -1")
     assert "Traceback" not in err
+
+
+BAD_COUNTS = [
+    (["invariance", "--sets", "0"], "argument --sets: must be >= 1, got 0"),
+    (["invariance", "--sets", "-1"], "argument --sets: must be >= 1, got -1"),
+    (["export", "--matrix-n", "-1"], "argument --matrix-n: must be >= 0, got -1"),
+    (["verify-tables", "--samples", "0"], "argument --samples: must be >= 1, got 0"),
+    (["verify-ground-state", "--samples", "0"],
+     "argument --samples: must be >= 1, got 0"),
+    (["flatness", "--points", "0"], "argument --points: must be >= 1, got 0"),
+    (["tau-eval", "--samples", "0"], "argument --samples: must be >= 1, got 0"),
+    (["fit", "--samples", "-1"], "argument --samples: must be >= 0, got -1"),
+    (["tau-eval", "--precision", "hp", "--precision-digits", "0"],
+     "argument --precision-digits: must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", BAD_COUNTS, ids=["_".join(argv) for argv, _ in BAD_COUNTS]
+)
+def test_bad_counts_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(message)
+    assert "Traceback" not in err
+
+
+BAD_VALUES = [
+    (["fit", "--entries", "A9"], "tauforge fit: error: bad entry id 'A9' for rank 7"),
+    (["fit", "--entries", "B1,B0"],
+     "tauforge fit: error: bad entry id 'B0' for rank 7"),
+    (["fit", "--entries", "A18"],
+     "tauforge fit: error: bad entry id 'A18' for rank 7"),
+    (["verify-tables", "--variant", "derived"],
+     "tauforge verify-tables: error: E7 has no derived variant; use raw or canonical"),
+    (["derive", "--system", "E7"],
+     "tauforge derive: error: derivation is limited to rank <= 2 systems"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", BAD_VALUES, ids=["_".join(argv) for argv, _ in BAD_VALUES]
+)
+def test_bad_values_are_one_line_usage_errors(capsys, monkeypatch, argv, message):
+    def no_frames(*args, **kwargs):
+        raise AssertionError("frames built before the arguments were checked")
+
+    monkeypatch.setattr("tauforge.oracle.FramePool", no_frames)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message + "\n"
+
+
+def test_fit_samples_zero_sizes_the_pool(capsys):
+    code, rep = run_json(capsys, "fit", "--entries", "B1", "--samples", "0")
+    assert code == 0
+    assert rep["result"]["entries"][0]["ok"]
+
+
+def test_hp_ground_state_runs_at_the_working_precision(capsys):
+    code, rep = run_json(
+        capsys, "verify-ground-state", "--precision", "hp", "--samples", "2",
+        "--tol", "1e-30",
+    )
+    assert code == 0
+    assert 0 < rep["result"]["max_residual"] < 1e-30

@@ -1,9 +1,13 @@
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 from tauforge.operator import e7_operator
 from tauforge.oracle import (
+    CancellationError,
     ClearanceError,
     FramePool,
     SamplePoint,
@@ -18,8 +22,10 @@ from tauforge.oracle import (
     tau_numeric,
     verify_tables,
     with_entry,
+    _build_hp_plan,
     _geom_hp,
-    _geom_hp_direct,
+    _orbit_vectors,
+    _root_mp,
 )
 from tauforge.rootsys import build_system
 
@@ -67,18 +73,103 @@ def test_numeric_b_is_affine_in_nu():
         assert abs((b2 - b1) - (b1 - b0)) / scale < 1e-10
 
 
+def _geom_hp_direct(sysr, y, beta):
+    """Reference for _geom_hp: one mpmath cos_sin per orbit element."""
+    gw = [mpf(g.numerator) / g.denominator for g in sysr.metric_weights[: sysr.y_dim]]
+    taus, jacs, laps = [], [], []
+    dim = sysr.y_dim
+    for vecs in _orbit_vectors(sysr.kind):
+        M = [[mpf(c.numerator) / c.denominator for c in v] for v in vecs]
+        cs = [mp.cos_sin(beta * sum(w[k] * y[k] for k in range(dim))) for w in M]
+        size = len(M)
+        sin_sum = sum(s for c, s in cs)
+        if sysr.has_minus_one:
+            if abs(sin_sum) / size > mpf("1e-10"):
+                raise CancellationError("orbit sine sum did not cancel")
+            taus.append(sum(c for c, s in cs))
+            jacs.append(
+                [-beta * sum(w[k] * s for w, (c, s) in zip(M, cs)) for k in range(dim)]
+            )
+            laps.append(
+                -beta**2
+                * sum(
+                    sum(g * wk**2 for g, wk in zip(gw, w)) * c
+                    for w, (c, s) in zip(M, cs)
+                )
+            )
+        else:
+            taus.append(sum(c for c, s in cs) + 1j * sin_sum)
+            jacs.append(
+                [
+                    -beta * sum(w[k] * s for w, (c, s) in zip(M, cs))
+                    + 1j * beta * sum(w[k] * c for w, (c, s) in zip(M, cs))
+                    for k in range(dim)
+                ]
+            )
+            laps.append(
+                -beta**2
+                * sum(
+                    sum(g * wk**2 for g, wk in zip(gw, w)) * (c + 1j * s)
+                    for w, (c, s) in zip(M, cs)
+                )
+            )
+    cotg = [mpf(0)] * dim
+    for r in _root_mp(sysr.kind, mp.dps):
+        c, s = mp.cos_sin(beta * sum(r[k] * y[k] for k in range(dim)) / 2)
+        ct = (beta / 2) * c / s
+        for k in range(dim):
+            cotg[k] += ct * r[k]
+    return taus, jacs, laps, cotg
+
+
 def test_hp_fast_path_agrees_with_direct_summation():
-    with mp.workdps(50):
-        y = tuple(mp.mpf(str(v)) for v in sample_points(E7, 1, seed=13)[0].y)
-        fast = _geom_hp(E7, y, mp.mpf(1))
-        direct = _geom_hp_direct(E7, y, mp.mpf(1))
-        worst = mp.mpf(0)
-        for f, d in zip(fast, direct):
-            fa = np.array(f, dtype=object).ravel()
-            da = np.array(d, dtype=object).ravel()
-            for a, b in zip(fa, da):
-                worst = max(worst, abs(a - b) / (1 + abs(a)))
-        assert worst < mp.mpf("1e-45")
+    # E7, A1 and G2 take the paired path, A2 the complex one
+    for kind in ("E7", "A1", "A2", "G2"):
+        sysr = build_system(kind)
+        for dps in (50, 70):
+            with mp.workdps(dps):
+                y = tuple(mp.mpf(str(v)) for v in sample_points(sysr, 1, seed=13)[0].y)
+                fast = _geom_hp(sysr, y, mp.mpf(1))
+                direct = _geom_hp_direct(sysr, y, mp.mpf(1))
+                worst = mp.mpf(0)
+                for f, d in zip(fast, direct):
+                    fa = np.array(f, dtype=object).ravel()
+                    da = np.array(d, dtype=object).ravel()
+                    assert len(fa) == len(da)
+                    for a, b in zip(fa, da):
+                        worst = max(worst, abs(a - b) / (1 + abs(a)))
+                assert worst < mp.mpf(10) ** (5 - dps), (kind, dps, worst)
+
+
+# sha256 of repr(_geom_hp(E7, y, 1)) at the first seed-23 hp sample point,
+# recorded from the kernel that multiplied out every orbit element in full
+# (no pairing, no shared prefixes); the fixed-point products must not change.
+@pytest.mark.parametrize(
+    "dps,digest",
+    [
+        (50, "daed92e3536aaaf6810bdd321de90637f47703bba3a7b92e1d0d6826a1201a0d"),
+        (70, "2d12a0f64f6252201792fe08dbbb53598c04f0dcd223d4f8b720bedf61996645"),
+    ],
+)
+def test_hp_kernel_golden_bits(monkeypatch, dps, digest):
+    # sample_points rounds hp coordinates at hp_digits(); pin its default
+    monkeypatch.delenv("TAUFORGE_PRECISION", raising=False)
+    with mp.workdps(dps):
+        y = sample_points(E7, 1, seed=23, precision="hp")[0].y
+        got = hashlib.sha256(repr(_geom_hp(E7, y, mp.mpf(1))).encode()).hexdigest()
+    assert got == digest
+
+
+def test_hp_plan_rejects_an_orbit_not_closed_under_negation():
+    closed = ((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0)))
+    lopsided = ((Fraction(1, 2), Fraction(1)), (Fraction(-1, 2), Fraction(0)))
+    plan = _build_hp_plan((closed,), [1, 1], paired=True)
+    assert [len(rows) for rows in plan.orbits] == [1]
+    with pytest.raises(CancellationError):
+        _build_hp_plan((closed, lopsided), [1, 1], paired=True)
+    plan = _build_hp_plan((closed, lopsided), [1, 1], paired=False)
+    assert plan.scale == 2 and plan.max_u == (2, 2)
+    assert [len(rows) for rows in plan.orbits] == [2, 2]
 
 
 def test_ground_state_energy_closed_form():
