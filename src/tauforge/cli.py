@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -19,7 +20,7 @@ from mpmath import mp
 
 from . import geometry, oracle
 from .derive import derive_operator
-from .exactpoly import MultiPoly, weighted_monomials
+from .exactpoly import MultiPoly
 from .operator import (
     WP_PARAM_NAMES,
     apply,
@@ -72,6 +73,24 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
+def _parse_betas(text: str) -> tuple[float, ...]:
+    """argparse type: a comma list of nonzero finite betas.
+
+    At beta = 0 every phase vanishes, so no sample point clears the root
+    walls and the curvature chart is undefined.
+    """
+    try:
+        betas = _parse_floats(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float list: {text!r}") from None
+    for beta in betas:
+        if beta == 0 or not math.isfinite(beta):
+            raise argparse.ArgumentTypeError(
+                f"beta must be nonzero and finite, got {beta}"
+            )
+    return betas
+
+
 def _parse_rational(text: str):
     try:
         return Fraction(text)
@@ -85,15 +104,6 @@ def _operator_for(kind: str, variant: str):
             raise UsageError("E7 has no derived variant; use raw or canonical")
         return e7_operator(variant)
     return derive_operator(build_system(kind))
-
-
-def _map_jobs(fn, items, jobs: int):
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def _render_text(value, indent: int = 0) -> list[str]:
@@ -144,7 +154,7 @@ def _config(args) -> dict:
     keys = (
         "command", "system", "variant", "seed", "tol", "precision",
         "samples", "points", "sets", "n", "nu", "beta", "entries", "mode",
-        "matrix_n", "fault", "jobs", "format", "output",
+        "matrix_n", "fault", "format", "output",
     )
     cfg = {k: _jsonable(getattr(args, k, None)) for k in keys}
     cfg["precision_digits"] = oracle.hp_digits()
@@ -175,21 +185,18 @@ def _cmd_tau_eval(args) -> dict:
     pts = oracle.sample_points(
         sysr, args.samples, seed=args.seed, beta=args.beta[0], precision=args.precision
     )
-    dps = oracle.hp_digits()
-
-    def one(pt):
-        with mp.workdps(dps):
+    rows = []
+    with mp.workdps(oracle.hp_digits()):
+        for pt in pts:
             tau = oracle.tau_numeric(sysr, pt)
-            return {
-                "y": [float(v) for v in pt.y],
-                "tau": [
-                    str(t) if args.precision == "hp" else float(t) for t in tau
-                ],
-            }
-
-    # the mp context is process-global, so hp sweeps stay single-threaded
-    jobs = args.jobs if args.precision == "double" else 1
-    rows = _map_jobs(one, pts, jobs)
+            rows.append(
+                {
+                    "y": [float(v) for v in pt.y],
+                    "tau": [
+                        str(t) if args.precision == "hp" else float(t) for t in tau
+                    ],
+                }
+            )
     return {"ok": True, "result": {"points": rows}}
 
 
@@ -205,12 +212,7 @@ def _cmd_verify_ground_state(args) -> dict:
                     sysr, args.samples, seed=args.seed, beta=beta, nu=nu,
                     precision=args.precision,
                 )
-                jobs = args.jobs if args.precision == "double" else 1
-                res = _map_jobs(
-                    lambda pt: float(oracle.ground_state_residual(sysr, pt)),
-                    pts,
-                    jobs,
-                )
+                res = [float(oracle.ground_state_residual(sysr, pt)) for pt in pts]
                 peak = max(res)
                 worst = max(worst, peak)
                 rows.append(
@@ -344,17 +346,6 @@ def _cmd_invariance(args) -> dict:
     return {"ok": ok, "result": {"mode": args.mode, "n": args.n, "sets": sets}}
 
 
-def _required_frames(op, entries) -> int:
-    worst = 0
-    for which in entries:
-        kind_, i, j = oracle._entry_indices(which, op.rank)
-        bound = op.cv[i] + op.cv[j] if kind_ == "A" else op.cv[i]
-        size = len(weighted_monomials(op.cv, bound))
-        need = 2 * size + 8
-        worst = max(worst, need if kind_ == "A" else (need + 1) // 2)
-    return worst + 8
-
-
 def _cmd_fit(args) -> dict:
     op = _operator_for(args.system, args.variant)
     entries = args.entries.split(",")
@@ -363,12 +354,22 @@ def _cmd_fit(args) -> dict:
             op, samples=20, seed=args.seed, tol=args.tol, precision="double"
         )
         entries = quick["discrepant"]
+    frames = {}
     for which in entries:
         try:
-            oracle._entry_indices(which, op.rank)
+            frames[which] = oracle._fit_plan(op, which)[-1]
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    count = args.samples or (_required_frames(op, entries) if entries else 0)
+    # a pool must hold the largest entry's fit frames and the held-out ones;
+    # the default pool has 4 frames more than that
+    largest = max(frames, key=frames.get, default=None)
+    need = frames[largest] + oracle.HELD_OUT_FRAMES if frames else 0
+    if args.samples and args.samples < need:
+        raise UsageError(
+            f"--samples {args.samples} is too small for {largest};"
+            f" it needs at least {need} (or 0 to size the pool)"
+        )
+    count = args.samples or (need + 4 if frames else 0)
     pool = oracle.FramePool(
         op.system, count, seed=args.seed, beta=args.beta[0]
     )
@@ -450,7 +451,6 @@ def _add_common(p, *, samples=None, seed=0, tol=None, precision=False,
                 formats=("json", "text")):
     p.add_argument("--system", type=_parse_system, default="E7")
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--output", default=None)
     p.add_argument("--precision-digits", type=_count(1), default=None)
@@ -467,7 +467,7 @@ def _add_common(p, *, samples=None, seed=0, tol=None, precision=False,
             "--variant", choices=("raw", "canonical", "derived"), default=variant
         )
     if beta is not None:
-        p.add_argument("--beta", type=_parse_floats, default=_parse_floats(beta))
+        p.add_argument("--beta", type=_parse_betas, default=_parse_betas(beta))
     if nu is not None:
         p.add_argument("--nu", type=_parse_floats, default=_parse_floats(nu))
     if n is not None:
@@ -546,11 +546,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved = os.environ.get("TAUFORGE_PRECISION")
     if args.precision_digits is not None:
         os.environ["TAUFORGE_PRECISION"] = str(args.precision_digits)
     try:
+        return _run(parser, args)
+    finally:
+        if saved is None:
+            os.environ.pop("TAUFORGE_PRECISION", None)
+        else:
+            os.environ["TAUFORGE_PRECISION"] = saved
+
+
+def _run(parser, args) -> int:
+    try:
         body = args.handler(args)
-    except UsageError as exc:
+    except (UsageError, oracle.SamplingError) as exc:
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
     if "raw_text" in body:
         if args.output:

@@ -11,14 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 from mpmath import mp, mpf
 
 from .exactpoly import MultiPoly
 from .operator import AlgebraicOperator, stored_data_report
-from .oracle import CLEARANCE, SamplePoint, clearance, hp_digits, tau_numeric
+from .oracle import (
+    CLEARANCE,
+    SamplePoint,
+    _check_rejections,
+    clearance,
+    hp_digits,
+    tau_numeric,
+)
 from .rootsys import RootSystem
 
 COND_LIMIT = 1e14
@@ -62,11 +69,13 @@ def flatness_sample_points(
     frame records its condition number.  The radial factor in [0.8, 1]
     spreads the samples toward the region where the orbit sums are of
     genuine size while the chart is still invertible in double precision.
+    Raises SamplingError after MAX_REJECTED_DRAWS rejections in a row.
     """
     center = np.array(chart_center(sysr, beta=beta))
     rng = np.random.default_rng(seed)
     out: list[SamplePoint] = []
     dps = hp_digits()
+    rejected = 0
     while len(out) < count:
         # stratified radii: every run walks the full band from the center
         # down to the t = 0.8 shell instead of leaving coverage to chance
@@ -74,7 +83,10 @@ def flatness_sample_points(
         u = radial * center + rng.uniform(-spread, spread, sysr.y_dim) / float(beta)
         cand = SamplePoint(y=tuple(float(v) for v in u), beta=float(beta), nu=0.0)
         if clearance(sysr, cand) <= CLEARANCE:
+            rejected += 1
+            _check_rejections(rejected, beta)
             continue
+        rejected = 0
         if precision == "hp":
             with mp.workdps(dps):
                 cand = SamplePoint(
@@ -133,73 +145,78 @@ class MetricFrame:
     riemann_max: float | None = None
 
 
-@lru_cache(maxsize=None)
-def _dA_polys(op: AlgebraicOperator):
-    """dA[k][i][j] = dA_ij/dtau_k, exact."""
-    r = op.rank
-    return tuple(
-        tuple(tuple(op.A[i][j].partial_derivative(k + 1) for j in range(r)) for i in range(r))
-        for k in range(r)
-    )
+class _MetricPolys:
+    """A and its first and second tau-derivatives, compiled once per operator.
 
+    Coefficients are converted once, to float or to mpf at the current
+    precision.  Entries with the same term list (A_ij and A_ji, mixed
+    partials in either order, the many zero second derivatives) share one
+    compiled form, so each distinct polynomial is evaluated once per point.
+    The integer arrays A[i, j], dA[k, i, j] and d2A_distinct index the
+    values returned by values(tau).
+    """
 
-@lru_cache(maxsize=None)
-def _d2A_polys(op: AlgebraicOperator):
-    """d2A[k][l][i][j] = d^2 A_ij / dtau_k dtau_l, exact."""
-    r = op.rank
-    dA = _dA_polys(op)
-    return tuple(
-        tuple(
-            tuple(tuple(dA[k][i][j].partial_derivative(l + 1) for j in range(r)) for i in range(r))
-            for l in range(r)
-        )
-        for k in range(r)
-    )
+    def __init__(self, op: AlgebraicOperator, hp: bool, derivatives: bool = True):
+        r = op.rank
+        self.hp = hp
+        self.terms: list = []
+        self.max_exp = [0] * r
+        index: dict = {}
+        conv = (lambda q: mpf(q.numerator) / q.denominator) if hp else float
 
-
-def _power_table(tau, polys_max_exp):
-    powers = []
-    for i, t in enumerate(tau):
-        row = [1 if not isinstance(t, mpf) else mpf(1), t]
-        for _ in range(2, polys_max_exp[i] + 1):
-            row.append(row[-1] * t)
-        powers.append(row)
-    return powers
-
-
-class _PointEvaluator:
-    """Evaluates many nu-free polynomials at one tau point, sharing powers."""
-
-    def __init__(self, tau):
-        self.tau = tau
-        self.hp = isinstance(tau[0], mpf)
-        self.powers = [[mpf(1) if self.hp else 1.0, t] for t in tau]
-        self._coef_cache: dict = {}
-
-    def _power(self, i, p):
-        row = self.powers[i]
-        while len(row) <= p:
-            row.append(row[-1] * self.tau[i])
-        return row[p]
-
-    def __call__(self, poly: MultiPoly):
-        total = mpf(0) if self.hp else 0.0
-        for exp, coef in poly.terms.items():
-            key = coef.c0
-            c = self._coef_cache.get(key)
-            if c is None:
-                c = (
-                    mpf(key.numerator) / key.denominator
-                    if self.hp
-                    else float(key)
+        def add(poly: MultiPoly) -> int:
+            key = tuple(poly.terms.items())
+            at = index.get(key)
+            if at is None:
+                at = index[key] = len(self.terms)
+                self.terms.append(
+                    tuple(
+                        (conv(coef.c0), tuple((i, p) for i, p in enumerate(exp) if p))
+                        for exp, coef in key
+                    )
                 )
-                self._coef_cache[key] = c
-            m = c
-            for i, p in enumerate(exp):
-                if p:
-                    m = m * self._power(i, p)
-            total += m
-        return total
+                self.max_exp = [max(col) for col in zip(self.max_exp, *dict(key))]
+            return at
+
+        rr = range(r)
+        self.A = np.array([[add(op.A[i][j]) for j in rr] for i in rr])
+        if not derivatives:
+            return
+        dA = [[[op.A[i][j].partial_derivative(k + 1) for j in rr] for i in rr] for k in rr]
+        self.dA = np.array([[[add(p) for p in row] for row in plane] for plane in dA])
+        d2A = np.array(
+            [
+                [[[add(dA[k][i][j].partial_derivative(l + 1)) for j in rr] for i in rr] for l in rr]
+                for k in rr
+            ]
+        ).reshape(r * r, r, r)
+        # d2A_distinct holds each distinct matrix d2A[k][l] once (mixed
+        # partials come in equal pairs); d2A_slot[k, l] is its position
+        _, first, slot = np.unique(
+            d2A.reshape(r * r, r * r), axis=0, return_index=True, return_inverse=True
+        )
+        self.d2A_distinct = d2A[first]
+        self.d2A_slot = slot.reshape(r, r)
+
+    def values(self, tau) -> list:
+        """Every compiled polynomial at tau: a sum from zero, term by term."""
+        one, zero = (mpf(1), mpf(0)) if self.hp else (1.0, 0.0)
+        powers = []
+        for t, top in zip(tau, self.max_exp):
+            row = [one, t]
+            for _ in range(2, top + 1):
+                row.append(row[-1] * t)
+            powers.append(row)
+        out = []
+        for terms in self.terms:
+            total = zero
+            for c, pairs in terms:
+                m = c
+                for i, p in pairs:
+                    m = m * powers[i][p]
+                total += m
+            out.append(total)
+        return out
 
 
 def _invert(mat, hp: bool):
@@ -228,137 +245,122 @@ def _invert(mat, hp: bool):
     return inv.tolist(), cond
 
 
-def metric_at(op: AlgebraicOperator, tau_point) -> MetricFrame:
-    """Evaluate and invert the contravariant metric at a tau point."""
-    r = op.rank
-    ev = _PointEvaluator(tuple(tau_point))
-    A = [[ev(op.A[i][j]) for j in range(r)] for i in range(r)]
+def _metric_frame(tau: tuple, A: list, hp: bool) -> MetricFrame:
     if all(all(abs(v) < 1e-12 for v in row) for row in A):
         raise SingularMetricError("metric vanishes at this point")
-    A_inv, cond = _invert(A, ev.hp)
+    A_inv, cond = _invert(A, hp)
     return MetricFrame(
-        tau=tuple(tau_point),
+        tau=tau,
         A=tuple(tuple(row) for row in A),
         A_inv=tuple(tuple(row) for row in A_inv),
         cond=cond,
     )
 
 
-def _curvature(op: AlgebraicOperator, tau_point):
-    """(riemann_max_normalized, bianchi_max_normalized, frame)."""
+def metric_at(op: AlgebraicOperator, tau_point) -> MetricFrame:
+    """Evaluate and invert the contravariant metric at a tau point."""
+    tau = tuple(tau_point)
+    hp = isinstance(tau[0], mpf)
+    metric = _MetricPolys(op, hp, derivatives=False)
+    vals = metric.values(tau)
+    return _metric_frame(tau, [[vals[x] for x in row] for row in metric.A], hp)
+
+
+def _mm(X, Y):
+    """Matrix products over the last two axes, with numpy broadcasting.
+
+    Each entry is 0 + X[i,0] Y[0,j] + X[i,1] Y[1,j] + ... in that order,
+    the order of sum() over m, so float64 and object (mpf) arrays give the
+    bits of the scalar loop.
+    """
+    acc = 0
+    for m in range(X.shape[-1]):
+        acc = acc + X[..., :, m, None] * Y[..., None, m, :]
+    return acc
+
+
+def _bracket(T):
+    """out[j, k, m] = T[j, m, k] + T[k, m, j] - T[m, j, k]."""
+    return (T.transpose(0, 2, 1) + T.transpose(2, 0, 1)) - T.transpose(1, 2, 0)
+
+
+def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = None):
+    """(riemann_max_normalized, bianchi_max_normalized, frame).
+
+    `metric` is op compiled in the arithmetic of tau_point; pass it to
+    reuse one compilation across points.  Tensors are numpy arrays: float64
+    for real doubles, and objects for mpf (or complex) values, so numpy
+    applies the scalar operators element by element.  Every sum runs over
+    m in order from zero, which keeps the bits of the scalar formulas in
+    the comments.  Rank-4 tensors other than dGamma are built one leading
+    index at a time, which bounds the memory of the mpf objects.
+    """
     r = op.rank
-    frame = metric_at(op, tau_point)
-    ev = _PointEvaluator(frame.tau)
-    hp = ev.hp
-    A = [list(row) for row in frame.A]
-    g = [list(row) for row in frame.A_inv]
-
-    dA_p = _dA_polys(op)
-    d2A_p = _d2A_polys(op)
-    dA = [[[ev(dA_p[k][i][j]) for j in range(r)] for i in range(r)] for k in range(r)]
-    d2A = [
-        [[[ev(d2A_p[k][l][i][j]) for j in range(r)] for i in range(r)] for l in range(r)]
-        for k in range(r)
-    ]
-
-    def mat_mul(X, Y):
-        return [
-            [sum(X[i][m] * Y[m][j] for m in range(r)) for j in range(r)]
-            for i in range(r)
-        ]
-
-    # dg = -g dA g ; d2g = -(dg dA g + g d2A g + g dA dg)
-    dg = [mat_mul(mat_mul(g, dA[k]), g) for k in range(r)]
-    dg = [[[-v for v in row] for row in m] for m in dg]
-    d2g = []
-    for k in range(r):
-        row_k = []
-        for l in range(r):
-            t1 = mat_mul(mat_mul(dg[l], dA[k]), g)
-            t2 = mat_mul(mat_mul(g, d2A[k][l]), g)
-            t3 = mat_mul(mat_mul(g, dA[k]), dg[l])
-            row_k.append(
-                [
-                    [-(t1[i][j] + t2[i][j] + t3[i][j]) for j in range(r)]
-                    for i in range(r)
-                ]
-            )
-        d2g.append(row_k)
-
-    # Gamma^i_{jk} = 1/2 A^{im} (d_j g_{mk} + d_k g_{mj} - d_m g_{jk})
+    tau = tuple(tau_point)
+    hp = isinstance(tau[0], mpf)
+    if metric is None:
+        metric = _MetricPolys(op, hp)
+    vals = metric.values(tau)
+    frame = _metric_frame(tau, [[vals[x] for x in row] for row in metric.A], hp)
+    dtype = float if all(isinstance(v, float) for v in vals) else object
+    vals = np.array(vals, dtype=dtype)
+    A = vals[metric.A]
+    dA = vals[metric.dA]
+    g = np.array(frame.A_inv, dtype=dtype)
     half = mpf("0.5") if hp else 0.5
-    gamma = [
-        [
-            [
-                half
-                * sum(
-                    A[i][m] * (dg[j][m][k] + dg[k][m][j] - dg[m][j][k])
-                    for m in range(r)
-                )
-                for k in range(r)
-            ]
-            for j in range(r)
-        ]
-        for i in range(r)
-    ]
-    # dGamma[l][i][j][k] = d_l Gamma^i_{jk}
-    dgamma = [
-        [
-            [
-                [
-                    half
-                    * sum(
-                        dA[l][i][m] * (dg[j][m][k] + dg[k][m][j] - dg[m][j][k])
-                        + A[i][m]
-                        * (d2g[l][j][m][k] + d2g[l][k][m][j] - d2g[l][m][j][k])
-                        for m in range(r)
-                    )
-                    for k in range(r)
-                ]
-                for j in range(r)
-            ]
-            for i in range(r)
-        ]
-        for l in range(r)
-    ]
+    zero = mpf(0) if hp else 0.0
 
-    gamma_max = max(
-        abs(gamma[i][j][k]) for i in range(r) for j in range(r) for k in range(r)
-    )
+    # dg[k] = -g dA[k] g
+    gdA = _mm(g, dA)
+    dg = -_mm(gdA, g)
+    # Gamma^i_{jk} = 1/2 sum_m A^{im} bracket[j, k, m] with
+    # bracket[j, k, m] = d_j g_{mk} + d_k g_{mj} - d_m g_{jk}
+    bracket = _bracket(dg)
+    acc = 0
+    for m in range(r):
+        acc = acc + A[:, None, None, m] * bracket[None, :, :, m]
+    gamma = np.multiply(half, acc)
+    gamma_max = max(abs(v) for v in gamma.flat)
     norm = 1 + gamma_max**2
-    riemann_max = mpf(0) if hp else 0.0
-    bianchi_max = mpf(0) if hp else 0.0
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                for l in range(r):
-                    rijkl = (
-                        dgamma[k][i][l][j]
-                        - dgamma[l][i][k][j]
-                        + sum(
-                            gamma[i][k][m] * gamma[m][l][j]
-                            - gamma[i][l][m] * gamma[m][k][j]
-                            for m in range(r)
-                        )
-                    )
-                    riemann_max = max(riemann_max, abs(rijkl))
-    # first Bianchi: R^i_{jkl} + R^i_{klj} + R^i_{ljk} = 0
-    def rcomp(i, j, k, l):
-        return (
-            dgamma[k][i][l][j]
-            - dgamma[l][i][k][j]
-            + sum(
-                gamma[i][k][m] * gamma[m][l][j] - gamma[i][l][m] * gamma[m][k][j]
-                for m in range(r)
-            )
-        )
 
+    # g d2A g, once per distinct second-derivative matrix
+    gd2Ag = _mm(_mm(g, vals[metric.d2A_distinct]), g)
+    dgamma = []
+    for l in range(r):
+        # d2g[l, k] = d_l d_k g = -(dg[k] dA[l] g + g d2A[l, k] g + g dA[l] dg[k])
+        t1 = _mm(_mm(dg, dA[l]), g)
+        t3 = _mm(gdA[l], dg)
+        d2g = -((t1 + gd2Ag[metric.d2A_slot[l]]) + t3)
+        # dGamma[l, i, j, k] = d_l Gamma^i_{jk}
+        #   = 1/2 sum_m (dA[l, i, m] bracket[j, k, m] + A[i, m] d_l bracket[j, k, m])
+        dbracket = _bracket(d2g)
+        acc = 0
+        for m in range(r):
+            acc = acc + (
+                dA[l, :, None, None, m] * bracket[None, :, :, m]
+                + A[:, None, None, m] * dbracket[None, :, :, m]
+            )
+        dgamma.append(np.multiply(half, acc))
+    dgamma = np.array(dgamma, dtype=dtype)
+
+    # R^i_{jkl} = dGamma[k, i, l, j] - dGamma[l, i, k, j]
+    #   + sum_m (Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}),
+    # one i at a time; the first Bianchi identity R^i_{jkl} + R^i_{klj}
+    # + R^i_{ljk} = 0 is checked for j < k < l
+    j, k, l = np.array(list(combinations(range(r), 3)), dtype=int).reshape(-1, 3).T
+    riemann_max = bianchi_max = zero
     for i in range(r):
-        for j in range(r):
-            for k in range(j + 1, r):
-                for l in range(k + 1, r):
-                    b = rcomp(i, j, k, l) + rcomp(i, k, l, j) + rcomp(i, l, j, k)
-                    bianchi_max = max(bianchi_max, abs(b))
+        acc = 0
+        for m in range(r):
+            acc = acc + (
+                gamma[i, None, :, None, m] * gamma[m].T[:, None, :]
+                - gamma[i, None, None, :, m] * gamma[m].T[:, :, None]
+            )
+        d = dgamma[:, i]
+        R = (d.transpose(2, 0, 1) - d.transpose(2, 1, 0)) + acc
+        riemann_max = max(chain((riemann_max,), np.abs(R).flat))
+        bianchi = (R[j, k, l] + R[k, l, j]) + R[l, j, k]
+        bianchi_max = max(chain((bianchi_max,), np.abs(bianchi).flat))
     return (
         float(riemann_max / norm),
         float(bianchi_max / norm),
@@ -368,7 +370,7 @@ def _curvature(op: AlgebraicOperator, tau_point):
             A_inv=frame.A_inv,
             cond=frame.cond,
             christoffel=tuple(
-                tuple(tuple(row) for row in plane) for plane in gamma
+                tuple(tuple(row) for row in plane) for plane in gamma.tolist()
             ),
             riemann_max=float(riemann_max / norm),
         ),
@@ -403,10 +405,13 @@ def flatness_report(
     rows = []
     worst = 0.0
     dps = hp_digits() if precision == "hp" else mp.dps
+    metric = None
     for idx, pt in enumerate(pts):
         with mp.workdps(dps):
             tau = tau_numeric(sysr, pt)
-            r, b, frame = _curvature(op, tau)
+            if metric is None:
+                metric = _MetricPolys(op, isinstance(tau[0], mpf))
+            r, b, frame = _curvature(op, tau, metric)
         rows.append(
             {
                 "index": idx,

@@ -32,6 +32,10 @@ from .rootsys import RootSystem, build_system, deformed_weyl_vector, weyl_orbit
 DEFAULT_NU_LIST = (Fraction(0), Fraction(1, 2), Fraction(5, 2))
 DEFAULT_BETA_LIST = (1.0,)
 CLEARANCE = 1e-3
+# consecutive rejected draws after which a sampler gives up; at beta = 1
+# about two E7 draws in three are accepted, and even an acceptance ratio
+# of 1e-3 fails this bound with probability below 1e-40 per point
+MAX_REJECTED_DRAWS = 100_000
 
 
 class CancellationError(ValueError):
@@ -40,6 +44,19 @@ class CancellationError(ValueError):
 
 class ClearanceError(ValueError):
     """A sample point sits too close to a root hyperplane."""
+
+
+class SamplingError(ValueError):
+    """No draw clears the root walls, e.g. because beta is (nearly) zero."""
+
+
+def _check_rejections(rejected: int, beta) -> None:
+    """Raise SamplingError once MAX_REJECTED_DRAWS draws in a row failed."""
+    if rejected >= MAX_REJECTED_DRAWS:
+        raise SamplingError(
+            f"no sample point cleared the root walls (clearance > {CLEARANCE})"
+            f" in {MAX_REJECTED_DRAWS} draws in a row at beta={beta}"
+        )
 
 
 def hp_digits() -> int:
@@ -104,6 +121,13 @@ def _orbit_arrays(kind: str) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def _orbit_w2(kind: str) -> list[np.ndarray]:
+    """Per orbit, sum_k g_k u_k^2 for each element u, in double precision."""
+    gw = np.array(_metric(build_system(kind)))
+    return [(M * M * gw).sum(axis=1) for M in _orbit_arrays(kind)]
+
+
+@lru_cache(maxsize=None)
 def _root_array(kind: str) -> np.ndarray:
     return np.array(_root_vectors(kind), dtype=float)
 
@@ -118,6 +142,12 @@ def _root_mp(kind: str, dps: int) -> list:
 
 def _metric(sysr: RootSystem) -> list:
     return [float(g) for g in sysr.metric_weights[: sysr.y_dim]]
+
+
+@lru_cache(maxsize=None)
+def _rho_sq(kind: str) -> Fraction:
+    """rho^2 / nu^2, the squared norm of the sum of positive roots."""
+    return deformed_weyl_vector(build_system(kind)).rho_sq_over_nu_sq
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +169,22 @@ def sample_points(
     nu: float = 0.5,
     precision: str = "double",
 ) -> list[SamplePoint]:
-    """Uniform draws from [0.05, 0.35]^d, rejection-resampled for clearance."""
+    """Uniform draws from [0.05, 0.35]^d, rejection-resampled for clearance.
+
+    Raises SamplingError after MAX_REJECTED_DRAWS rejections in a row.
+    """
     rng = np.random.default_rng(seed)
     out: list[SamplePoint] = []
     dps = hp_digits()
+    rejected = 0
     while len(out) < count:
         u = rng.uniform(0.05, 0.35, sysr.y_dim)
         cand = SamplePoint(y=tuple(float(v) for v in u), beta=beta, nu=nu)
         if clearance(sysr, cand) <= CLEARANCE:
+            rejected += 1
+            _check_rejections(rejected, beta)
             continue
+        rejected = 0
         if precision == "hp":
             with mp.workdps(dps):
                 cand = SamplePoint(
@@ -177,12 +214,10 @@ def _geom_double(sysr: RootSystem, y_arr: np.ndarray, beta: float):
     Returns complex sums for systems whose Weyl group lacks -1; otherwise
     asserts the imaginary parts cancel and returns reals.
     """
-    gw = np.array(_metric(sysr))
     taus, jacs, laps = [], [], []
-    for M in _orbit_arrays(sysr.kind):
+    for M, w2 in zip(_orbit_arrays(sysr.kind), _orbit_w2(sysr.kind)):
         ph = beta * (M @ y_arr)
         c, s = np.cos(ph), np.sin(ph)
-        w2 = (M * M * gw).sum(axis=1)
         size = M.shape[0]
         if sysr.has_minus_one:
             if np.abs(s.sum()) / size > 1e-10:
@@ -399,8 +434,7 @@ def chain_rule_oracle(sysr: RootSystem, point: SamplePoint):
 
 def ground_state_energy(sysr: RootSystem, beta, nu):
     """E0 = beta^2 rho^2 / 8 with rho = nu * (sum of positive roots)."""
-    rho2 = deformed_weyl_vector(sysr).rho_sq_over_nu_sq
-    return beta**2 * nu**2 * float(rho2) / 8
+    return beta**2 * nu**2 * float(_rho_sq(sysr.kind)) / 8
 
 
 def ground_state_residual(sysr: RootSystem, point: SamplePoint):
@@ -444,7 +478,7 @@ def ground_state_residual(sysr: RootSystem, point: SamplePoint):
         quad = float((np.array(gw) * grad * grad).sum())
     v_pot = nu * (nu - 1) * (beta**2 / 4) * inv_sin2
     lhs = -(d_log + quad) / 2 + v_pot
-    rho2 = deformed_weyl_vector(sysr).rho_sq_over_nu_sq
+    rho2 = _rho_sq(sysr.kind)
     rho2 = mpf(rho2.numerator) / rho2.denominator if hp else float(rho2)
     e0 = beta**2 * nu**2 * rho2 / 8
     return abs(lhs - e0) / (abs(e0) + 1)
@@ -454,21 +488,44 @@ def ground_state_residual(sysr: RootSystem, point: SamplePoint):
 # table verification
 
 
-def _eval_poly(poly: MultiPoly, tau, nu):
-    """Evaluate in whatever arithmetic the frame carries."""
-    use_mp = isinstance(tau[0], (mpf, mp.mpc))
+def _compile_poly(poly: MultiPoly, nu, hp: bool) -> tuple:
+    """poly at coupling nu as terms (c, ((k, e), ...)), in storage order.
+
+    c = c0 + c1 nu is formed once, in floats or in mpf at the current
+    precision; the pairs list the nonzero exponents of the term.
+    """
+    conv = (lambda q: mpf(q.numerator) / q.denominator) if hp else float
+    return tuple(
+        (
+            conv(coef.c0) + conv(coef.c1) * nu,
+            tuple((k, e) for k, e in enumerate(exp) if e),
+        )
+        for exp, coef in poly.terms.items()
+    )
+
+
+def _exponents(compiled, dim: int) -> list[tuple]:
+    """Per coordinate, the exponents that the compiled polys raise it to."""
+    used = [set() for _ in range(dim)]
+    for terms in compiled:
+        for _, pairs in terms:
+            for k, e in pairs:
+                used[k].add(e)
+    return [tuple(sorted(es)) for es in used]
+
+
+def _powers(tau, exponents) -> list[dict]:
+    """powers[k][e] = tau[k] ** e, shared by every poly evaluated at tau."""
+    return [{e: t**e for e in es} for t, es in zip(tau, exponents)]
+
+
+def _eval_compiled(terms, powers, tau):
+    """Sum of the compiled terms at tau, in whatever arithmetic tau carries."""
     total = None
-    for exp, coef in poly.terms.items():
-        if use_mp:
-            c = mpf(coef.c0.numerator) / coef.c0.denominator + (
-                mpf(coef.c1.numerator) / coef.c1.denominator
-            ) * nu
-        else:
-            c = float(coef.c0) + float(coef.c1) * nu
+    for c, pairs in terms:
         m = c
-        for e, t in zip(exp, tau):
-            if e:
-                m = m * t**e
+        for k, e in pairs:
+            m = m * powers[k][e]
         total = m if total is None else total + m
     if total is None:
         return 0 * tau[0]
@@ -503,37 +560,46 @@ def verify_tables(
         if r > worst.get(entry, 0.0):
             worst[entry] = r
 
-    for beta in beta_list:
-        pts = sample_points(
-            sysr, samples, seed=seed, beta=beta, nu=0.0, precision=precision
+    hp = precision == "hp"
+    with mp.workdps(dps):
+        gw = (
+            [mpf(g.numerator) / g.denominator for g in sysr.metric_weights[: sysr.y_dim]]
+            if hp
+            else _metric(sysr)
         )
-        for pt in pts:
-            with mp.workdps(dps):
+        nubs = [mpf(str(nu)) if hp else float(nu) for nu in nu_list]
+        b_terms = [[_compile_poly(op.B[i], nub, hp) for nub in nubs] for i in range(rank)]
+        for beta in beta_list:
+            bv = mpf(str(beta)) if hp else float(beta)
+            b2 = bv**2
+            a_terms = [
+                {j: _compile_poly(op.A[i][j], 0 * bv, hp) for j in range(i, rank)}
+                for i in range(rank)
+            ]
+            exps = _exponents(
+                [t for row in a_terms for t in row.values()]
+                + [t for row in b_terms for t in row],
+                rank,
+            )
+            pts = sample_points(
+                sysr, samples, seed=seed, beta=beta, nu=0.0, precision=precision
+            )
+            for pt in pts:
                 taus, jacs, laps, cotg = _geom(sysr, pt)
-                gw = (
-                    [
-                        mpf(g.numerator) / g.denominator
-                        for g in sysr.metric_weights[: sysr.y_dim]
-                    ]
-                    if precision == "hp"
-                    else _metric(sysr)
-                )
-                bv = mpf(str(beta)) if precision == "hp" else float(beta)
-                b2 = bv**2
+                pw = _powers(taus, exps)
                 for i in range(rank):
                     for j in range(i, rank):
                         ref = sum(g * a * b for g, a, b in zip(gw, jacs[i], jacs[j])) / b2
-                        got = _eval_poly(op.A[i][j], taus, 0 * bv)
+                        got = _eval_compiled(a_terms[i][j], pw, taus)
                         note(f"A{i+1}{j+1}", abs(got - ref) / (1 + abs(ref)))
                     base = laps[i] / b2
                     slope = (
                         2 * sum(g * c * jk for g, c, jk in zip(gw, cotg, jacs[i])) / b2
                     )
                     bvals = []
-                    for nu in nu_list:
-                        nub = mpf(str(nu)) if precision == "hp" else float(nu)
+                    for nub, terms in zip(nubs, b_terms[i]):
                         ref = base + nub * slope
-                        got = _eval_poly(op.B[i], taus, nub)
+                        got = _eval_compiled(terms, pw, taus)
                         note(f"B{i+1}", abs(got - ref) / (1 + abs(ref)))
                         bvals.append((nub, ref))
                     if len(bvals) >= 3:
@@ -594,6 +660,25 @@ def _entry_indices(which: str, rank: int) -> tuple[str, int, int | None]:
     raise ValueError(f"bad entry id {which!r} for rank {rank}")
 
 
+# fit_entry fits on the first frames of a pool and checks the result on
+# its last HELD_OUT_FRAMES
+HELD_OUT_FRAMES = 4
+
+
+def _fit_plan(op: AlgebraicOperator, which: str, samples: int | None = None):
+    """(kind, i, j, basis, rows, frames) for refitting one entry.
+
+    basis holds every monomial within the entry's weighted-degree bound;
+    `rows` least-squares rows (default 2 * len(basis) + 8) come from the
+    first `frames` frames, two rows (two nu values) per frame for B.
+    """
+    kind_, i, j = _entry_indices(which, op.rank)
+    bound = op.cv[i] + op.cv[j] if kind_ == "A" else op.cv[i]
+    basis = weighted_monomials(op.cv, bound)
+    rows = samples or 2 * len(basis) + 8
+    return kind_, i, j, basis, rows, rows if kind_ == "A" else (rows + 1) // 2
+
+
 class FramePool:
     """Shared high-precision frames so several fits reuse the geometry."""
 
@@ -623,21 +708,18 @@ def fit_entry(
     denominators <= 4, and reports the residual at held-out points.
     """
     sysr = op.system
-    cv = op.cv
-    kind_, i, j = _entry_indices(which, op.rank)
-    bound = cv[i] + cv[j] if kind_ == "A" else cv[i]
-    basis = weighted_monomials(cv, bound)
-    unknowns = len(basis) * (1 if kind_ == "A" else 2)
-    needed = samples or 2 * len(basis) + 8
+    kind_, i, j, basis, needed, want_frames = _fit_plan(op, which, samples)
     dps = precision_digits or max(hp_digits(), 50)
     fit_nus = (Fraction(1, 2), Fraction(5, 2))
 
     with mp.workdps(dps + 20):
         if pool is None:
             pool = FramePool(sysr, needed + 8, seed=seed, dps=dps)
-        want_frames = needed if kind_ == "A" else (needed + 1) // 2
-        if len(pool.frames) < want_frames + 4:
-            raise ValueError("frame pool too small for this entry")
+        if len(pool.frames) < want_frames + HELD_OUT_FRAMES:
+            raise ValueError(
+                f"frame pool too small for {which}: needs"
+                f" {want_frames + HELD_OUT_FRAMES} frames, has {len(pool.frames)}"
+            )
         gw = [
             mpf(g.numerator) / g.denominator
             for g in sysr.metric_weights[: sysr.y_dim]
@@ -693,12 +775,20 @@ def fit_entry(
 
         worst = mpf(0)
         if reconstructed:
-            for frame in pool.frames[-4:]:
+            held = [
+                (nub, _compile_poly(poly, nub, True))
+                for nub in (
+                    mpf(nu.numerator) / nu.denominator
+                    for nu in (fit_nus if kind_ == "B" else (Fraction(0),))
+                )
+            ]
+            exps = _exponents([terms for _, terms in held], sysr.rank)
+            for frame in pool.frames[-HELD_OUT_FRAMES:]:
                 taus = frame[0]
-                for nu in fit_nus if kind_ == "B" else (Fraction(0),):
-                    nub = mpf(nu.numerator) / nu.denominator
+                pw = _powers(taus, exps)
+                for nub, terms in held:
                     ref = oracle_value(frame, nub)
-                    got = _eval_poly(poly, taus, nub)
+                    got = _eval_compiled(terms, pw, taus)
                     worst = max(worst, abs(got - ref) / (1 + abs(ref)))
         return FitResult(
             entry=which.upper(),

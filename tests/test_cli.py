@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tauforge
 from tauforge.cli import main
+
+SRC = str(Path(tauforge.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -209,6 +216,12 @@ BAD_VALUES = [
      "tauforge verify-tables: error: E7 has no derived variant; use raw or canonical"),
     (["derive", "--system", "E7"],
      "tauforge derive: error: derivation is limited to rank <= 2 systems"),
+    (["fit", "--entries", "B1", "--samples", "3"],
+     "tauforge fit: error: --samples 3 is too small for B1;"
+     " it needs at least 10 (or 0 to size the pool)"),
+    (["fit", "--entries", "B1,A17,B2", "--samples", "40"],
+     "tauforge fit: error: --samples 40 is too small for A17;"
+     " it needs at least 100 (or 0 to size the pool)"),
 ]
 
 
@@ -228,6 +241,16 @@ def test_bad_values_are_one_line_usage_errors(capsys, monkeypatch, argv, message
     assert err == message + "\n"
 
 
+def test_fit_accepts_exactly_the_minimum_samples(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--entries", "B1", "--samples", "9"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, rep = run_json(capsys, "fit", "--entries", "B1", "--samples", "10")
+    assert code == 0
+    assert rep["result"]["entries"][0]["ok"]
+
+
 def test_fit_samples_zero_sizes_the_pool(capsys):
     code, rep = run_json(capsys, "fit", "--entries", "B1", "--samples", "0")
     assert code == 0
@@ -241,3 +264,85 @@ def test_hp_ground_state_runs_at_the_working_precision(capsys):
     )
     assert code == 0
     assert 0 < rep["result"]["max_residual"] < 1e-30
+
+
+def test_reports_do_not_depend_on_the_cpu_count(capsys, monkeypatch):
+    argvs = (
+        ["tau-eval", "--samples", "3"],
+        ["verify-ground-state", "--samples", "3", "--beta", "1", "--nu", "0.5"],
+    )
+    outputs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        outputs.append([run(capsys, *argv) for argv in argvs])
+    assert outputs[0] == outputs[1]
+    for code, out in outputs[0]:
+        assert code == 0
+        assert "jobs" not in json.loads(out)["config"]
+
+
+def test_precision_digits_do_not_outlive_main(capsys, monkeypatch):
+    monkeypatch.delenv("TAUFORGE_PRECISION", raising=False)
+    argv = ("tau-eval", "--samples", "1", "--precision", "hp")
+    _, first = run_json(capsys, *argv, "--precision-digits", "60")
+    assert first["config"]["precision_digits"] == 60
+    assert "TAUFORGE_PRECISION" not in os.environ
+    _, second = run_json(capsys, *argv)
+    assert second["config"]["precision_digits"] == 50
+    monkeypatch.setenv("TAUFORGE_PRECISION", "55")
+    run(capsys, *argv, "--precision-digits", "60")
+    assert os.environ["TAUFORGE_PRECISION"] == "55"
+    # a usage error raised by the handler exits through the same restore
+    with pytest.raises(SystemExit):
+        main(["fit", "--entries", "A9", "--precision-digits", "60"])
+    assert os.environ["TAUFORGE_PRECISION"] == "55"
+
+
+def cli_process(*argv, timeout=120):
+    """The CLI in a fresh process; a hang fails the test at the timeout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("TAUFORGE_PRECISION", None)
+    return subprocess.run(
+        [sys.executable, "-m", "tauforge.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau-eval", "--beta", "0"],
+        ["verify-tables", "--beta", "0", "--samples", "2"],
+        ["verify-ground-state", "--beta", "1,0", "--samples", "2"],
+        ["flatness", "--beta", "0", "--points", "2"],
+        ["fit", "--beta", "0", "--entries", "B1"],
+        ["tau-eval", "--beta", "inf"],
+    ],
+    ids=lambda argv: "_".join(argv),
+)
+def test_beta_zero_is_a_usage_error(argv):
+    proc = cli_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "argument --beta: beta must be nonzero and finite, got" in (
+        proc.stderr.splitlines()[-1]
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau-eval", "--beta", "1e-9", "--samples", "1"],
+        ["verify-ground-state", "--beta", "1e-9", "--samples", "1"],
+    ],
+    ids=lambda argv: "_".join(argv),
+)
+def test_a_beta_no_point_clears_ends_as_a_usage_error(argv):
+    proc = cli_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"tauforge {argv[0]}: error: no sample point cleared the root walls"
+        " (clearance > 0.001) in 100000 draws in a row at beta=1e-09"
+    ]

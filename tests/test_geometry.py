@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from tauforge.derive import derive_operator
 from tauforge.geometry import (
     SingularMetricError,
+    _curvature,
+    _invert,
     bianchi_at,
     chart_center,
     flatness_report,
@@ -15,7 +18,7 @@ from tauforge.geometry import (
     sabotaged,
     with_coefficient,
 )
-from tauforge.oracle import SamplePoint, clearance, tau_numeric
+from tauforge.oracle import SamplePoint, SamplingError, clearance, tau_numeric
 from tauforge.operator import e7_operator
 from tauforge.rootsys import build_system, weyl_orbit
 
@@ -121,3 +124,209 @@ def test_rank_one_metric_is_exactly_flat():
     op = derive_operator(build_system("A1"))
     assert riemann_at(op, (0.3,)) == 0.0
     assert bianchi_at(op, (0.3,)) == 0.0
+
+
+# Reference copy of the curvature assembly as it was before the per-operator
+# compilation and the one-pass Riemann tensor: lru-cached exact derivatives,
+# a per-point evaluator with its own coefficient cache, every matrix product
+# and Christoffel bracket formed where it is used, and the Bianchi check
+# recomputing each Riemann component.  The live code must match it bit for bit.
+
+
+def _ref_dA_polys(op):
+    r = op.rank
+    return tuple(
+        tuple(tuple(op.A[i][j].partial_derivative(k + 1) for j in range(r)) for i in range(r))
+        for k in range(r)
+    )
+
+
+def _ref_d2A_polys(op, dA):
+    r = op.rank
+    return tuple(
+        tuple(
+            tuple(tuple(dA[k][i][j].partial_derivative(l + 1) for j in range(r)) for i in range(r))
+            for l in range(r)
+        )
+        for k in range(r)
+    )
+
+
+class _RefPointEvaluator:
+    def __init__(self, tau):
+        self.tau = tau
+        self.hp = isinstance(tau[0], mpf)
+        self.powers = [[mpf(1) if self.hp else 1.0, t] for t in tau]
+        self._coef_cache = {}
+
+    def _power(self, i, p):
+        row = self.powers[i]
+        while len(row) <= p:
+            row.append(row[-1] * self.tau[i])
+        return row[p]
+
+    def __call__(self, poly):
+        total = mpf(0) if self.hp else 0.0
+        for exp, coef in poly.terms.items():
+            key = coef.c0
+            c = self._coef_cache.get(key)
+            if c is None:
+                c = mpf(key.numerator) / key.denominator if self.hp else float(key)
+                self._coef_cache[key] = c
+            m = c
+            for i, p in enumerate(exp):
+                if p:
+                    m = m * self._power(i, p)
+            total += m
+        return total
+
+
+def _ref_metric_at(op, tau_point):
+    r = op.rank
+    ev = _RefPointEvaluator(tuple(tau_point))
+    A = [[ev(op.A[i][j]) for j in range(r)] for i in range(r)]
+    if all(all(abs(v) < 1e-12 for v in row) for row in A):
+        raise SingularMetricError("metric vanishes at this point")
+    A_inv, cond = _invert(A, ev.hp)
+    return tuple(tau_point), A, A_inv, cond
+
+
+def _ref_curvature(op, tau_point):
+    r = op.rank
+    tau, A, g, cond = _ref_metric_at(op, tau_point)
+    ev = _RefPointEvaluator(tau)
+    hp = ev.hp
+    dA_p = _ref_dA_polys(op)
+    d2A_p = _ref_d2A_polys(op, dA_p)
+    dA = [[[ev(dA_p[k][i][j]) for j in range(r)] for i in range(r)] for k in range(r)]
+    d2A = [
+        [[[ev(d2A_p[k][l][i][j]) for j in range(r)] for i in range(r)] for l in range(r)]
+        for k in range(r)
+    ]
+
+    def mat_mul(X, Y):
+        return [
+            [sum(X[i][m] * Y[m][j] for m in range(r)) for j in range(r)]
+            for i in range(r)
+        ]
+
+    dg = [mat_mul(mat_mul(g, dA[k]), g) for k in range(r)]
+    dg = [[[-v for v in row] for row in m] for m in dg]
+    d2g = []
+    for k in range(r):
+        row_k = []
+        for l in range(r):
+            t1 = mat_mul(mat_mul(dg[l], dA[k]), g)
+            t2 = mat_mul(mat_mul(g, d2A[k][l]), g)
+            t3 = mat_mul(mat_mul(g, dA[k]), dg[l])
+            row_k.append(
+                [[-(t1[i][j] + t2[i][j] + t3[i][j]) for j in range(r)] for i in range(r)]
+            )
+        d2g.append(row_k)
+    half = mpf("0.5") if hp else 0.5
+    R = range(r)
+    gamma = [
+        [
+            [
+                half * sum(A[i][m] * (dg[j][m][k] + dg[k][m][j] - dg[m][j][k]) for m in R)
+                for k in R
+            ]
+            for j in R
+        ]
+        for i in R
+    ]
+    dgamma = [
+        [
+            [
+                [
+                    half
+                    * sum(
+                        dA[l][i][m] * (dg[j][m][k] + dg[k][m][j] - dg[m][j][k])
+                        + A[i][m] * (d2g[l][j][m][k] + d2g[l][k][m][j] - d2g[l][m][j][k])
+                        for m in R
+                    )
+                    for k in R
+                ]
+                for j in R
+            ]
+            for i in R
+        ]
+        for l in R
+    ]
+    gamma_max = max(abs(gamma[i][j][k]) for i in R for j in R for k in R)
+    norm = 1 + gamma_max**2
+
+    def rcomp(i, j, k, l):
+        return (
+            dgamma[k][i][l][j]
+            - dgamma[l][i][k][j]
+            + sum(
+                gamma[i][k][m] * gamma[m][l][j] - gamma[i][l][m] * gamma[m][k][j]
+                for m in R
+            )
+        )
+
+    riemann_max = mpf(0) if hp else 0.0
+    for i in R:
+        for j in R:
+            for k in R:
+                for l in R:
+                    riemann_max = max(riemann_max, abs(rcomp(i, j, k, l)))
+    bianchi_max = mpf(0) if hp else 0.0
+    for i in R:
+        for j in R:
+            for k in range(j + 1, r):
+                for l in range(k + 1, r):
+                    b = rcomp(i, j, k, l) + rcomp(i, k, l, j) + rcomp(i, l, j, k)
+                    bianchi_max = max(bianchi_max, abs(b))
+    return (
+        float(riemann_max / norm),
+        float(bianchi_max / norm),
+        tau,
+        A,
+        g,
+        cond,
+        tuple(tuple(tuple(row) for row in plane) for plane in gamma),
+    )
+
+
+def _frame_fields(result):
+    r, b, frame = result
+    return (r, b, frame.tau, [list(row) for row in frame.A],
+            [list(row) for row in frame.A_inv], frame.cond, frame.christoffel)
+
+
+@pytest.mark.parametrize("variant", ["raw", "canonical", "sabotaged"])
+def test_curvature_matches_the_two_pass_reference_bit_for_bit(variant, monkeypatch):
+    # sample_points rounds hp coordinates at hp_digits(); pin its default
+    monkeypatch.delenv("TAUFORGE_PRECISION", raising=False)
+    op = e7_operator("canonical" if variant == "sabotaged" else variant)
+    if variant == "sabotaged":
+        op = sabotaged(op)
+    for pt in flatness_sample_points(E7, 2, seed=11):
+        tau = tau_numeric(E7, pt)
+        assert _frame_fields(_curvature(op, tau)) == _ref_curvature(op, tau)
+    with mp.workdps(50):
+        pt = flatness_sample_points(E7, 1, seed=11, precision="hp")[0]
+        tau = tau_numeric(E7, pt)
+        assert _frame_fields(_curvature(op, tau)) == _ref_curvature(op, tau)
+
+
+@pytest.mark.parametrize("kind", ["A2", "G2"])
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+def test_derived_curvature_matches_the_reference_bit_for_bit(kind):
+    op = derive_operator(build_system(kind))
+    sysr = op.system
+    points = [tau_numeric(sysr, pt) for pt in flatness_sample_points(sysr, 2, seed=11)]
+    # real tau points as well: the A2 invariants are complex at real y
+    for point in (("0.3", "1.7"), ("-2.25", "0.125")):
+        points += [tuple(float(v) for v in point), tuple(mpf(v) for v in point)]
+    for tau in points:
+        with mp.workdps(50):
+            assert _frame_fields(_curvature(op, tau)) == _ref_curvature(op, tau)
+
+
+def test_flatness_sampler_gives_up_when_no_point_clears(monkeypatch):
+    monkeypatch.setattr("tauforge.geometry.clearance", lambda sysr, point: 0.0)
+    with pytest.raises(SamplingError, match="100000 draws in a row at beta=1.0"):
+        flatness_sample_points(E7, 2, seed=11)

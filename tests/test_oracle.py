@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from tauforge.derive import derive_operator
+from tauforge.exactpoly import MultiPoly
+from tauforge.geometry import sabotaged
 from tauforge.operator import e7_operator
 from tauforge.oracle import (
     CancellationError,
     ClearanceError,
     FramePool,
     SamplePoint,
+    SamplingError,
     build_frame,
     chain_rule_oracle,
     clearance,
@@ -23,11 +27,16 @@ from tauforge.oracle import (
     verify_tables,
     with_entry,
     _build_hp_plan,
+    _compile_poly,
+    _eval_compiled,
+    _exponents,
+    _powers,
+    _rho_sq,
     _geom_hp,
     _orbit_vectors,
     _root_mp,
 )
-from tauforge.rootsys import build_system
+from tauforge.rootsys import build_system, deformed_weyl_vector
 
 E7 = build_system("E7")
 
@@ -234,3 +243,102 @@ def test_frame_shapes():
 def test_precision_env_override(monkeypatch):
     monkeypatch.setenv("TAUFORGE_PRECISION", "72")
     assert hp_digits() == 72
+
+
+def _ref_eval_poly(poly, tau, nu):
+    """The table evaluator before compilation: each coefficient converted
+    and each tau power raised per term, at every point.  The compiled path
+    must match it bit for bit."""
+    use_mp = isinstance(tau[0], (mpf, mp.mpc))
+    total = None
+    for exp, coef in poly.terms.items():
+        if use_mp:
+            c = mpf(coef.c0.numerator) / coef.c0.denominator + (
+                mpf(coef.c1.numerator) / coef.c1.denominator
+            ) * nu
+        else:
+            c = float(coef.c0) + float(coef.c1) * nu
+        m = c
+        for e, t in zip(exp, tau):
+            if e:
+                m = m * t**e
+        total = m if total is None else total + m
+    if total is None:
+        return 0 * tau[0]
+    return total
+
+
+def _table_polys(op):
+    r = op.rank
+    return [op.A[i][j] for i in range(r) for j in range(i, r)] + list(op.B)
+
+
+@pytest.mark.parametrize("variant", ["raw", "canonical", "sabotaged", "A2", "G2"])
+def test_compiled_tables_match_the_per_term_reference_bit_for_bit(variant, monkeypatch):
+    monkeypatch.delenv("TAUFORGE_PRECISION", raising=False)
+    if variant in ("A2", "G2"):
+        op = derive_operator(build_system(variant))
+    else:
+        op = e7_operator("canonical" if variant == "sabotaged" else variant)
+        if variant == "sabotaged":
+            op = sabotaged(op)
+    sysr = op.system
+    polys = _table_polys(op)
+    for precision in ("double", "hp"):
+        with mp.workdps(50):
+            hp = precision == "hp"
+            nus = (
+                [mpf(0), mpf("0.5"), mpf("2.5")] if hp else [0.0, 0.5, 2.5, -0.0]
+            )
+            for nu in nus:
+                compiled = [_compile_poly(p, nu, hp) for p in polys]
+                exps = _exponents(compiled, op.rank)
+                for pt in sample_points(sysr, 2, seed=31, precision=precision):
+                    taus = tau_numeric(sysr, pt)
+                    pw = _powers(taus, exps)
+                    for poly, terms in zip(polys, compiled):
+                        got = _eval_compiled(terms, pw, taus)
+                        want = _ref_eval_poly(poly, taus, nu)
+                        assert got == want and type(got) is type(want)
+
+
+def test_zero_poly_evaluates_to_zero_in_the_frame_arithmetic():
+    taus = (np.float64(0.5), np.float64(2.0))
+    got = _eval_compiled(_compile_poly(MultiPoly.zero(2), 0.0, False), [{}, {}], taus)
+    assert got == 0 and type(got) is np.float64
+
+
+def test_cached_rho_sq_matches_the_sum_of_positive_roots():
+    for kind in ("E7", "A1", "A2", "G2"):
+        sysr = build_system(kind)
+        assert _rho_sq(kind) == deformed_weyl_vector(sysr).rho_sq_over_nu_sq
+        assert ground_state_energy(sysr, 1.5, 0.7) == (
+            1.5**2 * 0.7**2 * float(deformed_weyl_vector(sysr).rho_sq_over_nu_sq) / 8
+        )
+
+
+def test_sample_points_give_up_when_no_point_clears():
+    with pytest.raises(SamplingError, match="100000 draws in a row at beta=1e-09"):
+        sample_points(E7, 2, beta=1e-9)
+
+
+def test_the_rejection_bound_counts_draws_in_a_row(monkeypatch):
+    # 40 rejections, one acceptance, 40 rejections, one acceptance: under a
+    # bound of 50 in a row that completes; 50 straight rejections do not
+    draws = []
+
+    def scripted(sysr, point):
+        draws.append(point)
+        return 1.0 if len(draws) in (41, 82) else 0.0
+
+    monkeypatch.setattr("tauforge.oracle.MAX_REJECTED_DRAWS", 50)
+    monkeypatch.setattr("tauforge.oracle.clearance", scripted)
+    assert len(sample_points(E7, 2)) == 2
+    assert len(draws) == 82
+    draws.clear()
+    monkeypatch.setattr(
+        "tauforge.oracle.clearance", lambda sysr, point: draws.append(point) or 0.0
+    )
+    with pytest.raises(SamplingError):
+        sample_points(E7, 1, beta=2.0)
+    assert len(draws) == 50
