@@ -20,12 +20,11 @@ from mpmath import mp
 
 from . import geometry, oracle
 from .derive import derive_operator
-from .exactpoly import MultiPoly
 from .operator import (
     WP_PARAM_NAMES,
-    apply,
+    _basis_for_op,
+    _flag_images,
     e7_operator,
-    enumerate_flag_basis,
     flag_degree_check,
     matrix_to_csv,
     matrix_to_json,
@@ -98,10 +97,25 @@ def _parse_rational(text: str):
         return float(text)
 
 
+def _resolve_variant(args) -> None:
+    """Fill in --variant: the command's default on E7, derived on small systems.
+
+    E7 ships raw and canonical tables; A1, A2 and G2 only derive theirs.
+    """
+    if not hasattr(args, "variant"):
+        return
+    if args.system == "E7":
+        if args.variant == "derived":
+            raise UsageError("E7 has no derived variant; use raw or canonical")
+        args.variant = args.variant or args.e7_variant
+    elif args.variant in (None, "derived"):
+        args.variant = "derived"
+    else:
+        raise UsageError(f"{args.system} has only the derived variant, not {args.variant}")
+
+
 def _operator_for(kind: str, variant: str):
     if kind == "E7":
-        if variant == "derived":
-            raise UsageError("E7 has no derived variant; use raw or canonical")
         return e7_operator(variant)
     return derive_operator(build_system(kind))
 
@@ -251,14 +265,9 @@ def _cmd_verify_tables(args) -> dict:
 def _cmd_flag_check(args) -> dict:
     op = _operator_for(args.system, args.variant)
     degree = flag_degree_check(op)
-    basis = enumerate_flag_basis(op.cv, args.n, kind=op.system.kind)
+    basis = _basis_for_op(op, args.n)
     overflow = []
-    for mono in basis.monomials:
-        poly = MultiPoly.constant(op.rank, 1)
-        for axis, p in enumerate(mono):
-            if p:
-                poly = poly * MultiPoly.variable(op.rank, axis + 1) ** p
-        image = apply(op, poly)
+    for mono, image in zip(basis.monomials, _flag_images(op, basis)):
         wd = image.weighted_degree(op.cv)
         if wd > args.n:
             overflow.append({"monomial": list(mono), "weighted_degree": wd})
@@ -463,9 +472,9 @@ def _add_common(p, *, samples=None, seed=0, tol=None, precision=False,
     if precision:
         p.add_argument("--precision", choices=("double", "hp"), default="double")
     if variant is not None:
-        p.add_argument(
-            "--variant", choices=("raw", "canonical", "derived"), default=variant
-        )
+        # the default depends on --system; see _resolve_variant
+        p.add_argument("--variant", choices=("raw", "canonical", "derived"), default=None)
+        p.set_defaults(e7_variant=variant)
     if beta is not None:
         p.add_argument("--beta", type=_parse_betas, default=_parse_betas(beta))
     if nu is not None:
@@ -560,6 +569,7 @@ def main(argv=None) -> int:
 
 def _run(parser, args) -> int:
     try:
+        _resolve_variant(args)
         body = args.handler(args)
     except (UsageError, oracle.SamplingError) as exc:
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")

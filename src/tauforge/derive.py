@@ -15,16 +15,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactpoly import MultiPoly, NuLinear
-from .operator import AlgebraicOperator, stored_data_report
+from .operator import AlgebraicOperator
 from .rootsys import (
     RootSystem,
     Vec,
     _orbit_elements,
     build_system,
     characteristic_vector,
+    deformed_weyl_vector,
     vdot,
     vscale,
     vsub,
+    weight_exponents,
     weyl_orbit,
 )
 
@@ -90,29 +92,9 @@ class TauPolynomialOf:
     poly: MultiPoly
 
 
-def _weight_coords(sysr: RootSystem, lam: Vec) -> tuple[int, ...]:
-    """lam = sum p_a w_a; raises if p is not a non-negative integer vector."""
-    p = []
-    for alpha in sysr.simple_roots:
-        c = 2 * vdot(lam, alpha) / vdot(alpha, alpha)
-        if c.denominator != 1 or c < 0:
-            raise ValueError(f"{lam} is not in the non-negative weight cone")
-        p.append(int(c))
-    rebuilt = tuple(Fraction(0) for _ in lam)
-    for pa, w in zip(p, sysr.fundamental_weights, strict=True):
-        rebuilt = tuple(a + pa * b for a, b in zip(rebuilt, w, strict=True))
-    if rebuilt != tuple(Fraction(c) for c in lam):
-        raise ValueError(f"{lam} is not in the span of the fundamental weights")
-    return tuple(p)
-
-
 @lru_cache(maxsize=None)
 def _rho_hat(kind: str) -> Vec:
-    sysr = build_system(kind)
-    total = sysr.positive_roots[0]
-    for r in sysr.positive_roots[1:]:
-        total = tuple(a + b for a, b in zip(total, r, strict=True))
-    return total
+    return deformed_weyl_vector(build_system(kind)).root_sum
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +118,7 @@ def _dominant_peak(sysr: RootSystem, s: ExpSum) -> tuple[Vec, Fraction]:
 @lru_cache(maxsize=None)
 def _orbit_sum_memo(kind: str, lam: Vec) -> MultiPoly:
     sysr = build_system(kind)
-    p = _weight_coords(sysr, lam)
+    p = weight_exponents(sysr, lam)
     rank = sysr.rank
     prod = ExpSum({tuple(Fraction(0) for _ in lam): Fraction(1)})
     poly = MultiPoly.constant(rank, 1)
@@ -231,12 +213,10 @@ def derive_operator(sysr: RootSystem) -> AlgebraicOperator:
         tuple(a_entries[(min(i, j), max(i, j))] for j in range(rank))
         for i in range(rank)
     )
-    op = AlgebraicOperator(
+    return AlgebraicOperator(
         system=sysr,
         cv=characteristic_vector(sysr),
         A=full,
         B=tuple(b_list),
         variant="derived",
     )
-    object.__setattr__(op, "violations", stored_data_report(op))
-    return op

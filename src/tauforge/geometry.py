@@ -14,15 +14,14 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .exactpoly import MultiPoly
-from .operator import AlgebraicOperator, stored_data_report
+from .operator import AlgebraicOperator
 from .oracle import (
-    CLEARANCE,
     SamplePoint,
-    _check_rejections,
-    clearance,
+    _compile_poly,
+    _rejection_sample,
     hp_digits,
     tau_numeric,
 )
@@ -72,28 +71,14 @@ def flatness_sample_points(
     Raises SamplingError after MAX_REJECTED_DRAWS rejections in a row.
     """
     center = np.array(chart_center(sysr, beta=beta))
-    rng = np.random.default_rng(seed)
-    out: list[SamplePoint] = []
-    dps = hp_digits()
-    rejected = 0
-    while len(out) < count:
+
+    def draw(rng, accepted):
         # stratified radii: every run walks the full band from the center
         # down to the t = 0.8 shell instead of leaving coverage to chance
-        radial = 1.0 - 0.2 * len(out) / max(count - 1, 1)
-        u = radial * center + rng.uniform(-spread, spread, sysr.y_dim) / float(beta)
-        cand = SamplePoint(y=tuple(float(v) for v in u), beta=float(beta), nu=0.0)
-        if clearance(sysr, cand) <= CLEARANCE:
-            rejected += 1
-            _check_rejections(rejected, beta)
-            continue
-        rejected = 0
-        if precision == "hp":
-            with mp.workdps(dps):
-                cand = SamplePoint(
-                    y=tuple(mpf(str(v)) for v in u), beta=float(beta), nu=0.0
-                )
-        out.append(cand)
-    return out
+        radial = 1.0 - 0.2 * accepted / max(count - 1, 1)
+        return radial * center + rng.uniform(-spread, spread, sysr.y_dim) / float(beta)
+
+    return _rejection_sample(sysr, count, seed, float(beta), 0.0, precision, draw)
 
 
 def with_coefficient(
@@ -119,13 +104,7 @@ def with_coefficient(
     rows[i - 1][j - 1] = fixed
     if i != j:
         rows[j - 1][i - 1] = fixed
-    new = replace(
-        op,
-        A=tuple(tuple(r) for r in rows),
-        variant=op.variant + "+fault",
-    )
-    object.__setattr__(new, "violations", stored_data_report(new))
-    return new
+    return replace(op, A=tuple(tuple(r) for r in rows), variant=op.variant + "+fault")
 
 
 def sabotaged(op: AlgebraicOperator) -> AlgebraicOperator:
@@ -148,10 +127,11 @@ class MetricFrame:
 class _MetricPolys:
     """A and its first and second tau-derivatives, compiled once per operator.
 
-    Coefficients are converted once, to float or to mpf at the current
-    precision.  Entries with the same term list (A_ij and A_ji, mixed
-    partials in either order, the many zero second derivatives) share one
-    compiled form, so each distinct polynomial is evaluated once per point.
+    Coefficients are converted once by oracle._compile_poly, to float or to
+    mpf at the current precision.  Entries with the same term list (A_ij
+    and A_ji, mixed partials in either order, the many zero second
+    derivatives) share one compiled form, so each distinct polynomial is
+    evaluated once per point.
     The integer arrays A[i, j], dA[k, i, j] and d2A_distinct index the
     values returned by values(tau).
     """
@@ -162,19 +142,15 @@ class _MetricPolys:
         self.terms: list = []
         self.max_exp = [0] * r
         index: dict = {}
-        conv = (lambda q: mpf(q.numerator) / q.denominator) if hp else float
+        # A is nu-free, so compiling at nu = 0 adds an exact zero
+        nu0 = mpf(0) if hp else 0.0
 
         def add(poly: MultiPoly) -> int:
             key = tuple(poly.terms.items())
             at = index.get(key)
             if at is None:
                 at = index[key] = len(self.terms)
-                self.terms.append(
-                    tuple(
-                        (conv(coef.c0), tuple((i, p) for i, p in enumerate(exp) if p))
-                        for exp, coef in key
-                    )
-                )
+                self.terms.append(_compile_poly(poly, nu0, hp))
                 self.max_exp = [max(col) for col in zip(self.max_exp, *dict(key))]
             return at
 
@@ -229,7 +205,8 @@ def _invert(mat, hp: bool):
         n = m.rows
         cond = float(mp.mnorm(m, 1) * mp.mnorm(inv, 1))
         return [[inv[i, j] for j in range(n)] for i in range(n)], cond
-    arr = np.array(mat, dtype=float)
+    # complex for A2, whose orbit sums are complex at real y
+    arr = np.array(mat)
     diag = np.abs(np.diag(arr))
     if not np.all(diag > 0):
         raise SingularMetricError("zero diagonal entry in A")
@@ -243,6 +220,11 @@ def _invert(mat, hp: bool):
         raise SingularMetricError(f"equilibrated condition number {cond:.3e}")
     inv = np.linalg.inv(scaled) / d[:, None] / d[None, :]
     return inv.tolist(), cond
+
+
+def _is_mp(tau) -> bool:
+    """True for tau points in mpmath arithmetic, real (mpf) or complex (mpc)."""
+    return isinstance(tau[0], (mpf, mpc))
 
 
 def _metric_frame(tau: tuple, A: list, hp: bool) -> MetricFrame:
@@ -260,7 +242,7 @@ def _metric_frame(tau: tuple, A: list, hp: bool) -> MetricFrame:
 def metric_at(op: AlgebraicOperator, tau_point) -> MetricFrame:
     """Evaluate and invert the contravariant metric at a tau point."""
     tau = tuple(tau_point)
-    hp = isinstance(tau[0], mpf)
+    hp = _is_mp(tau)
     metric = _MetricPolys(op, hp, derivatives=False)
     vals = metric.values(tau)
     return _metric_frame(tau, [[vals[x] for x in row] for row in metric.A], hp)
@@ -297,7 +279,7 @@ def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = N
     """
     r = op.rank
     tau = tuple(tau_point)
-    hp = isinstance(tau[0], mpf)
+    hp = _is_mp(tau)
     if metric is None:
         metric = _MetricPolys(op, hp)
     vals = metric.values(tau)
@@ -410,7 +392,7 @@ def flatness_report(
         with mp.workdps(dps):
             tau = tau_numeric(sysr, pt)
             if metric is None:
-                metric = _MetricPolys(op, isinstance(tau[0], mpf))
+                metric = _MetricPolys(op, _is_mp(tau))
             r, b, frame = _curvature(op, tau, metric)
         rows.append(
             {

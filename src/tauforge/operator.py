@@ -17,7 +17,7 @@ import hashlib
 import heapq
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -43,7 +43,12 @@ class AlgebraicOperator:
     A: tuple[tuple[MultiPoly, ...], ...]
     B: tuple[MultiPoly, ...]
     variant: str = "raw"
-    violations: tuple[str, ...] = ()
+    # the structural check of these very tables (stored_data_report), so a
+    # modified copy never carries the violations of the operator it came from
+    violations: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "violations", stored_data_report(self))
 
     @property
     def rank(self) -> int:
@@ -176,15 +181,13 @@ def e7_operator(variant: str = "raw") -> AlgebraicOperator:
         tuple(tri[(min(i, j), max(i, j))] for j in range(rank)) for i in range(rank)
     )
     sysr = build_system("E7")
-    op = AlgebraicOperator(
+    return AlgebraicOperator(
         system=sysr,
         cv=characteristic_vector(sysr),
         A=full,
         B=tuple(b_list),
         variant=variant,
     )
-    object.__setattr__(op, "violations", stored_data_report(op))
-    return op
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +337,13 @@ def _basis_for_op(op: AlgebraicOperator, n: int) -> FlagBasis:
 
 
 def _flag_images(op: AlgebraicOperator, basis: FlagBasis) -> list[MultiPoly]:
-    rank = op.rank
-    images = []
-    for p in basis.monomials:
-        mono = MultiPoly(rank, {p: NuLinear(Fraction(1))})
-        img = apply(op, mono)
-        wd = img.weighted_degree(op.cv)
-        if wd != float("-inf") and wd > basis.n:
-            raise ValueError(
-                f"image of {p} leaves P_{basis.n}: weighted degree {wd}"
-            )
-        images.append(img)
-    return images
+    """h applied to each basis monomial, in basis order.
+
+    An image may leave P_n; _expand_images rejects any term outside the
+    basis, and flag-check reports the images' weighted degrees.
+    """
+    one = NuLinear(Fraction(1))
+    return [apply(op, MultiPoly(op.rank, {p: one})) for p in basis.monomials]
 
 
 def _expand_images(
@@ -368,7 +366,8 @@ def _expand_images(
 def flag_matrix(op: AlgebraicOperator, n: int, nu) -> list[list[Fraction]]:
     """Exact matrix of the operator on FlagBasis(n) at rational nu.
 
-    Raises if an image leaves P_n; verifies block triangularity with
+    Raises if an image has a term outside the basis, i.e. leaves P_n;
+    verifies block triangularity with
     respect to the weighted-degree grading.
     """
     nu = Fraction(nu)

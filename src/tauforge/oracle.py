@@ -18,7 +18,7 @@ entry from scratch by least squares plus rational reconstruction.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,7 +26,7 @@ import numpy as np
 from mpmath import mp, mpf, matrix, qr_solve
 
 from .exactpoly import MultiPoly, NuLinear, weighted_monomials
-from .operator import AlgebraicOperator, stored_data_report
+from .operator import AlgebraicOperator
 from .rootsys import RootSystem, build_system, deformed_weyl_vector, weyl_orbit
 
 DEFAULT_NU_LIST = (Fraction(0), Fraction(1, 2), Fraction(5, 2))
@@ -123,7 +123,7 @@ def _orbit_arrays(kind: str) -> list[np.ndarray]:
 @lru_cache(maxsize=None)
 def _orbit_w2(kind: str) -> list[np.ndarray]:
     """Per orbit, sum_k g_k u_k^2 for each element u, in double precision."""
-    gw = np.array(_metric(build_system(kind)))
+    gw = np.array(_metric_weights(kind, False))
     return [(M * M * gw).sum(axis=1) for M in _orbit_arrays(kind)]
 
 
@@ -140,8 +140,16 @@ def _root_mp(kind: str, dps: int) -> list:
         ]
 
 
-def _metric(sysr: RootSystem) -> list:
-    return [float(g) for g in sysr.metric_weights[: sysr.y_dim]]
+@lru_cache(maxsize=None)
+def _metric_weights(kind: str, hp: bool) -> tuple:
+    """The metric weights g_k of the y coordinates, as floats or as mpf.
+
+    The weights are small integers (1 and 2), so their mpf values are exact
+    at every precision.
+    """
+    sysr = build_system(kind)
+    conv = (lambda q: mpf(q.numerator) / q.denominator) if hp else float
+    return tuple(conv(g) for g in sysr.metric_weights[: sysr.y_dim])
 
 
 @lru_cache(maxsize=None)
@@ -173,12 +181,25 @@ def sample_points(
 
     Raises SamplingError after MAX_REJECTED_DRAWS rejections in a row.
     """
+    return _rejection_sample(
+        sysr, count, seed, beta, nu, precision,
+        lambda rng, accepted: rng.uniform(0.05, 0.35, sysr.y_dim),
+    )
+
+
+def _rejection_sample(sysr, count, seed, beta, nu, precision, draw) -> list[SamplePoint]:
+    """`count` points that clear the root walls, in draw order.
+
+    draw(rng, accepted) gives the next candidate y from the seeded rng and
+    the number of points accepted so far.  hp points carry the same y as
+    mpf.  Raises SamplingError after MAX_REJECTED_DRAWS rejections in a row.
+    """
     rng = np.random.default_rng(seed)
     out: list[SamplePoint] = []
     dps = hp_digits()
     rejected = 0
     while len(out) < count:
-        u = rng.uniform(0.05, 0.35, sysr.y_dim)
+        u = draw(rng, len(out))
         cand = SamplePoint(y=tuple(float(v) for v in u), beta=beta, nu=nu)
         if clearance(sysr, cand) <= CLEARANCE:
             rejected += 1
@@ -410,26 +431,36 @@ def build_frame(sysr: RootSystem, point: SamplePoint) -> NumericFrame:
 def chain_rule_oracle(sysr: RootSystem, point: SamplePoint):
     """(A_num, B_num) at the point, normalized by 1/beta^2."""
     _require_clearance(sysr, point)
-    taus, jacs, laps, cotg = _geom(sysr, point)
-    gw = (
-        [mpf(g.numerator) / g.denominator for g in sysr.metric_weights[: sysr.y_dim]]
-        if _is_hp(point)
-        else _metric(sysr)
-    )
-    beta = mpf(str(point.beta)) if _is_hp(point) else float(point.beta)
-    nu = point.nu
+    frame = _geom(sysr, point)
+    hp = _is_hp(point)
+    gw = _metric_weights(sysr.kind, hp)
+    b2 = (mpf(str(point.beta)) if hp else float(point.beta)) ** 2
     rank = sysr.rank
-    b2 = beta**2
     A = [[None] * rank for _ in range(rank)]
     for i in range(rank):
         for j in range(i, rank):
-            v = sum(g * a * b for g, a, b in zip(gw, jacs[i], jacs[j])) / b2
-            A[i][j] = A[j][i] = v
+            A[i][j] = A[j][i] = _oracle_ab(frame, gw, b2, ("A", i, j))
     B = []
     for i in range(rank):
-        grad = 2 * nu * sum(g * c * jk for g, c, jk in zip(gw, cotg, jacs[i]))
-        B.append((laps[i] + grad) / b2)
+        base, slope = _oracle_ab(frame, gw, b2, ("B", i, None))
+        B.append(base + point.nu * slope)
     return A, B
+
+
+def _oracle_ab(frame, gw, b2, entry):
+    """The chain-rule value of one table entry at one frame.
+
+    frame is (taus, jacs, laps, cotg) from _geom, gw the metric weights in
+    the frame's arithmetic, b2 = beta^2, and entry ("A", i, j) or
+    ("B", i, None) with zero-based indices.  A_ij is a number; B_i is the
+    pair (base, slope) with B_i(nu) = base + nu * slope, because the
+    nu-dependence of B is exactly the ground-state cotangent term.
+    """
+    _, jacs, laps, cotg = frame
+    kind_, i, j = entry
+    if kind_ == "A":
+        return sum(g * a * b for g, a, b in zip(gw, jacs[i], jacs[j])) / b2
+    return laps[i] / b2, 2 * sum(g * c * jk for g, c, jk in zip(gw, cotg, jacs[i])) / b2
 
 
 def ground_state_energy(sysr: RootSystem, beta, nu):
@@ -449,12 +480,8 @@ def ground_state_residual(sysr: RootSystem, point: SamplePoint):
     beta = mpf(str(point.beta)) if hp else float(point.beta)
     if nu == 0:
         return 0.0
-    if hp:
-        roots = _root_mp(sysr.kind, mp.dps)
-        gw = [mpf(g.numerator) / g.denominator for g in sysr.metric_weights[: sysr.y_dim]]
-    else:
-        roots = _root_array(sysr.kind)
-        gw = _metric(sysr)
+    roots = _root_mp(sysr.kind, mp.dps) if hp else _root_array(sysr.kind)
+    gw = _metric_weights(sysr.kind, hp)
     dim = sysr.y_dim
     y = point.y
     inv_sin2 = 0 if hp else 0.0
@@ -551,80 +578,58 @@ def verify_tables(
     nu_list = list(nu_list) if nu_list else [float(x) for x in DEFAULT_NU_LIST]
     beta_list = list(beta_list) if beta_list else list(DEFAULT_BETA_LIST)
     rank = op.rank
+    hp = precision == "hp"
+    ids = [("A", i, j) for i in range(rank) for j in range(i, rank)]
+    ids += [("B", i, None) for i in range(rank)]
+    names = [f"A{i+1}{j+1}" if j is not None else f"B{i+1}" for _, i, j in ids]
     worst: dict[str, float] = {}
     nu_lin_worst = 0.0
-    dps = hp_digits()
 
-    def note(entry: str, rel) -> None:
-        r = float(rel)
+    def note(entry: str, got, ref) -> None:
+        r = float(abs(got - ref) / (1 + abs(ref)))
         if r > worst.get(entry, 0.0):
             worst[entry] = r
 
-    hp = precision == "hp"
-    with mp.workdps(dps):
-        gw = (
-            [mpf(g.numerator) / g.denominator for g in sysr.metric_weights[: sysr.y_dim]]
-            if hp
-            else _metric(sysr)
-        )
+    with mp.workdps(hp_digits()):
+        gw = _metric_weights(sysr.kind, hp)
         nubs = [mpf(str(nu)) if hp else float(nu) for nu in nu_list]
-        b_terms = [[_compile_poly(op.B[i], nub, hp) for nub in nubs] for i in range(rank)]
+        # A is nu-free and compiled at nu = 0; B once per nu of the list
+        compiled = [
+            [_compile_poly(op.A[i][j], mpf(0) if hp else 0.0, hp)]
+            if j is not None
+            else [_compile_poly(op.B[i], nub, hp) for nub in nubs]
+            for _, i, j in ids
+        ]
+        exps = _exponents([terms for row in compiled for terms in row], rank)
         for beta in beta_list:
-            bv = mpf(str(beta)) if hp else float(beta)
-            b2 = bv**2
-            a_terms = [
-                {j: _compile_poly(op.A[i][j], 0 * bv, hp) for j in range(i, rank)}
-                for i in range(rank)
-            ]
-            exps = _exponents(
-                [t for row in a_terms for t in row.values()]
-                + [t for row in b_terms for t in row],
-                rank,
-            )
+            b2 = (mpf(str(beta)) if hp else float(beta)) ** 2
             pts = sample_points(
                 sysr, samples, seed=seed, beta=beta, nu=0.0, precision=precision
             )
             for pt in pts:
-                taus, jacs, laps, cotg = _geom(sysr, pt)
+                frame = _geom(sysr, pt)
+                taus = frame[0]
                 pw = _powers(taus, exps)
-                for i in range(rank):
-                    for j in range(i, rank):
-                        ref = sum(g * a * b for g, a, b in zip(gw, jacs[i], jacs[j])) / b2
-                        got = _eval_compiled(a_terms[i][j], pw, taus)
-                        note(f"A{i+1}{j+1}", abs(got - ref) / (1 + abs(ref)))
-                    base = laps[i] / b2
-                    slope = (
-                        2 * sum(g * c * jk for g, c, jk in zip(gw, cotg, jacs[i])) / b2
-                    )
-                    bvals = []
-                    for nub, terms in zip(nubs, b_terms[i]):
-                        ref = base + nub * slope
-                        got = _eval_compiled(terms, pw, taus)
-                        note(f"B{i+1}", abs(got - ref) / (1 + abs(ref)))
-                        bvals.append((nub, ref))
-                    if len(bvals) >= 3:
-                        (n0, v0), (n1, v1), (n2, v2) = bvals[:3]
+                for name, entry, row in zip(names, ids, compiled):
+                    ref = _oracle_ab(frame, gw, b2, entry)
+                    if entry[0] == "A":
+                        note(name, _eval_compiled(row[0], pw, taus), ref)
+                        continue
+                    base, slope = ref
+                    refs = [base + nub * slope for nub in nubs]
+                    for terms, value in zip(row, refs):
+                        note(name, _eval_compiled(terms, pw, taus), value)
+                    if len(refs) >= 3:
+                        (n0, n1, n2), (v0, v1, v2) = nubs[:3], refs[:3]
                         pred = v0 + (v1 - v0) * (n2 - n0) / (n1 - n0)
                         rel = abs(pred - v2) / (1 + abs(v2))
                         nu_lin_worst = max(nu_lin_worst, float(rel))
 
-    entries = []
-    discrepant = []
-    for i in range(rank):
-        for j in range(i, rank):
-            key = f"A{i+1}{j+1}"
-            ok = worst[key] < tol
-            entries.append(
-                {"entry": key, "max_rel_residual": worst[key], "pass": ok}
-            )
-            if not ok:
-                discrepant.append(key)
-    for i in range(rank):
-        key = f"B{i+1}"
-        ok = worst[key] < tol
-        entries.append({"entry": key, "max_rel_residual": worst[key], "pass": ok})
-        if not ok:
-            discrepant.append(key)
+    entries = [
+        {"entry": name, "max_rel_residual": worst[name], "pass": worst[name] < tol}
+        for name in names
+    ]
+    discrepant = [row["entry"] for row in entries if not row["pass"]]
     return {
         "schema": "tauforge.verify-tables/1",
         "system": sysr.kind,
@@ -720,41 +725,34 @@ def fit_entry(
                 f"frame pool too small for {which}: needs"
                 f" {want_frames + HELD_OUT_FRAMES} frames, has {len(pool.frames)}"
             )
-        gw = [
-            mpf(g.numerator) / g.denominator
-            for g in sysr.metric_weights[: sysr.y_dim]
-        ]
+        gw = _metric_weights(sysr.kind, True)
         b2 = pool.beta**2
+        entry = (kind_, i, j)
+        fit_nubs = [mpf(nu.numerator) / nu.denominator for nu in fit_nus]
+        basis_exps = [set(col) for col in zip(*basis)]
 
         def monomial_row(taus):
+            pw = _powers(taus, basis_exps)
             row = []
             for p in basis:
                 m = mpf(1)
-                for e, t in zip(p, taus):
+                for k, e in enumerate(p):
                     if e:
-                        m *= t**e
+                        m *= pw[k][e]
                 row.append(m)
             return row
 
-        def oracle_value(frame, nu):
-            taus, jacs, laps, cotg = frame
-            if kind_ == "A":
-                return sum(g * a * b for g, a, b in zip(gw, jacs[i], jacs[j])) / b2
-            grad = 2 * nu * sum(g * c * jk for g, c, jk in zip(gw, cotg, jacs[i]))
-            return (laps[i] + grad) / b2
-
         rows, rhs = [], []
         for frame in pool.frames[:want_frames]:
-            taus = frame[0]
-            mono = monomial_row(taus)
+            mono = monomial_row(frame[0])
+            ref = _oracle_ab(frame, gw, b2, entry)
             if kind_ == "A":
                 rows.append(mono)
-                rhs.append(oracle_value(frame, mpf(0)))
+                rhs.append(ref)
             else:
-                for nu in fit_nus:
-                    nub = mpf(nu.numerator) / nu.denominator
+                for nub in fit_nubs:
                     rows.append(mono + [nub * m for m in mono])
-                    rhs.append(oracle_value(frame, nub))
+                    rhs.append(ref[0] + nub * ref[1])
         sol, _ = qr_solve(matrix(rows), matrix(rhs))
 
         coeffs = [sol[k] for k in range(len(sol))]
@@ -777,19 +775,17 @@ def fit_entry(
         if reconstructed:
             held = [
                 (nub, _compile_poly(poly, nub, True))
-                for nub in (
-                    mpf(nu.numerator) / nu.denominator
-                    for nu in (fit_nus if kind_ == "B" else (Fraction(0),))
-                )
+                for nub in (fit_nubs if kind_ == "B" else [mpf(0)])
             ]
             exps = _exponents([terms for _, terms in held], sysr.rank)
             for frame in pool.frames[-HELD_OUT_FRAMES:]:
                 taus = frame[0]
                 pw = _powers(taus, exps)
+                ref = _oracle_ab(frame, gw, b2, entry)
                 for nub, terms in held:
-                    ref = oracle_value(frame, nub)
+                    want = ref if kind_ == "A" else ref[0] + nub * ref[1]
                     got = _eval_compiled(terms, pw, taus)
-                    worst = max(worst, abs(got - ref) / (1 + abs(ref)))
+                    worst = max(worst, abs(got - want) / (1 + abs(want)))
         return FitResult(
             entry=which.upper(),
             poly=poly,
@@ -810,12 +806,6 @@ def with_entry(op: AlgebraicOperator, which: str, poly: MultiPoly) -> AlgebraicO
         A[i][j] = A[j][i] = poly
     else:
         B[i] = poly
-    new = AlgebraicOperator(
-        system=op.system,
-        cv=op.cv,
-        A=tuple(tuple(r) for r in A),
-        B=tuple(B),
-        variant=f"{op.variant}+fit",
+    return replace(
+        op, A=tuple(tuple(r) for r in A), B=tuple(B), variant=f"{op.variant}+fit"
     )
-    object.__setattr__(new, "violations", stored_data_report(new))
-    return new

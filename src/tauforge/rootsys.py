@@ -260,10 +260,7 @@ def _orbit_elements(weight: Vec, simple: tuple[Vec, ...]) -> list[Vec]:
     Coordinates are rescaled to integers so set membership is cheap;
     the scale is the lcm of all coordinate denominators in play.
     """
-    scale = 1
-    for v in (weight,) + simple:
-        for c in v:
-            scale = scale * c.denominator // _gcd(scale, c.denominator)
+    scale = math.lcm(*(c.denominator for v in (weight,) + simple for c in v))
     w0 = tuple(int(c * scale) for c in weight)
     gens = []
     for s in simple:
@@ -284,12 +281,6 @@ def _orbit_elements(weight: Vec, simple: tuple[Vec, ...]) -> list[Vec]:
                     nxt.append(img)
         frontier = nxt
     return [tuple(Fraction(c, scale) for c in v) for v in sorted(seen)]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @lru_cache(maxsize=None)
@@ -380,14 +371,23 @@ def integer_weight_coords(sys: RootSystem) -> tuple[tuple[int, ...], ...]:
 
 
 def weight_exponents(sys: RootSystem, lam: Vec) -> tuple[int, ...]:
-    """Exponents p with lam = sum p_a w_a; errors if p is not in Z>=0^rank."""
-    coroot_pairings = []
+    """Exponents p with lam = sum p_a w_a.
+
+    Raises if p is not in Z>=0^rank, or if lam has a component off the span
+    of the fundamental weights (the coroot pairings cannot see it).
+    """
+    p = []
     for s in sys.simple_roots:
-        p = 2 * vdot(lam, s) / vdot(s, s)
-        if p.denominator != 1 or p < 0:
+        c = 2 * vdot(lam, s) / vdot(s, s)
+        if c.denominator != 1 or c < 0:
             raise ValueError(f"{lam} is not in the non-negative weight cone")
-        coroot_pairings.append(int(p))
-    return tuple(coroot_pairings)
+        p.append(int(c))
+    rebuilt = (Fraction(0),) * len(lam)
+    for pa, w in zip(p, sys.fundamental_weights):
+        rebuilt = vadd(rebuilt, vscale(pa, w))
+    if rebuilt != tuple(lam):
+        raise ValueError(f"{lam} is not in the span of the fundamental weights")
+    return tuple(p)
 
 
 def highest_root(sys: RootSystem) -> Vec:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -110,6 +111,30 @@ def test_invariance(capsys):
         assert entry["det"] == "1"
 
 
+@pytest.mark.parametrize("precision", ["double", "hp"])
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+def test_a2_flatness_is_flat_in_both_precisions(capsys, precision):
+    # the A2 orbit sums are complex, so the metric is inverted as complex
+    code, rep = run_json(
+        capsys, "flatness", "--system", "A2", "--points", "2", "--precision", precision
+    )
+    assert code == 0
+    assert rep["result"]["max_riemann_normalized"] < rep["result"]["tol"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["flatness", "--system", "A2", "--points", "1"],
+     ["flag-check", "--system", "G2", "--n", "2"],
+     ["spectrum", "--system", "A1", "--variant", "derived"]],
+    ids=lambda argv: "_".join(argv),
+)
+def test_small_systems_report_the_variant_that_ran(capsys, argv):
+    code, rep = run_json(capsys, *argv)
+    assert code == 0
+    assert rep["config"]["variant"] == "derived"
+
+
 def test_derive_subcommand(capsys):
     code, rep = run_json(capsys, "derive", "--system", "A1")
     assert code == 0
@@ -216,6 +241,10 @@ BAD_VALUES = [
      "tauforge verify-tables: error: E7 has no derived variant; use raw or canonical"),
     (["derive", "--system", "E7"],
      "tauforge derive: error: derivation is limited to rank <= 2 systems"),
+    (["flatness", "--system", "A2", "--variant", "canonical"],
+     "tauforge flatness: error: A2 has only the derived variant, not canonical"),
+    (["flag-check", "--system", "G2", "--variant", "raw"],
+     "tauforge flag-check: error: G2 has only the derived variant, not raw"),
     (["fit", "--entries", "B1", "--samples", "3"],
      "tauforge fit: error: --samples 3 is too small for B1;"
      " it needs at least 10 (or 0 to size the pool)"),
@@ -346,3 +375,31 @@ def test_a_beta_no_point_clears_ends_as_a_usage_error(argv):
         f"tauforge {argv[0]}: error: no sample point cleared the root walls"
         " (clearance > 0.001) in 100000 draws in a row at beta=1e-09"
     ]
+
+
+# sha256 of stdout at the default seeds, recorded before the oracle's
+# chain-rule core was shared; hp and exact reports only, because double
+# precision depends on the host's libm
+GOLDEN_REPORTS = [
+    (["verify-tables", "--variant", "canonical", "--precision", "hp", "--samples", "2"],
+     "1e870dca506b9a4c1dfc700e6121348c01121a9152a5707e227b645e2264c4a0"),
+    (["fit", "--entries", "A11"],
+     "985cad6e321a5a924447b6973689d92fa8e94d26addfa8cfe0011568bbbdc848"),
+    (["flag-check", "--n", "3"],
+     "bdcffaaf4a7097c186292a11956e7d3cebbb08e6accdb984ed28ad0730d9738f"),
+    (["spectrum", "--n", "2", "--nu", "1/2"],
+     "37eb1c63af0b560621069388b6801daa04acfb69cb2d129267f8a71ca95e7234"),
+    (["derive", "--system", "G2"],
+     "d576c68b6e3cf9d83376b5c84af4aaaf24e3d50c919f168b667d788fbbe60db2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_REPORTS, ids=["_".join(argv) for argv, _ in GOLDEN_REPORTS]
+)
+def test_reports_match_their_golden_digests(capsys, monkeypatch, argv, digest):
+    # sample points are rounded at hp_digits(); pin its default
+    monkeypatch.delenv("TAUFORGE_PRECISION", raising=False)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -313,7 +313,6 @@ def test_curvature_matches_the_two_pass_reference_bit_for_bit(variant, monkeypat
 
 
 @pytest.mark.parametrize("kind", ["A2", "G2"])
-@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
 def test_derived_curvature_matches_the_reference_bit_for_bit(kind):
     op = derive_operator(build_system(kind))
     sysr = op.system
@@ -327,6 +326,6 @@ def test_derived_curvature_matches_the_reference_bit_for_bit(kind):
 
 
 def test_flatness_sampler_gives_up_when_no_point_clears(monkeypatch):
-    monkeypatch.setattr("tauforge.geometry.clearance", lambda sysr, point: 0.0)
+    monkeypatch.setattr("tauforge.oracle.clearance", lambda sysr, point: 0.0)
     with pytest.raises(SamplingError, match="100000 draws in a row at beta=1.0"):
         flatness_sample_points(E7, 2, seed=11)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -216,6 +217,18 @@ def test_fit_recovers_a_b_entry_from_the_oracle():
     patched = with_entry(raw, "B1", fit.poly)
     assert patched.variant == "raw+fit"
     assert patched.b_entry(1) == fit.poly
+
+
+def test_a_modified_copy_reports_its_own_violations():
+    can = e7_operator("canonical")
+    tau1 = MultiPoly.variable(7, 1)
+    broken = with_entry(can, "A11", can.A[0][0] + tau1 * tau1)
+    assert broken.variant == "canonical+fit"
+    assert broken.violations == (
+        "A11: coefficient of tau_1tau_1 is -1/2, leading law needs -3/2",
+    )
+    # any copy recomputes them from its own tables
+    assert dataclasses.replace(broken, A=can.A).violations == ()
 
 
 def test_fit_rejects_an_undersized_pool():

@@ -8,6 +8,7 @@ from tauforge.rootsys import (
     deformed_weyl_vector,
     dominance_leq,
     highest_root,
+    vec,
     weight_exponents,
     weyl_orbit,
 )
@@ -46,6 +47,13 @@ def test_e7_highest_root_is_the_adjoint_weight():
     # the orbit of the length^2 = 2 weight is the root system itself
     assert weight_exponents(sysr, theta) == (0, 1, 0, 0, 0, 0, 0)
     assert weyl_orbit(sysr, 2).size == 126
+
+
+def test_weight_exponents_reject_a_weight_off_the_weight_span():
+    # e7 + e8 pairs to zero with every simple root, so only the span check
+    # tells it apart from the zero weight
+    with pytest.raises(ValueError, match="not in the span of the fundamental weights"):
+        weight_exponents(build_system("E7"), vec(0, 0, 0, 0, 0, 0, 1, 1))
 
 
 def test_deformed_weyl_vector():
