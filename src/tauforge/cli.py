@@ -380,7 +380,8 @@ def _cmd_fit(args) -> dict:
         )
     count = args.samples or (need + 4 if frames else 0)
     pool = oracle.FramePool(
-        op.system, count, seed=args.seed, beta=args.beta[0]
+        op.system, count, seed=args.seed, beta=args.beta[0],
+        fit_frames=frames[largest] if frames else None,
     )
     rows = []
     ok = True

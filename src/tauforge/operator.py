@@ -28,9 +28,8 @@ from .rootsys import (
     build_system,
     characteristic_vector,
     integer_weight_coords,
-    vadd,
+    vcombo,
     vdot,
-    vscale,
 )
 
 E7_CV = (1, 2, 2, 2, 3, 3, 4)
@@ -299,13 +298,8 @@ def enumerate_flag_basis(cv: tuple[int, ...], n: int, kind: str | None = None) -
     if sysr is not None:
         fw = sysr.fundamental_weights
         coords = integer_weight_coords(sysr)
-        zero = vscale(Fraction(0), fw[0])
         for p in monos:
-            lam = zero
-            for a, e in enumerate(p):
-                if e:
-                    lam = vadd(lam, vscale(Fraction(e), fw[a]))
-            weights[p] = lam
+            weights[p] = vcombo(p, fw)
             heights[p] = tuple(
                 sum(e * c[k] for e, c in zip(p, coords)) for k in range(sysr.rank)
             )

@@ -100,24 +100,27 @@ class FitResult:
 
 
 @lru_cache(maxsize=None)
+def _orbit_ints(kind: str) -> tuple[int, tuple]:
+    """(scale, per orbit its integer rows u): the y vectors are u / scale."""
+    sysr = build_system(kind)
+    orbits = [weyl_orbit(sysr, a + 1) for a in range(sysr.rank)]
+    # every orbit of a supported system has the same scale (2 for E7)
+    (scale,) = {o.scale for o in orbits}
+    return scale, tuple(o.ints for o in orbits)
+
+
 def _orbit_vectors(kind: str) -> tuple:
     """Per fundamental weight: the orbit's y-representative vectors, exact."""
-    sysr = build_system(kind)
+    scale, ints = _orbit_ints(kind)
     return tuple(
-        tuple(sysr.y_rep(v) for v in weyl_orbit(sysr, a + 1).elements)
-        for a in range(sysr.rank)
+        tuple(tuple(Fraction(c, scale) for c in u) for u in m.tolist()) for m in ints
     )
 
 
 @lru_cache(maxsize=None)
-def _root_vectors(kind: str) -> tuple:
-    sysr = build_system(kind)
-    return tuple(sysr.y_rep(r) for r in sysr.positive_roots)
-
-
-@lru_cache(maxsize=None)
 def _orbit_arrays(kind: str) -> list[np.ndarray]:
-    return [np.array(m, dtype=float) for m in _orbit_vectors(kind)]
+    scale, ints = _orbit_ints(kind)
+    return [m / scale for m in ints]
 
 
 @lru_cache(maxsize=None)
@@ -129,15 +132,15 @@ def _orbit_w2(kind: str) -> list[np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _root_array(kind: str) -> np.ndarray:
-    return np.array(_root_vectors(kind), dtype=float)
+    sysr = build_system(kind)
+    return np.array([sysr.y_rep(r) for r in sysr.positive_roots], dtype=float)
 
 
 @lru_cache(maxsize=None)
 def _root_mp(kind: str, dps: int) -> list:
+    # root coordinates are 0, +-1 and +-1/2, so their doubles convert exactly
     with mp.workdps(dps):
-        return [
-            [mpf(c.numerator) / c.denominator for c in r] for r in _root_vectors(kind)
-        ]
+        return [[mpf(c) for c in r] for r in _root_array(kind).tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -282,19 +285,16 @@ class _HpPlan:
     orbits: tuple
 
 
-def _build_hp_plan(vecs, gws, paired: bool) -> _HpPlan:
-    """Plan for orbit vectors `vecs` (exact rationals) and metric weights `gws`.
+def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
+    """Plan for integer orbit rows u (the vectors u / scale) and weights `gws`.
 
     With `paired`, raises CancellationError unless every orbit is closed
     under negation.
     """
-    from math import lcm
-
-    scale = lcm(*(c.denominator for m in vecs for v in m for c in v))
     max_u = [0] * len(gws)
-    orbits = []
-    for m in vecs:
-        us = {tuple(int(c * scale) for c in v) for v in m}
+    plans = []
+    for m in orbits:
+        us = set(map(tuple, m.tolist()))
         if paired and any(tuple(-uk for uk in u) not in us for u in us):
             raise CancellationError("orbit is not closed under negation")
         rows, prev = [], ()
@@ -309,15 +309,15 @@ def _build_hp_plan(vecs, gws, paired: bool) -> _HpPlan:
             w2num = sum(gws[k] * uk * uk for k, uk in nz)
             rows.append((share, nz[share:], nz, w2num))
             prev = nz
-        orbits.append(tuple(rows))
-    return _HpPlan(scale, tuple(max_u), paired, tuple(orbits))
+        plans.append(tuple(rows))
+    return _HpPlan(scale, tuple(max_u), paired, tuple(plans))
 
 
 @lru_cache(maxsize=None)
 def _hp_plan(kind: str) -> _HpPlan:
     sysr = build_system(kind)
     gws = [int(g) for g in sysr.metric_weights[: sysr.y_dim]]
-    return _build_hp_plan(_orbit_vectors(kind), gws, sysr.has_minus_one)
+    return _build_hp_plan(*_orbit_ints(kind), gws, sysr.has_minus_one)
 
 
 def _geom_hp(sysr: RootSystem, y, beta):
@@ -572,7 +572,8 @@ def verify_tables(
 
     Returns a JSON-ready report; reproducible for a fixed seed.  B entries
     are checked at every nu in nu_list, and the numeric B is additionally
-    confirmed affine in nu via a three-value linear fit.
+    confirmed affine in nu via a three-value linear fit; with fewer than
+    three nu values that check is not run and reports None.
     """
     sysr = op.system
     nu_list = list(nu_list) if nu_list else [float(x) for x in DEFAULT_NU_LIST]
@@ -583,7 +584,7 @@ def verify_tables(
     ids += [("B", i, None) for i in range(rank)]
     names = [f"A{i+1}{j+1}" if j is not None else f"B{i+1}" for _, i, j in ids]
     worst: dict[str, float] = {}
-    nu_lin_worst = 0.0
+    nu_lin_worst = 0.0 if len(nu_list) >= 3 else None
 
     def note(entry: str, got, ref) -> None:
         r = float(abs(got - ref) / (1 + abs(ref)))
@@ -619,7 +620,7 @@ def verify_tables(
                     refs = [base + nub * slope for nub in nubs]
                     for terms, value in zip(row, refs):
                         note(name, _eval_compiled(terms, pw, taus), value)
-                    if len(refs) >= 3:
+                    if nu_lin_worst is not None:
                         (n0, n1, n2), (v0, v1, v2) = nubs[:3], refs[:3]
                         pred = v0 + (v1 - v0) * (n2 - n0) / (n1 - n0)
                         rel = abs(pred - v2) / (1 + abs(v2))
@@ -685,17 +686,28 @@ def _fit_plan(op: AlgebraicOperator, which: str, samples: int | None = None):
 
 
 class FramePool:
-    """Shared high-precision frames so several fits reuse the geometry."""
+    """Shared high-precision frames so several fits reuse the geometry.
 
-    def __init__(self, sysr: RootSystem, count: int, seed: int = 23, beta=1, dps: int | None = None):
+    All `count` points are drawn, but frames are built only for the first
+    `fit_frames` (default: all but the held-out ones) and the last
+    HELD_OUT_FRAMES, the only frames fit_entry reads.
+    """
+
+    def __init__(self, sysr: RootSystem, count: int, seed: int = 23, beta=1,
+                 dps: int | None = None, fit_frames: int | None = None):
         self.sysr = sysr
         self.dps = dps or max(hp_digits(), 50)
+        held = max(count - HELD_OUT_FRAMES, 0)
+        self.fit_frames = held if fit_frames is None else min(fit_frames, held)
         with mp.workdps(self.dps + 20):
             pts = sample_points(
                 sysr, count, seed=seed, beta=float(beta), nu=0.0, precision="hp"
             )
             self.beta = mpf(beta)
-            self.frames = [_geom_hp(sysr, p.y, self.beta) for p in pts]
+            self.frames = [
+                _geom_hp(sysr, p.y, self.beta)
+                for p in pts[: self.fit_frames] + pts[held:]
+            ]
 
 
 def fit_entry(
@@ -719,11 +731,11 @@ def fit_entry(
 
     with mp.workdps(dps + 20):
         if pool is None:
-            pool = FramePool(sysr, needed + 8, seed=seed, dps=dps)
-        if len(pool.frames) < want_frames + HELD_OUT_FRAMES:
+            pool = FramePool(sysr, needed + 8, seed=seed, dps=dps, fit_frames=want_frames)
+        if pool.fit_frames < want_frames:
             raise ValueError(
-                f"frame pool too small for {which}: needs"
-                f" {want_frames + HELD_OUT_FRAMES} frames, has {len(pool.frames)}"
+                f"frame pool too small for {which}: needs {want_frames} fit"
+                f" frames, has {pool.fit_frames}"
             )
         gw = _metric_weights(sysr.kind, True)
         b2 = pool.beta**2
@@ -763,8 +775,11 @@ def fit_entry(
             c1 = coeffs[idx + len(basis)] if kind_ == "B" else mpf(0)
             pair = []
             for c in (c0, c1):
-                fr = Fraction(mp.nstr(c, min(dps - 5, 40))).limit_denominator(4)
-                if abs(c - mpf(fr.numerator) / fr.denominator) > mpf(10) ** -(dps - 15):
+                # complex frames (A2) give mpc coefficients; a real table
+                # entry needs a vanishing imaginary part
+                fr = Fraction(mp.nstr(mp.re(c), min(dps - 5, 40))).limit_denominator(4)
+                err = abs(mp.re(c) - mpf(fr.numerator) / fr.denominator)
+                if max(err, abs(mp.im(c))) > mpf(10) ** -(dps - 15):
                     reconstructed = False
                 pair.append(fr)
             if pair[0] or pair[1]:

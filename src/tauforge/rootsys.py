@@ -2,19 +2,21 @@
 
 E7 is realized in 8 coordinates on the hyperplane x7 = -x8; the small
 systems A1, A2, G2 live in their usual 2- and 3-coordinate ambient
-spaces.  All vectors are exact (tuples of Fraction), so orbit
-generation and dominance tests need no tolerances.
+spaces.  Roots and weights are exact (tuples of Fraction), so dominance
+tests need no tolerances.  Weyl orbits are walked in integer Dynkin
+labels and kept as one integer array per orbit; their Fraction elements
+are built only when something reads them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable
+
+import numpy as np
 
 Vec = tuple[Fraction, ...]
 
@@ -42,19 +44,33 @@ def vscale(c, v: Vec) -> Vec:
     return tuple(c * a for a in v)
 
 
-def reflect(v: Vec, root: Vec) -> Vec:
-    """Reflection of v in the hyperplane orthogonal to root."""
-    rr = vdot(root, root)
-    if rr == 0:
-        raise ValueError("cannot reflect in a zero root")
-    return vsub(v, vscale(2 * vdot(v, root) / rr, root))
+def vcombo(coeffs, vecs: tuple[Vec, ...]) -> Vec:
+    """sum_i coeffs[i] vecs[i], exact."""
+    return tuple(sum((c * v[k] for c, v in zip(coeffs, vecs)), Fraction(0))
+                 for k in range(len(vecs[0])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeylOrbit:
+    """A Weyl orbit as one integer array.
+
+    Row r of `ints` is element r in the y coordinates times `scale`; rows
+    are sorted.  `elements`, the exact ambient vectors in the same order,
+    is built on first read.
+    """
+
     generator_weight: Vec
-    elements: tuple[Vec, ...]
-    size: int
+    simple_roots: tuple[Vec, ...]
+    scale: int
+    ints: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.ints)
+
+    @cached_property
+    def elements(self) -> tuple[Vec, ...]:
+        return tuple(_orbit_elements(self.generator_weight, self.simple_roots))
 
 
 @dataclass(frozen=True)
@@ -254,41 +270,54 @@ def build_system(kind: str) -> RootSystem:
     raise ValueError(f"unsupported root system kind: {kind}")
 
 
-def _orbit_elements(weight: Vec, simple: tuple[Vec, ...]) -> list[Vec]:
-    """Breadth-first closure of a weight under the simple reflections.
+def _labels(v: Vec, simple: tuple[Vec, ...]) -> list[Fraction]:
+    """Dynkin labels 2 (v, alpha_i) / (alpha_i, alpha_i) of v."""
+    return [2 * vdot(v, s) / vdot(s, s) for s in simple]
 
-    Coordinates are rescaled to integers so set membership is cheap;
-    the scale is the lcm of all coordinate denominators in play.
+
+def _orbit_walk(weight: Vec, simple: tuple[Vec, ...], rep=tuple) -> tuple[int, list]:
+    """(scale, rows): row r is scale * rep(element r) of the Weyl orbit, sorted.
+
+    scale is the lcm of the denominators of rep(weight) and rep(alpha_i).
+    Each row carries the element's Dynkin labels l in front, and s_i
+    subtracts l_i times (the labels of alpha_i, scale * rep(alpha_i)).  From
+    the dominant element the walk applies s_i only where l_i > 0, which
+    lowers the element, so each layer needs deduplicating only within itself.
     """
-    scale = math.lcm(*(c.denominator for v in (weight,) + simple for c in v))
-    w0 = tuple(int(c * scale) for c in weight)
-    gens = []
-    for s in simple:
-        si = tuple(int(c * scale) for c in s)
-        gens.append((si, sum(x * x for x in si)))
-    seen = {w0}
-    frontier = [w0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for s, ss in gens:
-                num = 2 * sum(a * b for a, b in zip(v, s))
-                m, rem = divmod(num, ss)
-                assert rem == 0, "weight not in the lattice of the simple system"
-                img = tuple(a - m * b for a, b in zip(v, s))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return [tuple(Fraction(c, scale) for c in v) for v in sorted(seen)]
+    vecs = [rep(weight)] + [rep(s) for s in simple]
+    scale = math.lcm(*(c.denominator for v in vecs for c in v))
+    coords = [[int(c * scale) for c in v] for v in vecs]
+    labels = _labels(weight, simple)
+    assert all(c.denominator == 1 for c in labels), "weight not in the weight lattice"
+    steps = [[int(c) for c in _labels(a, simple)] + v for a, v in zip(simple, coords[1:])]
+    rank = len(simple)
+    row = tuple(int(c) for c in labels) + tuple(coords[0])
+    while neg := [i for i in range(rank) if row[i] < 0]:
+        row = tuple([x - row[neg[0]] * s for x, s in zip(row, steps[neg[0]])])
+    rows, layer = [row], {row}
+    while layer:
+        layer = {
+            tuple([x - r[i] * s for x, s in zip(r, steps[i])])
+            for r in layer
+            for i in range(rank)
+            if r[i] > 0
+        }
+        rows.extend(layer)
+    return scale, sorted(r[rank:] for r in rows)
+
+
+def _orbit_elements(weight: Vec, simple: tuple[Vec, ...]) -> list[Vec]:
+    """The Weyl orbit of a weight as exact ambient vectors, sorted."""
+    scale, rows = _orbit_walk(weight, simple)
+    return [tuple(Fraction(c, scale) for c in v) for v in rows]
 
 
 @lru_cache(maxsize=None)
 def _orbit_cached(kind: str, weight_index: int) -> WeylOrbit:
     sys = build_system(kind)
     w = sys.fundamental_weights[weight_index - 1]
-    elems = _orbit_elements(w, sys.simple_roots)
-    return WeylOrbit(generator_weight=w, elements=tuple(elems), size=len(elems))
+    scale, rows = _orbit_walk(w, sys.simple_roots, sys.y_rep)
+    return WeylOrbit(w, sys.simple_roots, scale, np.array(rows, dtype=np.int64))
 
 
 def weyl_orbit(sys: RootSystem, weight_index: int) -> WeylOrbit:
@@ -299,21 +328,8 @@ def weyl_orbit(sys: RootSystem, weight_index: int) -> WeylOrbit:
 
 
 def deformed_weyl_vector(sys: RootSystem) -> DeformedWeylVector:
-    total = sys.positive_roots[0]
-    for r in sys.positive_roots[1:]:
-        total = vadd(total, r)
+    total = vcombo([1] * len(sys.positive_roots), sys.positive_roots)
     return DeformedWeylVector(root_sum=total, rho_sq_over_nu_sq=vdot(total, total))
-
-
-def dominant_representative(sys: RootSystem, v: Vec) -> Vec:
-    """The unique orbit element pairing non-negatively with every simple root."""
-    while True:
-        for s in sys.simple_roots:
-            if vdot(v, s) < 0:
-                v = reflect(v, s)
-                break
-        else:
-            return v
 
 
 def simple_root_coords(sys: RootSystem, v: Vec) -> tuple[Fraction, ...]:
@@ -336,13 +352,8 @@ def dominance_leq(sys: RootSystem, mu: Vec, lam: Vec) -> bool:
     """True when lam - mu is a non-negative combination of simple roots."""
     diff = vsub(lam, mu)
     coords = simple_root_coords(sys, diff)
-    if any(c < 0 for c in coords):
-        return False
-    # Reject vectors with a component off the root span.
-    recon = (Fraction(0),) * sys.ambient_dim
-    for c, s in zip(coords, sys.simple_roots):
-        recon = vadd(recon, vscale(c, s))
-    return recon == diff
+    # the second test rejects vectors with a component off the root span
+    return all(c >= 0 for c in coords) and vcombo(coords, sys.simple_roots) == diff
 
 
 @lru_cache(maxsize=None)
@@ -355,17 +366,12 @@ def integer_weight_coords(sys: RootSystem) -> tuple[tuple[int, ...], ...]:
     sum q_a row_a <= sum p_a row_a componentwise: the same answer as
     dominance_leq, in integer arithmetic.
     """
-    coords = []
-    for w in sys.fundamental_weights:
-        c = simple_root_coords(sys, w)
-        recon = (Fraction(0),) * sys.ambient_dim
-        for x, s in zip(c, sys.simple_roots):
-            recon = vadd(recon, vscale(x, s))
+    coords = [simple_root_coords(sys, w) for w in sys.fundamental_weights]
+    for c, w in zip(coords, sys.fundamental_weights):
         # dominance_leq rejects off-span differences; a weight off the
         # root span would make the integer test disagree with it
-        if recon != w:
+        if vcombo(c, sys.simple_roots) != w:
             raise ValueError(f"fundamental weight {w} is not in the root span")
-        coords.append(c)
     scale = math.lcm(*(x.denominator for c in coords for x in c))
     return tuple(tuple(int(x * scale) for x in c) for c in coords)
 
@@ -376,18 +382,12 @@ def weight_exponents(sys: RootSystem, lam: Vec) -> tuple[int, ...]:
     Raises if p is not in Z>=0^rank, or if lam has a component off the span
     of the fundamental weights (the coroot pairings cannot see it).
     """
-    p = []
-    for s in sys.simple_roots:
-        c = 2 * vdot(lam, s) / vdot(s, s)
-        if c.denominator != 1 or c < 0:
-            raise ValueError(f"{lam} is not in the non-negative weight cone")
-        p.append(int(c))
-    rebuilt = (Fraction(0),) * len(lam)
-    for pa, w in zip(p, sys.fundamental_weights):
-        rebuilt = vadd(rebuilt, vscale(pa, w))
-    if rebuilt != tuple(lam):
+    p = _labels(lam, sys.simple_roots)
+    if any(c.denominator != 1 or c < 0 for c in p):
+        raise ValueError(f"{lam} is not in the non-negative weight cone")
+    if vcombo(p, sys.fundamental_weights) != tuple(lam):
         raise ValueError(f"{lam} is not in the span of the fundamental weights")
-    return tuple(p)
+    return tuple(int(c) for c in p)
 
 
 def highest_root(sys: RootSystem) -> Vec:
@@ -409,21 +409,6 @@ def highest_root(sys: RootSystem) -> Vec:
 def characteristic_vector(sys: RootSystem) -> tuple[int, ...]:
     """Pairings of the fundamental weights with the highest coroot."""
     theta = highest_root(sys)
-    tt = vdot(theta, theta)
-    out = []
-    for w in sys.fundamental_weights:
-        p = 2 * vdot(w, theta) / tt
-        assert p.denominator == 1 and p > 0
-        out.append(int(p))
-    return tuple(out)
-
-
-def orbit_export_json(sys: RootSystem, weight_index: int) -> str:
-    orbit = weyl_orbit(sys, weight_index)
-    payload = {
-        "system": sys.kind,
-        "weight_index": weight_index,
-        "size": orbit.size,
-        "elements": [[str(c) for c in v] for v in orbit.elements],
-    }
-    return json.dumps(payload, sort_keys=True)
+    out = [_labels(w, (theta,))[0] for w in sys.fundamental_weights]
+    assert all(p.denominator == 1 and p > 0 for p in out)
+    return tuple(int(p) for p in out)

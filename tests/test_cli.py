@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -403,3 +404,45 @@ def test_reports_match_their_golden_digests(capsys, monkeypatch, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_fit_builds_only_the_frames_it_reads(capsys, monkeypatch):
+    # A17 fits on frames 0-95 of a 104-point pool and checks 100-103
+    from tauforge import oracle
+
+    calls = []
+    geom_hp = oracle._geom_hp
+    monkeypatch.setattr(
+        oracle, "_geom_hp", lambda *args: calls.append(1) or geom_hp(*args)
+    )
+    code, lean = run(capsys, "fit", "--entries", "A17,B3")
+    assert code == 0
+    assert len(calls) == 96 + oracle.HELD_OUT_FRAMES
+
+    pool = oracle.FramePool
+    monkeypatch.setattr(
+        oracle, "FramePool",
+        lambda *args, fit_frames=None, **kwargs: pool(*args, **kwargs),
+    )
+    calls.clear()
+    code, full = run(capsys, "fit", "--entries", "A17,B3")
+    assert code == 0
+    assert len(calls) == 104
+    assert lean == full
+
+
+def test_a2_refit_rebuilds_the_derived_entry(capsys):
+    from tauforge.derive import derive_operator
+    from tauforge.exactpoly import MultiPoly
+    from tauforge.rootsys import build_system
+
+    code, rep = run_json(capsys, "fit", "--system", "A2", "--entries", "A11")
+    assert code == 0
+    (row,) = rep["result"]["entries"]
+    assert row["reconstructed"] and row["ok"]
+    derived = derive_operator(build_system("A2"))
+    t1, t2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+    assert derived.A[0][0] == MultiPoly.constant(2, 2) * t2 - MultiPoly.constant(
+        2, Fraction(2, 3)
+    ) * t1 * t1
+    assert row["poly"] == derived.A[0][0].canonical_terms(derived.cv)

@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
-from fractions import Fraction
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+import tauforge
 from tauforge.derive import derive_operator
 from tauforge.exactpoly import MultiPoly
 from tauforge.geometry import sabotaged
@@ -31,6 +35,7 @@ from tauforge.oracle import (
     _compile_poly,
     _eval_compiled,
     _exponents,
+    _geom_double,
     _powers,
     _rho_sq,
     _geom_hp,
@@ -40,6 +45,7 @@ from tauforge.oracle import (
 from tauforge.rootsys import build_system, deformed_weyl_vector
 
 E7 = build_system("E7")
+SRC = str(Path(tauforge.__file__).resolve().parent.parent)
 
 
 def test_sample_points_are_deterministic_and_cleared():
@@ -171,15 +177,74 @@ def test_hp_kernel_golden_bits(monkeypatch, dps, digest):
 
 
 def test_hp_plan_rejects_an_orbit_not_closed_under_negation():
-    closed = ((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0)))
-    lopsided = ((Fraction(1, 2), Fraction(1)), (Fraction(-1, 2), Fraction(0)))
-    plan = _build_hp_plan((closed,), [1, 1], paired=True)
+    # integer rows at scale 2: closed is {(1, 0), (-1, 0)}, lopsided is
+    # {(1/2, 1), (-1/2, 0)}
+    closed = np.array([[2, 0], [-2, 0]])
+    lopsided = np.array([[1, 2], [-1, 0]])
+    plan = _build_hp_plan(2, (closed,), [1, 1], paired=True)
     assert [len(rows) for rows in plan.orbits] == [1]
     with pytest.raises(CancellationError):
-        _build_hp_plan((closed, lopsided), [1, 1], paired=True)
-    plan = _build_hp_plan((closed, lopsided), [1, 1], paired=False)
+        _build_hp_plan(2, (closed, lopsided), [1, 1], paired=True)
+    plan = _build_hp_plan(2, (closed, lopsided), [1, 1], paired=False)
     assert plan.scale == 2 and plan.max_u == (2, 2)
     assert [len(rows) for rows in plan.orbits] == [2, 2]
+
+
+# sha256 of repr(_geom_double(sysr, y, beta)) at the first sample point of
+# each (seed, beta), recorded from the frames built on the Fraction orbits
+# (numpy 2.4, x86-64 Linux); the integer orbit rows must not move a bit
+GOLDEN_DOUBLE = {
+    ("E7", 7, 1.0): "c27c9eb94b5b7b804cc86d232acaa2b22aeb3fcb75b6e14a1c0d80a2a57f5db7",
+    ("E7", 31, 1.3): "c1473808fb1aff6fc27ab23901716c0bf1d841f87bed6fb6f03ee73064cd955f",
+    ("A1", 7, 1.0): "24e08b96dfdefe50cf7e78df5a0bf66206be461510fb1242a522ba47bac2ceaa",
+    ("A1", 31, 1.3): "85b71d0d2a42c09cd098fd8b4229e10b386436e6ea35a76b271caf9f9ae909a7",
+    ("A2", 7, 1.0): "9f9bbadebe920a03fc839c2d7dd4955ef0048457e04d307a0dca3afabb7d5542",
+    ("A2", 31, 1.3): "b72248843381ec82a12006ba7a15f799cc991284c1991c604b4b32a3ca003cf0",
+    ("G2", 7, 1.0): "791bd4492ac02b429be9f523b0b137d98adb953594eb5a913b01a4c797e1b0fe",
+    ("G2", 31, 1.3): "9d856939468f3a093a4f376e8265db15c6b8f21b383397a66b9a7273b1185587",
+}
+
+
+@pytest.mark.parametrize("key,digest", GOLDEN_DOUBLE.items(), ids=str)
+def test_double_frame_golden_bits(key, digest):
+    kind, seed, beta = key
+    sysr = build_system(kind)
+    y = sample_points(sysr, 1, seed=seed, beta=beta)[0].y
+    got = _geom_double(sysr, np.array(y), beta)
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
+
+
+def test_frames_do_not_build_fraction_orbits():
+    # a fresh process, so no earlier test has read an orbit's elements
+    code = """
+from mpmath import mp
+from tauforge import oracle, rootsys
+built = []
+walk = rootsys._orbit_elements
+rootsys._orbit_elements = lambda *args: built.append(args) or walk(*args)
+e7 = rootsys.build_system("E7")
+with mp.workdps(50):
+    oracle.build_frame(e7, oracle.sample_points(e7, 1, seed=3)[0])
+    oracle.build_frame(e7, oracle.sample_points(e7, 1, seed=3, precision="hp")[0])
+orbits = [rootsys.weyl_orbit(e7, a + 1) for a in range(7)]
+print(len(built), sum("elements" in o.__dict__ for o in orbits), sum(o.size for o in orbits))
+"""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "17642"]
+
+
+def test_nu_linearity_is_not_run_below_three_nu_values():
+    op = e7_operator("canonical")
+    rep = verify_tables(op, samples=2, seed=77, nu_list=[0.0, 1.0])
+    assert rep["nu_linearity_max_residual"] is None
+    assert rep["all_pass"]
+    rep = verify_tables(op, samples=2, seed=77)
+    assert 0 < rep["nu_linearity_max_residual"] < 1e-9
 
 
 def test_ground_state_energy_closed_form():
@@ -235,6 +300,24 @@ def test_fit_rejects_an_undersized_pool():
     pool = FramePool(E7, 6, seed=23)
     with pytest.raises(ValueError):
         fit_entry(e7_operator("raw"), "B1", pool=pool)
+
+
+def test_a2_refit_rejects_coefficients_with_an_imaginary_part():
+    # turning every jacobian by e^{i pi/4} multiplies A11 by i, so its least
+    # squares coefficients are i times the true ones: real parts zero, and
+    # imaginary parts far above the reconstruction bound
+    a2 = build_system("A2")
+    op = derive_operator(a2)
+    pool = FramePool(a2, 24, seed=23)
+    with mp.workdps(pool.dps + 20):
+        turn = mp.expjpi(mpf(1) / 4)
+        pool.frames = [
+            (taus, [[turn * v for v in row] for row in jacs], laps, cotg)
+            for taus, jacs, laps, cotg in pool.frames
+        ]
+    fit = fit_entry(op, "A11", pool=pool)
+    assert not fit.reconstructed and fit.poly is None
+    assert fit_entry(op, "A11").ok
 
 
 def test_clearance_guard():

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from tauforge.rootsys import (
+    _orbit_elements,
     build_system,
     characteristic_vector,
     deformed_weyl_vector,
@@ -114,3 +116,72 @@ def test_y_rep_rejects_off_hyperplane_vectors():
 def test_unknown_system():
     with pytest.raises(ValueError):
         build_system("F4")
+
+
+def _reference_orbit_elements(weight, simple):
+    """The Fraction breadth-first closure the integer walk replaced."""
+    scale = math.lcm(*(c.denominator for v in (weight,) + simple for c in v))
+    w0 = tuple(int(c * scale) for c in weight)
+    gens = []
+    for s in simple:
+        si = tuple(int(c * scale) for c in s)
+        gens.append((si, sum(x * x for x in si)))
+    seen = {w0}
+    frontier = [w0]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for s, ss in gens:
+                num = 2 * sum(a * b for a, b in zip(v, s))
+                m, rem = divmod(num, ss)
+                assert rem == 0
+                img = tuple(a - m * b for a, b in zip(v, s))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return [tuple(Fraction(c, scale) for c in v) for v in sorted(seen)]
+
+
+@pytest.mark.parametrize("kind", ["E7", "A1", "A2", "G2"])
+def test_orbit_walk_matches_the_fraction_closure(kind):
+    sysr = build_system(kind)
+    for a, w in enumerate(sysr.fundamental_weights):
+        ref = _reference_orbit_elements(w, sysr.simple_roots)
+        orbit = weyl_orbit(sysr, a + 1)
+        assert orbit.size == len(ref)
+        assert list(orbit.elements) == ref
+        # the integer rows are the y representatives, in the same order
+        assert [
+            tuple(Fraction(c, orbit.scale) for c in u) for u in orbit.ints.tolist()
+        ] == [sysr.y_rep(v) for v in ref]
+
+
+def _weight(sysr, coords):
+    return tuple(
+        sum(p * w[k] for p, w in zip(coords, sysr.fundamental_weights))
+        for k in range(sysr.ambient_dim)
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,coords,flip",
+    [("A2", (2, 1), False), ("G2", (1, 1), False), ("G2", (2, 1), True)],
+)
+def test_orbit_walk_matches_the_fraction_closure_off_the_fundamentals(
+    kind, coords, flip
+):
+    sysr = build_system(kind)
+    lam = _weight(sysr, coords)
+    if flip:
+        # s_1 lam = lam - 2 alpha_1 for coords (2, 1): a start that is not dominant
+        lam = tuple(c - 2 * a for c, a in zip(lam, sysr.simple_roots[0]))
+    ref = _reference_orbit_elements(lam, sysr.simple_roots)
+    assert _orbit_elements(lam, sysr.simple_roots) == ref
+
+
+def test_orbit_sizes_do_not_build_fraction_elements():
+    orbit = weyl_orbit(build_system("E7"), 7)
+    orbit.__dict__.pop("elements", None)
+    assert orbit.size == 10080
+    assert "elements" not in orbit.__dict__
