@@ -249,13 +249,17 @@ def _cmd_verify_ground_state(args) -> dict:
 
 
 def _cmd_verify_tables(args) -> dict:
+    try:
+        nus = oracle.distinct_nus(args.nu)
+    except ValueError as exc:
+        raise UsageError(f"argument --nu: {exc}") from None
     op = _operator_for(args.system, args.variant)
     rep = oracle.verify_tables(
         op,
         samples=args.samples,
         seed=args.seed,
         tol=args.tol,
-        nu_list=tuple(args.nu),
+        nu_list=nus,
         beta_list=tuple(args.beta),
         precision=args.precision,
     )

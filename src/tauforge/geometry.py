@@ -21,6 +21,7 @@ from .operator import AlgebraicOperator
 from .oracle import (
     SamplePoint,
     _compile_poly,
+    _map_points,
     _rejection_sample,
     hp_digits,
     tau_numeric,
@@ -377,27 +378,40 @@ def flatness_report(
     tol: float | None = None,
     spread: float = 0.05,
 ) -> dict:
-    """Riemann residuals at tau(y) images of chart-centered samples."""
+    """Riemann residuals at tau(y) images of chart-centered samples.
+
+    hp points run on every CPU (see oracle._map_points).
+    """
     if tol is None:
         tol = 1e-6 if precision == "double" else 1e-30
     sysr = op.system
     pts = flatness_sample_points(
         sysr, points, seed=seed, beta=beta, spread=spread, precision=precision
     )
-    rows = []
-    worst = 0.0
-    dps = hp_digits() if precision == "hp" else mp.dps
+    hp = precision == "hp"
+    dps = hp_digits() if hp else mp.dps
     metric = None
-    for idx, pt in enumerate(pts):
+
+    def point_row(pt) -> tuple:
+        """(cond, riemann, bianchi) at the tau image of pt."""
+        nonlocal metric
         with mp.workdps(dps):
             tau = tau_numeric(sysr, pt)
+            # compiled at the first point, which _map_points runs before
+            # any fork, so every child inherits it
             if metric is None:
-                metric = _MetricPolys(op, _is_mp(tau))
+                metric = _MetricPolys(op, hp)
             r, b, frame = _curvature(op, tau, metric)
+        return frame.cond, r, b
+
+    rows = []
+    worst = 0.0
+    per_point = _map_points(point_row, pts) if hp else map(point_row, pts)
+    for idx, (cond, r, b) in enumerate(per_point):
         rows.append(
             {
                 "index": idx,
-                "cond": frame.cond,
+                "cond": cond,
                 "riemann_max_normalized": r,
                 "bianchi_max_normalized": b,
             }

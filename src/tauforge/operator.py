@@ -118,9 +118,11 @@ def stored_data_report(op: AlgebraicOperator) -> tuple[str, ...]:
             p = op.A[i][j]
             if not p.is_nu_free():
                 out.append(f"A{i+1}{j+1}: nu-dependent coefficient")
-            wd = p.weighted_degree(cv)
-            if wd != float("-inf") and wd > cv[i] + cv[j]:
-                out.append(f"A{i+1}{j+1}: weighted degree {wd} > {cv[i] + cv[j]}")
+            over = _over_degree(p, cv, cv[i] + cv[j])
+            if over:
+                out.append(
+                    f"A{i+1}{j+1}: weighted degree {max(over.values())} > {cv[i] + cv[j]}"
+                )
             lead_exp = tuple(
                 (2 if i == j else 1) if k in (i, j) else 0 for k in range(rank)
             )
@@ -132,9 +134,9 @@ def stored_data_report(op: AlgebraicOperator) -> tuple[str, ...]:
                     f"leading law needs {want}"
                 )
         b = op.B[i]
-        wd = b.weighted_degree(cv)
-        if wd != float("-inf") and wd > cv[i]:
-            out.append(f"B{i+1}: weighted degree {wd} > {cv[i]}")
+        over = _over_degree(b, cv, cv[i])
+        if over:
+            out.append(f"B{i+1}: weighted degree {max(over.values())} > {cv[i]}")
         nu0 = {e: c.c0 for e, c in b.terms.items() if c.c0 != 0}
         unit = tuple(1 if k == i else 0 for k in range(rank))
         d2 = sysr.weight_lengths_sq[i]
@@ -213,26 +215,30 @@ def apply(op: AlgebraicOperator, f: MultiPoly) -> MultiPoly:
     return out
 
 
+def _over_degree(poly: MultiPoly, cv, bound: int) -> dict:
+    """exponent -> weighted degree, for the terms of poly above bound."""
+    over = {}
+    for exp in poly.terms:
+        wd = sum(c * p for c, p in zip(cv, exp))
+        if wd > bound:
+            over[exp] = wd
+    return over
+
+
 def flag_degree_check(op: AlgebraicOperator) -> dict:
     """Weighted-degree bounds on every table entry; equivalent to h(P_n) in P_n."""
     cv = op.cv
     rank = op.rank
     bad = []
+
+    def check(entry, poly, bound):
+        for exp, wd in _over_degree(poly, cv, bound).items():
+            bad.append({"entry": entry, "exp": list(exp), "wdeg": wd, "bound": bound})
+
     for i in range(rank):
         for j in range(i, rank):
-            bound = cv[i] + cv[j]
-            for exp in op.A[i][j].terms:
-                wd = sum(c * p for c, p in zip(cv, exp))
-                if wd > bound:
-                    bad.append(
-                        {"entry": f"A{i+1}{j+1}", "exp": list(exp), "wdeg": wd, "bound": bound}
-                    )
-        for exp in op.B[i].terms:
-            wd = sum(c * p for c, p in zip(cv, exp))
-            if wd > cv[i]:
-                bad.append(
-                    {"entry": f"B{i+1}", "exp": list(exp), "wdeg": wd, "bound": cv[i]}
-                )
+            check(f"A{i+1}{j+1}", op.A[i][j], cv[i] + cv[j])
+        check(f"B{i+1}", op.B[i], cv[i])
     return {"ok": not bad, "violations": bad}
 
 

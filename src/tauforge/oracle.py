@@ -18,6 +18,8 @@ entry from scratch by least squares plus rational reconstruction.
 from __future__ import annotations
 
 import os
+import pickle
+import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -61,6 +63,138 @@ def _check_rejections(rejected: int, beta) -> None:
 
 def hp_digits() -> int:
     return int(os.environ.get("TAUFORGE_PRECISION", "50"))
+
+
+# ---------------------------------------------------------------------------
+# independent points on every CPU
+
+# _map_points forks only when its first item took at least this long.  On
+# a 2-CPU x86-64 host a fork of a warm E7 process costs about 20-30 ms:
+# about 5 ms for the fork, the pipe and the reaping, and 10-20 ms of
+# copy-on-write faults in the child's first item.  An item of 50 ms or
+# more (a warm E7 frame at 70 digits takes 55-75 ms) repays that, while
+# the 1-2 ms hp points of the rank-2 systems stay in-process.
+FORK_MIN_ITEM_S = 0.05
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where fork or the affinity is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _map_points(fn, items) -> list:
+    """[fn(x) for x in items], spread over one process per available CPU.
+
+    Item 0 runs here first: it warms every cache the children read and
+    prices one item.  When more than one CPU is available and the item
+    took at least FORK_MIN_ITEM_S, the other items are dealt out by stride
+    to forked children and, last share, to this process; each child sends
+    its results back pickled through a pipe.  The results are the serial
+    ones, in order, bit for bit; an error is the one of the lowest failing
+    index, as a serial run raises it.  A child never returns to the caller
+    and never touches stdio, and no child outlives the call.  Forking is
+    safe because a tauforge process starts no thread of its own; OpenBLAS
+    stops its worker threads around a fork.
+    """
+    items = list(items)
+    if not items:
+        return []
+    start = time.perf_counter()
+    first = fn(items[0])
+    workers = min(_cpus(), len(items) - 1)
+    if workers < 2 or time.perf_counter() - start < FORK_MIN_ITEM_S:
+        return [first] + [fn(x) for x in items[1:]]
+    shares = [range(1 + k, len(items), workers) for k in range(workers)]
+    local = shares[-1:]
+    children = {}  # pid -> read end of its pipe, None once being read
+    try:
+        for share in shares[:-1]:
+            try:
+                pid, rfd = _fork_child(fn, items, share)
+            except OSError:  # no process or pipe to spare: run it here
+                local.append(share)
+                continue
+            children[pid] = rfd
+        results = {0: first}
+        failures = [_map_share(fn, items, share, results) for share in local]
+        for pid in list(children):
+            with os.fdopen(children[pid], "rb") as fh:
+                children[pid] = None
+                try:
+                    got, failed = pickle.load(fh)
+                except (EOFError, pickle.UnpicklingError):
+                    got = None
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if got is None:
+                raise ChildProcessError(
+                    f"a worker process ended with wait status {status}"
+                    " before sending its results"
+                )
+            results.update(got)
+            failures.append(failed)
+        failures = [f for f in failures if f is not None]
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        return [results[i] for i in range(len(items))]
+    finally:
+        if children:
+            # only an error or an interrupt leaves children here; importing
+            # signal at module level raised the peak RSS of an hp flatness
+            # run by about 0.3 MiB
+            import signal
+        for pid, rfd in children.items():
+            if rfd is not None:
+                os.close(rfd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _map_share(fn, items, share, results: dict):
+    """fn over items[share] into results; (index, error) at the first error."""
+    for i in share:
+        try:
+            results[i] = fn(items[i])
+        except Exception as exc:
+            return i, exc
+    return None
+
+
+def _fork_child(fn, items, share) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a child running fn over items[share]."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        os.close(rfd)
+        _map_child(fn, items, share, wfd)
+    os.close(wfd)
+    return pid, rfd
+
+
+def _map_child(fn, items, share, wfd: int) -> None:
+    """A forked child's whole life: its share, one pickle, then _exit."""
+    code = 1
+    try:
+        results = {}
+        failed = _map_share(fn, items, share, results)
+        if failed is not None:
+            i, exc = failed
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                failed = i, RuntimeError(f"{type(exc).__name__}: {exc}")
+        with os.fdopen(wfd, "wb") as fh:
+            pickle.dump((results, failed), fh, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @dataclass(frozen=True)
@@ -559,6 +693,20 @@ def _eval_compiled(terms, powers, tau):
     return total
 
 
+def distinct_nus(nu_list) -> list:
+    """nu_list as a list; ValueError if a value repeats.
+
+    The nu-linearity check divides by differences of the nu values, so a
+    repeated value would turn it into a division by zero.
+    """
+    nus = list(nu_list)
+    if len(set(nus)) < len(nus):
+        raise ValueError(
+            "nu values must be distinct, got " + ",".join(str(float(x)) for x in nus)
+        )
+    return nus
+
+
 def verify_tables(
     op: AlgebraicOperator,
     samples: int = 50,
@@ -573,23 +721,23 @@ def verify_tables(
     Returns a JSON-ready report; reproducible for a fixed seed.  B entries
     are checked at every nu in nu_list, and the numeric B is additionally
     confirmed affine in nu via a three-value linear fit; with fewer than
-    three nu values that check is not run and reports None.
+    three nu values that check is not run and reports None.  Raises
+    ValueError if nu_list repeats a value.  hp points run on every CPU
+    (see _map_points).
     """
     sysr = op.system
-    nu_list = list(nu_list) if nu_list else [float(x) for x in DEFAULT_NU_LIST]
+    nu_list = distinct_nus(nu_list) if nu_list else [float(x) for x in DEFAULT_NU_LIST]
     beta_list = list(beta_list) if beta_list else list(DEFAULT_BETA_LIST)
     rank = op.rank
     hp = precision == "hp"
     ids = [("A", i, j) for i in range(rank) for j in range(i, rank)]
     ids += [("B", i, None) for i in range(rank)]
     names = [f"A{i+1}{j+1}" if j is not None else f"B{i+1}" for _, i, j in ids]
-    worst: dict[str, float] = {}
+    worst = dict.fromkeys(names, 0.0)
     nu_lin_worst = 0.0 if len(nu_list) >= 3 else None
 
-    def note(entry: str, got, ref) -> None:
-        r = float(abs(got - ref) / (1 + abs(ref)))
-        if r > worst.get(entry, 0.0):
-            worst[entry] = r
+    def rel(got, ref) -> float:
+        return float(abs(got - ref) / (1 + abs(ref)))
 
     with mp.workdps(hp_digits()):
         gw = _metric_weights(sysr.kind, hp)
@@ -602,29 +750,41 @@ def verify_tables(
             for _, i, j in ids
         ]
         exps = _exponents([terms for row in compiled for terms in row], rank)
+
         for beta in beta_list:
             b2 = (mpf(str(beta)) if hp else float(beta)) ** 2
-            pts = sample_points(
-                sysr, samples, seed=seed, beta=beta, nu=0.0, precision=precision
-            )
-            for pt in pts:
+
+            def point_notes(pt) -> list:
+                """(entry, residual) at pt in check order; None for nu-linearity."""
                 frame = _geom(sysr, pt)
                 taus = frame[0]
                 pw = _powers(taus, exps)
+                notes = []
                 for name, entry, row in zip(names, ids, compiled):
                     ref = _oracle_ab(frame, gw, b2, entry)
                     if entry[0] == "A":
-                        note(name, _eval_compiled(row[0], pw, taus), ref)
+                        notes.append((name, rel(_eval_compiled(row[0], pw, taus), ref)))
                         continue
                     base, slope = ref
                     refs = [base + nub * slope for nub in nubs]
                     for terms, value in zip(row, refs):
-                        note(name, _eval_compiled(terms, pw, taus), value)
-                    if nu_lin_worst is not None:
+                        notes.append((name, rel(_eval_compiled(terms, pw, taus), value)))
+                    if len(nubs) >= 3:
                         (n0, n1, n2), (v0, v1, v2) = nubs[:3], refs[:3]
                         pred = v0 + (v1 - v0) * (n2 - n0) / (n1 - n0)
-                        rel = abs(pred - v2) / (1 + abs(v2))
-                        nu_lin_worst = max(nu_lin_worst, float(rel))
+                        notes.append((None, rel(pred, v2)))
+                return notes
+
+            pts = sample_points(
+                sysr, samples, seed=seed, beta=beta, nu=0.0, precision=precision
+            )
+            per_point = _map_points(point_notes, pts) if hp else map(point_notes, pts)
+            for notes in per_point:
+                for name, r in notes:
+                    if name is None:
+                        nu_lin_worst = max(nu_lin_worst, r)
+                    elif r > worst[name]:
+                        worst[name] = r
 
     entries = [
         {"entry": name, "max_rel_residual": worst[name], "pass": worst[name] < tol}
@@ -690,7 +850,8 @@ class FramePool:
 
     All `count` points are drawn, but frames are built only for the first
     `fit_frames` (default: all but the held-out ones) and the last
-    HELD_OUT_FRAMES, the only frames fit_entry reads.
+    HELD_OUT_FRAMES, the only frames fit_entry reads.  The frames are built
+    on every CPU (see _map_points).
     """
 
     def __init__(self, sysr: RootSystem, count: int, seed: int = 23, beta=1,
@@ -704,10 +865,10 @@ class FramePool:
                 sysr, count, seed=seed, beta=float(beta), nu=0.0, precision="hp"
             )
             self.beta = mpf(beta)
-            self.frames = [
-                _geom_hp(sysr, p.y, self.beta)
-                for p in pts[: self.fit_frames] + pts[held:]
-            ]
+            self.frames = _map_points(
+                lambda p: _geom_hp(sysr, p.y, self.beta),
+                pts[: self.fit_frames] + pts[held:],
+            )
 
 
 def fit_entry(

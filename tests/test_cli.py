@@ -300,10 +300,16 @@ def test_reports_do_not_depend_on_the_cpu_count(capsys, monkeypatch):
     argvs = (
         ["tau-eval", "--samples", "3"],
         ["verify-ground-state", "--samples", "3", "--beta", "1", "--nu", "0.5"],
+        ["flatness", "--precision", "hp", "--points", "3"],
+        ["verify-tables", "--variant", "canonical", "--precision", "hp", "--samples", "3"],
+        ["fit", "--entries", "A11"],
     )
+    # every hp point loop forks at 3 CPUs, however fast its first point
+    monkeypatch.setattr("tauforge.oracle.FORK_MIN_ITEM_S", 0.0)
     outputs = []
     for cpus in (1, 3):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         outputs.append([run(capsys, *argv) for argv in argvs])
     assert outputs[0] == outputs[1]
     for code, out in outputs[0]:
@@ -328,14 +334,38 @@ def test_precision_digits_do_not_outlive_main(capsys, monkeypatch):
     assert os.environ["TAUFORGE_PRECISION"] == "55"
 
 
-def cli_process(*argv, timeout=120):
+def cli_process(*argv, timeout=120, preexec_fn=None):
     """The CLI in a fresh process; a hang fails the test at the timeout."""
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("TAUFORGE_PRECISION", None)
     return subprocess.run(
         [sys.executable, "-m", "tauforge.cli", *argv],
         env=env, capture_output=True, text=True, timeout=timeout,
+        preexec_fn=preexec_fn,
     )
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_a_one_cpu_process_prints_the_same_report():
+    # the hp curvature points fork on a multi-CPU host and run in-process
+    # on one CPU; the affinity is set in the CLI child only
+    argv = ("flatness", "--precision", "hp", "--points", "3")
+    first = min(os.sched_getaffinity(0))
+    one = cli_process(*argv, preexec_fn=lambda: os.sched_setaffinity(0, {first}))
+    every = cli_process(*argv)
+    assert one.returncode == every.returncode == 0
+    assert one.stdout == every.stdout
+    assert one.stderr == every.stderr == ""
+
+
+def test_a_repeated_nu_is_a_usage_error():
+    proc = cli_process("verify-tables", "--samples", "3", "--nu", "0,0,1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "tauforge verify-tables: error: argument --nu: nu values must be"
+        " distinct, got 0.0,0.0,1.0"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -410,6 +440,8 @@ def test_fit_builds_only_the_frames_it_reads(capsys, monkeypatch):
     # A17 fits on frames 0-95 of a 104-point pool and checks 100-103
     from tauforge import oracle
 
+    # frames built in forked children would escape the count below
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = []
     geom_hp = oracle._geom_hp
     monkeypatch.setattr(

@@ -98,6 +98,29 @@ def test_flag_degree_bounds_hold_for_both_variants():
     assert flag_degree_check(e7_operator("canonical"))["ok"]
 
 
+def test_degree_violations_name_each_entry_at_its_top_degree():
+    from dataclasses import replace
+
+    can = e7_operator("canonical")
+    t5, t6, t7 = (MultiPoly.variable(7, k) for k in (5, 6, 7))
+    # A12 (bound 3) gains terms of weighted degree 8 and 6; B1 (bound 1) a
+    # nu-only term of degree 4, which leaves its nu = 0 part intact
+    a12 = can.A[0][1] + t7 * t7 + t5 * t6
+    rows = [list(r) for r in can.A]
+    rows[0][1] = rows[1][0] = a12
+    b1 = can.B[0] + MultiPoly(7, {(0,) * 6 + (1,): NuLinear(0, 1)})
+    broken = replace(can, A=tuple(map(tuple, rows)), B=(b1,) + can.B[1:])
+    assert stored_data_report(broken) == (
+        "A12: weighted degree 8 > 3",
+        "B1: weighted degree 4 > 1",
+    )
+    assert broken.violations == stored_data_report(broken)
+    over = flag_degree_check(broken)["violations"]
+    assert sorted((v["entry"], v["wdeg"]) for v in over) == [
+        ("A12", 6), ("A12", 8), ("B1", 4),
+    ]
+
+
 def test_flag_matrix_small():
     mat = flag_matrix(e7_operator("raw"), 1, Fraction(1, 3))
     assert mat == [[0, 0], [0, 3]]

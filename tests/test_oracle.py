@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from tauforge.operator import e7_operator
 from tauforge.oracle import (
     CancellationError,
     ClearanceError,
+    HELD_OUT_FRAMES,
     FramePool,
     SamplePoint,
     SamplingError,
@@ -41,6 +43,7 @@ from tauforge.oracle import (
     _geom_hp,
     _orbit_vectors,
     _root_mp,
+    _map_points,
 )
 from tauforge.rootsys import build_system, deformed_weyl_vector
 
@@ -247,6 +250,22 @@ def test_nu_linearity_is_not_run_below_three_nu_values():
     assert 0 < rep["nu_linearity_max_residual"] < 1e-9
 
 
+def test_verify_tables_rejects_a_repeated_nu():
+    op = e7_operator("canonical")
+    with pytest.raises(ValueError, match="nu values must be distinct, got 0.0,0.0,1.0"):
+        verify_tables(op, samples=3, nu_list=[0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="must be distinct"):
+        verify_tables(op, samples=3, nu_list=[0.5, 2.5, 0.5], precision="hp")
+
+
+def test_an_entry_with_no_residual_reports_zero():
+    # at this one hp point the B2 residual is exactly zero
+    rep = verify_tables(e7_operator("canonical"), samples=1, precision="hp")
+    (b2,) = [row for row in rep["entries"] if row["entry"] == "B2"]
+    assert b2 == {"entry": "B2", "max_rel_residual": 0.0, "pass": True}
+    assert rep["all_pass"]
+
+
 def test_ground_state_energy_closed_form():
     assert ground_state_energy(E7, 2.0, 0.5) == 399.0 / 4 * 4.0 * 0.25
     assert ground_state_energy(build_system("A1"), 1.0, 1.0) == 0.25
@@ -438,3 +457,138 @@ def test_the_rejection_bound_counts_draws_in_a_row(monkeypatch):
     with pytest.raises(SamplingError):
         sample_points(E7, 1, beta=2.0)
     assert len(draws) == 50
+
+
+def _pin_cpus(monkeypatch, cpus: int, free_fork: bool = True) -> list:
+    """Pretend `cpus` CPUs, and with free_fork that any item repays a fork.
+
+    Returns the list that collects the pid of every fork.
+    """
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counted)
+    if free_fork:
+        monkeypatch.setattr("tauforge.oracle.FORK_MIN_ITEM_S", 0.0)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_map_points_returns_the_serial_list(monkeypatch, cpus, count):
+    forks = _pin_cpus(monkeypatch, cpus)
+
+    def fn(x):
+        with mp.workdps(40):
+            return x, mp.sqrt(mpf(x) + 2), [float(x) / 3]
+
+    items = list(range(count))
+    got = _map_points(fn, items)
+    assert got == [fn(x) for x in items]
+    assert [repr(v) for v in got] == [repr(fn(x)) for x in items]
+    # item 0 runs first in this process; the other items go to at most
+    # one process per CPU, this one included, so only 5 items fork
+    assert len(forks) == (cpus - 1 if count == 5 else 0)
+    _no_child_left()
+
+
+class _TwoArgError(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+@pytest.mark.parametrize(
+    "failing,want",
+    [
+        ({4, 3}, (ValueError, "bad 3")),  # this process holds 3, a child 4
+        ({2, 3}, (ValueError, "bad 2")),  # a child holds 2
+        ({5}, (SamplingError, "bad 5")),
+        ({1}, (RuntimeError, "_TwoArgError: 1/x")),  # does not unpickle
+    ],
+)
+def test_map_points_raises_the_error_of_the_lowest_failing_index(
+    monkeypatch, failing, want
+):
+    forks = _pin_cpus(monkeypatch, 3)
+    kind, message = want
+
+    def fn(x):
+        if x in failing:
+            if kind is RuntimeError:
+                raise _TwoArgError(x, "x")
+            raise kind(f"bad {x}")
+        return x
+
+    # three processes: children take 1, 4 and 2, 5; this process takes 3
+    with pytest.raises(kind) as exc:
+        _map_points(fn, range(6))
+    assert type(exc.value) is kind
+    assert str(exc.value) == message
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_map_points_runs_a_share_it_cannot_fork_itself(monkeypatch):
+    _pin_cpus(monkeypatch, 3)
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _map_points(lambda x: x * x, range(7)) == [x * x for x in range(7)]
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_map_points_kills_its_children_on_an_interrupt(monkeypatch):
+    forks = _pin_cpus(monkeypatch, 3)
+
+    def fn(x):
+        if x == 3:
+            raise KeyboardInterrupt
+        if x:
+            time.sleep(60)
+        return x
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        _map_points(fn, range(5))
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_cheap_points_stay_in_process(monkeypatch, capsys):
+    from tauforge.cli import main
+
+    forks = _pin_cpus(monkeypatch, 3, free_fork=False)
+    assert main(["derive", "--system", "A2"]) == 0
+    capsys.readouterr()
+    assert forks == []
+
+
+def test_a_forked_frame_pool_equals_the_one_cpu_pool(monkeypatch):
+    forks = _pin_cpus(monkeypatch, 1)
+    serial = FramePool(E7, 12, fit_frames=4)
+    assert forks == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = FramePool(E7, 12, fit_frames=4)
+    assert len(forks) == 1
+    assert len(forked.frames) == 4 + HELD_OUT_FRAMES
+    assert forked.frames == serial.frames
+    assert repr(forked.frames) == repr(serial.frames)
+    _no_child_left()
