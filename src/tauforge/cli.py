@@ -68,33 +68,90 @@ def _count(minimum: int):
     return parse
 
 
+# the largest |nu| and |beta| that the float checks take: their squares
+# overflow a double near 1e154, and every product the checks form stays
+# finite below 1e6
+FLOAT_PARAMETER_LIMIT = 1e6
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float list: {text!r}") from None
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    """argparse type: a comma list of finite nu values, |nu| <= 1e6.
+
+    A NaN residual never exceeds the worst one so far, so a NaN nu would
+    pass every check it touches.
+    """
+    values = _float_list(text)
+    for value in values:
+        if not abs(value) <= FLOAT_PARAMETER_LIMIT:
+            raise argparse.ArgumentTypeError(
+                f"nu must be finite with |nu| <= 1e6, got {value}"
+            )
+    return values
 
 
 def _parse_betas(text: str) -> tuple[float, ...]:
-    """argparse type: a comma list of nonzero finite betas.
+    """argparse type: a comma list of nonzero finite betas, |beta| <= 1e6.
 
     At beta = 0 every phase vanishes, so no sample point clears the root
     walls and the curvature chart is undefined.
     """
-    try:
-        betas = _parse_floats(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float list: {text!r}") from None
+    betas = _float_list(text)
     for beta in betas:
         if beta == 0 or not math.isfinite(beta):
             raise argparse.ArgumentTypeError(
                 f"beta must be nonzero and finite, got {beta}"
             )
+        if abs(beta) > FLOAT_PARAMETER_LIMIT:
+            raise argparse.ArgumentTypeError(f"|beta| must be <= 1e6, got {beta}")
     return betas
 
 
-def _parse_rational(text: str):
+def _parse_tol(text: str) -> float:
+    """argparse type: a positive finite tolerance.
+
+    Every residual passes an infinite tolerance, and none passes a NaN or
+    a non-positive one.
+    """
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tol must be positive and finite, got {tol}")
+    return tol
+
+
+def _parse_rational(text: str) -> Fraction:
+    """argparse type: an exact rational such as 3, 0.25 or 1/2."""
     try:
         return Fraction(text)
-    except ValueError:
-        return float(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"nu must be a finite rational such as 1/2, got {text!r}"
+        ) from None
+
+
+def _output_path(text: str) -> str:
+    """argparse type: a report file in an existing directory.
+
+    Checked when the arguments are parsed, so a bad path fails before the
+    command runs rather than after it.
+    """
+    if not text or "\0" in text:
+        raise argparse.ArgumentTypeError(f"invalid path {text!r}")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no directory {parent!r} to write into")
+    return text
 
 
 def _resolve_variant(args) -> None:
@@ -391,15 +448,16 @@ def _cmd_fit(args) -> dict:
     ok = True
     for which in entries:
         fit = oracle.fit_entry(op, which, pool=pool)
-        rows.append(
-            {
-                "entry": fit.entry,
-                "reconstructed": fit.reconstructed,
-                "residual": fit.residual,
-                "ok": fit.ok,
-                "poly": fit.poly.canonical_terms(op.cv) if fit.poly else None,
-            }
-        )
+        row = {
+            "entry": fit.entry,
+            "reconstructed": fit.reconstructed,
+            "residual": fit.residual,
+            "ok": fit.ok,
+            "poly": fit.poly.canonical_terms(op.cv) if fit.poly else None,
+        }
+        if fit.first_miss:
+            row["first_miss"] = fit.first_miss
+        rows.append(row)
         ok = ok and fit.ok
     return {"ok": ok, "result": {"entries": rows}}
 
@@ -464,16 +522,16 @@ def _add_common(p, *, samples=None, seed=0, tol=None, precision=False,
                 variant=None, beta="1", nu=None, n=None,
                 formats=("json", "text")):
     p.add_argument("--system", type=_parse_system, default="E7")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_count(0), default=seed)
     p.add_argument("--format", choices=formats, default="json")
-    p.add_argument("--output", default=None)
+    p.add_argument("--output", type=_output_path, default=None)
     p.add_argument("--precision-digits", type=_count(1), default=None)
     if samples is not None:
         # fit's default of 0 sizes the frame pool from the entries
         p.add_argument("--samples", type=_count(0 if samples == 0 else 1),
                        default=samples)
     if tol is not None:
-        p.add_argument("--tol", type=float, default=tol)
+        p.add_argument("--tol", type=_parse_tol, default=tol)
     if precision:
         p.add_argument("--precision", choices=("double", "hp"), default="double")
     if variant is not None:
@@ -488,8 +546,15 @@ def _add_common(p, *, samples=None, seed=0, tol=None, precision=False,
         p.add_argument("--n", type=_count(0), default=n)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line, as the commands' are."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="tauforge",
         description="Checks and reports for the algebraic operator toolkit.",
     )
@@ -525,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flatness", help="Riemann residuals of the metric")
     _add_common(p, seed=11, precision=True, variant="canonical")
     p.add_argument("--points", type=_count(1), default=10)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_parse_tol, default=None,
                    help="default 1e-6 double, 1e-30 hp")
     p.add_argument("--fault", action="store_true",
                    help="inject the A11 fault and require detection")

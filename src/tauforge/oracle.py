@@ -25,15 +25,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp, mpf, matrix, qr_solve
+from mpmath import mp, mpf
 
 from .exactpoly import MultiPoly, NuLinear, weighted_monomials
+from .fixedpoint import complex_qr_solve, qr_solve, to_fixed
 from .operator import AlgebraicOperator
 from .rootsys import RootSystem, build_system, deformed_weyl_vector, weyl_orbit
 
 DEFAULT_NU_LIST = (Fraction(0), Fraction(1, 2), Fraction(5, 2))
 DEFAULT_BETA_LIST = (1.0,)
 CLEARANCE = 1e-3
+# a refitted coefficient must lie within 10^-(dps-15) of a rational whose
+# denominator is at most this
+MAX_DENOMINATOR = 4
 # consecutive rejected draws after which a sampler gives up; at beta = 1
 # about two E7 draws in three are accepted, and even an acceptance ratio
 # of 1e-3 fails this bound with probability below 1e-40 per point
@@ -218,11 +222,23 @@ class NumericFrame:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A refitted entry.
+
+    A coefficient is reconstructed when it lies within the bound of a
+    rational with denominator <= max_denominator.  When one does not,
+    raw_coefficients holds every coefficient (the nu^0 ones, then for B
+    the nu^1 ones) and first_miss names the first, in basis order, that
+    failed: its monomial ("exp", "nu_pow"), its 30-digit "value", and the
+    "part" ("real" or "imaginary") that missed the bound.
+    """
+
     entry: str
     poly: MultiPoly | None
     residual: float
     reconstructed: bool
     raw_coefficients: tuple = ()
+    max_denominator: int = MAX_DENOMINATOR
+    first_miss: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -477,10 +493,7 @@ def _geom_hp(sysr: RootSystem, y, beta):
             row = {}
             for u in range(-plan.max_u[k], plan.max_u[k] + 1):
                 c, s = mp.cos_sin(u * theta[k])
-                row[u] = (
-                    _mpz(int(mp.floor(mp.ldexp(c, shift) + mpf(1) / 2))),
-                    _mpz(int(mp.floor(mp.ldexp(s, shift) + mpf(1) / 2))),
-                )
+                row[u] = (_mpz(to_fixed(c, shift)), _mpz(to_fixed(s, shift)))
             table.append(row)
 
     zero = _mpz(0)
@@ -830,13 +843,13 @@ def _entry_indices(which: str, rank: int) -> tuple[str, int, int | None]:
 # its last HELD_OUT_FRAMES
 HELD_OUT_FRAMES = 4
 
-
 def _fit_plan(op: AlgebraicOperator, which: str, samples: int | None = None):
     """(kind, i, j, basis, rows, frames) for refitting one entry.
 
-    basis holds every monomial within the entry's weighted-degree bound;
-    `rows` least-squares rows (default 2 * len(basis) + 8) come from the
-    first `frames` frames, two rows (two nu values) per frame for B.
+    basis holds every monomial within the entry's weighted-degree bound.
+    `rows` (default 2 * len(basis) + 8) sizes the fit: A reads its values
+    at the first `rows` frames, B at the first `frames` = ceil(rows / 2),
+    because each B frame gives two values, the nu^0 and the nu^1 part.
     """
     kind_, i, j = _entry_indices(which, op.rank)
     bound = op.cv[i] + op.cv[j] if kind_ == "A" else op.cv[i]
@@ -882,13 +895,13 @@ def fit_entry(
     """Rebuild a table entry from the oracle by exact-targeted least squares.
 
     Fits over all monomials within the entry's weighted-degree bound (with
-    independent nu^0/nu^1 coefficients for B), reconstructs rationals with
-    denominators <= 4, and reports the residual at held-out points.
+    independent nu^0/nu^1 coefficients for B, fitted as two right-hand
+    sides of one qr_solve), reconstructs rationals with denominators <=
+    MAX_DENOMINATOR, and reports the residual at held-out points.
     """
     sysr = op.system
     kind_, i, j, basis, needed, want_frames = _fit_plan(op, which, samples)
     dps = precision_digits or max(hp_digits(), 50)
-    fit_nus = (Fraction(1, 2), Fraction(5, 2))
 
     with mp.workdps(dps + 20):
         if pool is None:
@@ -901,7 +914,8 @@ def fit_entry(
         gw = _metric_weights(sysr.kind, True)
         b2 = pool.beta**2
         entry = (kind_, i, j)
-        fit_nubs = [mpf(nu.numerator) / nu.denominator for nu in fit_nus]
+        # B is checked at two nu values on the held-out frames
+        held_nubs = [mpf(1) / 2, mpf(5) / 2]
         basis_exps = [set(col) for col in zip(*basis)]
 
         def monomial_row(taus):
@@ -915,43 +929,47 @@ def fit_entry(
                 row.append(m)
             return row
 
+        # one row per frame; the right-hand sides are A's value, or B's
+        # nu^0 part (base) and nu^1 part (slope)
         rows, rhs = [], []
         for frame in pool.frames[:want_frames]:
-            mono = monomial_row(frame[0])
+            rows.append(monomial_row(frame[0]))
             ref = _oracle_ab(frame, gw, b2, entry)
-            if kind_ == "A":
-                rows.append(mono)
-                rhs.append(ref)
-            else:
-                for nub in fit_nubs:
-                    rows.append(mono + [nub * m for m in mono])
-                    rhs.append(ref[0] + nub * ref[1])
-        sol, _ = qr_solve(matrix(rows), matrix(rhs))
+            rhs.append([ref] if kind_ == "A" else list(ref))
+        # complex frames (A2) give complex systems
+        solve = qr_solve if sysr.has_minus_one else complex_qr_solve
+        coeffs = [c for sol in solve(rows, list(zip(*rhs))) for c in sol]
+        n = len(basis)
 
-        coeffs = [sol[k] for k in range(len(sol))]
         terms = {}
-        reconstructed = True
+        miss = None
+        bound = mpf(10) ** -(dps - 15)
         for idx, p in enumerate(basis):
-            c0 = coeffs[idx]
-            c1 = coeffs[idx + len(basis)] if kind_ == "B" else mpf(0)
             pair = []
-            for c in (c0, c1):
+            for nu_pow, c in enumerate(coeffs[idx::n]):
                 # complex frames (A2) give mpc coefficients; a real table
                 # entry needs a vanishing imaginary part
-                fr = Fraction(mp.nstr(mp.re(c), min(dps - 5, 40))).limit_denominator(4)
+                fr = Fraction(mp.nstr(mp.re(c), min(dps - 5, 40)))
+                fr = fr.limit_denominator(MAX_DENOMINATOR)
                 err = abs(mp.re(c) - mpf(fr.numerator) / fr.denominator)
-                if max(err, abs(mp.im(c))) > mpf(10) ** -(dps - 15):
-                    reconstructed = False
+                if miss is None and max(err, abs(mp.im(c))) > bound:
+                    miss = {
+                        "exp": list(p),
+                        "nu_pow": nu_pow,
+                        "value": mp.nstr(c, 30),
+                        "part": "real" if err > bound else "imaginary",
+                    }
                 pair.append(fr)
-            if pair[0] or pair[1]:
-                terms[p] = NuLinear(pair[0], pair[1])
+            if any(pair):
+                terms[p] = NuLinear(*pair)
+        reconstructed = miss is None
         poly = MultiPoly(sysr.rank, terms) if reconstructed else None
 
         worst = mpf(0)
         if reconstructed:
             held = [
                 (nub, _compile_poly(poly, nub, True))
-                for nub in (fit_nubs if kind_ == "B" else [mpf(0)])
+                for nub in (held_nubs if kind_ == "B" else [mpf(0)])
             ]
             exps = _exponents([terms for _, terms in held], sysr.rank)
             for frame in pool.frames[-HELD_OUT_FRAMES:]:
@@ -970,6 +988,7 @@ def fit_entry(
             raw_coefficients=tuple(mp.nstr(c, 30) for c in coeffs)
             if not reconstructed
             else (),
+            first_miss=miss,
         )
 
 

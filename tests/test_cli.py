@@ -1,15 +1,21 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tauforge
-from tauforge.cli import main
+from tauforge.cli import build_parser, main
 
 SRC = str(Path(tauforge.__file__).resolve().parent.parent)
 
@@ -252,6 +258,45 @@ BAD_VALUES = [
     (["fit", "--entries", "B1,A17,B2", "--samples", "40"],
      "tauforge fit: error: --samples 40 is too small for A17;"
      " it needs at least 100 (or 0 to size the pool)"),
+    (["verify-tables", "--variant", "canonical", "--samples", "2", "--nu", "0,nan,1"],
+     "tauforge verify-tables: error: argument --nu:"
+     " nu must be finite with |nu| <= 1e6, got nan"),
+    (["verify-ground-state", "--samples", "2", "--nu", "nan"],
+     "tauforge verify-ground-state: error: argument --nu:"
+     " nu must be finite with |nu| <= 1e6, got nan"),
+    (["verify-ground-state", "--samples", "2", "--nu", "inf"],
+     "tauforge verify-ground-state: error: argument --nu:"
+     " nu must be finite with |nu| <= 1e6, got inf"),
+    (["verify-ground-state", "--samples", "1", "--nu", "1e200"],
+     "tauforge verify-ground-state: error: argument --nu:"
+     " nu must be finite with |nu| <= 1e6, got 1e+200"),
+    (["tau-eval", "--samples", "1", "--beta", "1e300"],
+     "tauforge tau-eval: error: argument --beta:"
+     " |beta| must be <= 1e6, got 1e+300"),
+    (["spectrum", "--nu", "nan"],
+     "tauforge spectrum: error: argument --nu: nu must be a finite rational"
+     " such as 1/2, got 'nan'"),
+    (["spectrum", "--nu", "1/0"],
+     "tauforge spectrum: error: argument --nu: nu must be a finite rational"
+     " such as 1/2, got '1/0'"),
+    (["export", "--nu", "1/0"],
+     "tauforge export: error: argument --nu: nu must be a finite rational"
+     " such as 1/2, got '1/0'"),
+    (["verify-tables", "--variant", "raw", "--samples", "2", "--tol", "inf"],
+     "tauforge verify-tables: error: argument --tol: tol must be positive and finite,"
+     " got inf"),
+    (["verify-ground-state", "--tol", "nan"],
+     "tauforge verify-ground-state: error: argument --tol: tol must be positive and"
+     " finite, got nan"),
+    (["flatness", "--tol", "0"],
+     "tauforge flatness: error: argument --tol: tol must be positive and finite,"
+     " got 0.0"),
+    (["tau-eval", "--seed", "-1"],
+     "tauforge tau-eval: error: argument --seed: must be >= 0, got -1"),
+    (["fit", "--seed", "-1"], "tauforge fit: error: argument --seed: must be >= 0, got -1"),
+    (["fit", "--entries", "B1", "--output", "/nonexistent/x.json"],
+     "tauforge fit: error: argument --output: no directory '/nonexistent' to write into"),
+    (["orbits", "--output", "."], "tauforge orbits: error: argument --output: '.' is a directory"),
 ]
 
 
@@ -440,6 +485,8 @@ def test_fit_builds_only_the_frames_it_reads(capsys, monkeypatch):
     # A17 fits on frames 0-95 of a 104-point pool and checks 100-103
     from tauforge import oracle
 
+    # sample points are rounded at hp_digits(); pin its default
+    monkeypatch.delenv("TAUFORGE_PRECISION", raising=False)
     # frames built in forked children would escape the count below
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = []
@@ -450,6 +497,11 @@ def test_fit_builds_only_the_frames_it_reads(capsys, monkeypatch):
     code, lean = run(capsys, "fit", "--entries", "A17,B3")
     assert code == 0
     assert len(calls) == 96 + oracle.HELD_OUT_FRAMES
+    # the report's bytes, recorded before the refit's least squares moved
+    # from mpmath to oracle.qr_solve
+    assert hashlib.sha256(lean.encode()).hexdigest() == (
+        "44695d9a8829e3e2d40de30c8714f054f6c79342fbc7bb6acc79654fe81605a2"
+    )
 
     pool = oracle.FramePool
     monkeypatch.setattr(
@@ -478,3 +530,111 @@ def test_a2_refit_rebuilds_the_derived_entry(capsys):
         2, Fraction(2, 3)
     ) * t1 * t1
     assert row["poly"] == derived.A[0][0].canonical_terms(derived.cv)
+
+
+def test_a_row_that_fails_to_reconstruct_names_its_first_miss(capsys, monkeypatch):
+    # the turned A2 frames of the oracle test: A11's coefficients become
+    # i times the true ones, so tau_2's imaginary part 2 misses first
+    from mpmath import mp, mpf
+
+    from tauforge import oracle
+
+    class TurnedPool(oracle.FramePool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            with mp.workdps(self.dps + 20):
+                turn = mp.expjpi(mpf(1) / 4)
+                self.frames = [
+                    (taus, [[turn * v for v in row] for row in jacs], laps, cotg)
+                    for taus, jacs, laps, cotg in self.frames
+                ]
+
+    monkeypatch.setattr(oracle, "FramePool", TurnedPool)
+    code, rep = run_json(capsys, "fit", "--system", "A2", "--entries", "A11")
+    assert code == 1
+    (row,) = rep["result"]["entries"]
+    assert not row["reconstructed"] and row["poly"] is None
+    miss = row["first_miss"]
+    assert (miss["exp"], miss["nu_pow"], miss["part"]) == ([0, 1], 0, "imaginary")
+    assert miss["value"].endswith(" + 2.0j)")
+
+
+# the cheap calls the fuzz test draws from, each with the arguments that
+# keep it cheap; they follow the drawn arguments, so they take effect
+FUZZ_CALLS = {
+    "orbits": st.just([]),
+    "flag-check": st.sampled_from([["--n", "0"], ["--n", "1"]]),
+    "spectrum": st.sampled_from([["--n", "0"], ["--n", "1"]]),
+    "export": st.sampled_from([[], ["--matrix-n", "1"]]),
+    "tau-eval": st.just(["--samples", "1"]),
+    "verify-ground-state": st.just(["--samples", "1"]),
+}
+_numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.fractions(max_denominator=8).map(str),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["", "x", "1/0", "nan", "-inf", "1e400", "0"]),
+)
+FUZZ_VALUES = {
+    "--seed": st.one_of(st.integers(-3, 2**70).map(str), _numbers),
+    "--nu": st.lists(_numbers, min_size=1, max_size=3).map(",".join),
+    "--beta": st.lists(_numbers, min_size=1, max_size=2).map(",".join),
+    "--tol": _numbers,
+    "--output": st.sampled_from(["<file>", "<dir>", "/nonexistent/x.json", ""]),
+}
+
+
+def _parser_options():
+    """Per cheap command: its option strings, and its options with choices."""
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {}
+    for command in FUZZ_CALLS:
+        actions = [a for a in sub.choices[command]._actions if a.option_strings]
+        options[command] = (
+            {o for a in actions for o in a.option_strings},
+            {a.option_strings[0]: list(a.choices) for a in actions if a.choices},
+        )
+    return options
+
+
+@st.composite
+def fuzz_argv(draw):
+    parser_options = _parser_options()
+    command = draw(st.sampled_from(sorted(parser_options)))
+    known, choices = parser_options[command]
+    argv = [command]
+    for option, values in sorted(choices.items()):
+        if draw(st.booleans()):
+            argv += [option, draw(st.sampled_from(values))]
+    # the fuzzed options the command has, and now and then one it lacks
+    fuzzed = sorted(o for o in FUZZ_VALUES if o in known)
+    options = draw(st.lists(st.sampled_from(fuzzed), unique=True)) if fuzzed else []
+    if draw(st.integers(0, 9)) == 0:
+        options.append(draw(st.sampled_from(sorted(FUZZ_VALUES))))
+    for option in options:
+        argv += [option, draw(FUZZ_VALUES[option])]
+    return argv + draw(FUZZ_CALLS[command])
+
+
+@given(argv=fuzz_argv())
+@settings(
+    max_examples=40,
+    deadline=timedelta(seconds=10),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_fuzzed_arguments_exit_cleanly(tmp_path_factory, argv):
+    where = tmp_path_factory.getbasetemp()
+    argv = [
+        {"<file>": str(where / "report.out"), "<dir>": str(where)}.get(a, a)
+        for a in argv
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

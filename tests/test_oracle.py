@@ -4,16 +4,19 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from mpmath import mp, mpf
+from mpmath import matrix, mp, mpf
+from mpmath import qr_solve as mp_qr_solve
 
 import tauforge
 from tauforge.derive import derive_operator
 from tauforge.exactpoly import MultiPoly
 from tauforge.geometry import sabotaged
+from tauforge.fixedpoint import complex_qr_solve, qr_solve
 from tauforge.operator import e7_operator
 from tauforge.oracle import (
     CancellationError,
@@ -37,6 +40,7 @@ from tauforge.oracle import (
     _compile_poly,
     _eval_compiled,
     _exponents,
+    _fit_plan,
     _geom_double,
     _powers,
     _rho_sq,
@@ -336,7 +340,69 @@ def test_a2_refit_rejects_coefficients_with_an_imaginary_part():
         ]
     fit = fit_entry(op, "A11", pool=pool)
     assert not fit.reconstructed and fit.poly is None
+    assert fit.max_denominator == 4
+    # A11 = 2 tau_2 - (2/3) tau_1^2; in basis order tau_2 comes first
+    miss = fit.first_miss
+    assert (miss["exp"], miss["nu_pow"], miss["part"]) == ([0, 1], 0, "imaginary")
+    assert miss["value"].endswith(" + 2.0j)")
+    assert miss["value"] == fit.raw_coefficients[1]
     assert fit_entry(op, "A11").ok
+
+
+def test_qr_solve_recovers_small_rationals_for_several_right_hand_sides():
+    # a consistent overdetermined integer system: every solution is rebuilt
+    # exactly by the fit's reconstruction with denominators up to 4
+    rng = np.random.default_rng(8)
+    a = rng.integers(-9, 10, size=(14, 6)).tolist()
+    xs = [[Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 5))) for _ in range(6)]
+          for _ in range(3)]
+    with mp.workdps(60):
+        rows = [[mpf(v) for v in row] for row in a]
+        rhs = [
+            [mpf(b.numerator) / b.denominator
+             for b in (sum(c * x for c, x in zip(row, xk)) for row in a)]
+            for xk in xs
+        ]
+        sols = qr_solve(rows, rhs)
+        for sol, xk in zip(sols, xs):
+            assert [Fraction(mp.nstr(c, 40)).limit_denominator(4) for c in sol] == xk
+            assert max(abs(c - mpf(x.numerator) / x.denominator)
+                       for c, x in zip(sol, xk)) < mpf(10) ** -50
+
+
+def test_complex_qr_solve_matches_mpmath_on_an_a2_system():
+    a2 = build_system("A2")
+    op = derive_operator(a2)
+    basis = _fit_plan(op, "A11")[3]
+    pool = FramePool(a2, 24, seed=23)
+    with mp.workdps(pool.dps + 20):
+        rows = [
+            [mp.fprod(t**e for t, e in zip(frame[0], p)) for p in basis]
+            for frame in pool.frames[:20]
+        ]
+        # a right-hand side with a complex least-squares solution and a
+        # nonzero residual: (1 + 2i) A11 + tau_1^3, outside the basis
+        rhs = [
+            (1 + 2j) * sum(a * a for a in frame[1][0]) + frame[0][0] ** 3
+            for frame in pool.frames[:20]
+        ]
+        (ours,) = complex_qr_solve(rows, [rhs])
+        theirs, _ = mp_qr_solve(matrix(rows), matrix(rhs))
+        assert max(abs(c - theirs[k]) for k, c in enumerate(ours)) < mpf(10) ** -60
+
+
+def test_qr_solve_rejects_an_underdetermined_system():
+    rows = [[mpf(1), mpf(2), mpf(3)], [mpf(4), mpf(5), mpf(6)]]
+    with pytest.raises(ValueError, match="underdetermined"):
+        qr_solve(rows, [[mpf(1), mpf(2)]])
+
+
+def test_fit_on_a_pool_of_identical_frames_is_singular():
+    pool = FramePool(E7, 5, seed=23, fit_frames=1)
+    pool.frames = [pool.frames[0]] * 14
+    pool.fit_frames = 10
+    with pytest.raises(ValueError, match="matrix is numerically singular"):
+        fit_entry(e7_operator("raw"), "B1", pool=pool)
 
 
 def test_clearance_guard():
