@@ -11,7 +11,6 @@ off the diagonal and is affine in nu.
 from fractions import Fraction
 
 from tauforge.operator import (
-    E7_CV,
     e7_operator,
     enumerate_flag_basis,
     flag_degree_check,
@@ -21,7 +20,7 @@ from tauforge.operator import (
 op = e7_operator("raw")
 
 print("flag dimensions:",
-      [enumerate_flag_basis(E7_CV, n, kind="E7").dim for n in range(7)])
+      [enumerate_flag_basis("E7", n).dim for n in range(7)])
 print("weighted-degree bounds hold:", flag_degree_check(op)["ok"])
 
 # the P_1 spectrum in closed form

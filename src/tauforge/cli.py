@@ -22,10 +22,11 @@ from . import geometry, oracle
 from .derive import derive_operator
 from .operator import (
     WP_PARAM_NAMES,
-    _basis_for_op,
     _flag_images,
     e7_operator,
+    enumerate_flag_basis,
     flag_degree_check,
+    flag_matrix,
     matrix_to_csv,
     matrix_to_json,
     operator_to_json,
@@ -171,6 +172,14 @@ def _resolve_variant(args) -> None:
         raise UsageError(f"{args.system} has only the derived variant, not {args.variant}")
 
 
+def _one_beta(args) -> float:
+    """The --beta of a command that samples at a single beta."""
+    if len(args.beta) != 1:
+        betas = ",".join(map(str, args.beta))
+        raise UsageError(f"argument --beta: {args.command} takes one beta, got {betas}")
+    return args.beta[0]
+
+
 def _operator_for(kind: str, variant: str):
     if kind == "E7":
         return e7_operator(variant)
@@ -254,7 +263,7 @@ def _cmd_orbits(args) -> dict:
 def _cmd_tau_eval(args) -> dict:
     sysr = build_system(args.system)
     pts = oracle.sample_points(
-        sysr, args.samples, seed=args.seed, beta=args.beta[0], precision=args.precision
+        sysr, args.samples, seed=args.seed, beta=_one_beta(args), precision=args.precision
     )
     rows = []
     with mp.workdps(oracle.hp_digits()):
@@ -326,7 +335,7 @@ def _cmd_verify_tables(args) -> dict:
 def _cmd_flag_check(args) -> dict:
     op = _operator_for(args.system, args.variant)
     degree = flag_degree_check(op)
-    basis = _basis_for_op(op, args.n)
+    basis = enumerate_flag_basis(op.system.kind, args.n)
     overflow = []
     for mono, image in zip(basis.monomials, _flag_images(op, basis)):
         wd = image.weighted_degree(op.cv)
@@ -352,21 +361,23 @@ def _cmd_spectrum(args) -> dict:
         "dim": res.basis.dim,
         "certificate": res.certificate,
     }
-    ok = True
-    if res.eigenvalues is not None:
-        payload["eigenvalues"] = [str(e) for e in res.eigenvalues]
-        if args.nu is not None:
-            payload["at_nu"] = {
-                "nu": str(args.nu),
-                "values": [str(e.eval(args.nu)) for e in res.eigenvalues],
-            }
-    else:
-        payload["numeric"] = res.numeric
-        ok = False
-    return {"ok": ok, "result": payload}
+    if res.eigenvalues is None:
+        row, column, coef = res.below_diagonal
+        payload["below_diagonal"] = {
+            "row": list(row), "column": list(column), "coefficient": str(coef),
+        }
+        return {"ok": False, "result": payload}
+    payload["eigenvalues"] = [str(e) for e in res.eigenvalues]
+    if args.nu is not None:
+        payload["at_nu"] = {
+            "nu": str(args.nu),
+            "values": [str(e.eval(args.nu)) for e in res.eigenvalues],
+        }
+    return {"ok": True, "result": payload}
 
 
 def _cmd_flatness(args) -> dict:
+    beta = _one_beta(args)
     op = _operator_for(args.system, args.variant)
     fault = bool(args.fault)
     if fault:
@@ -375,7 +386,7 @@ def _cmd_flatness(args) -> dict:
         op,
         points=args.points,
         seed=args.seed,
-        beta=args.beta[0],
+        beta=beta,
         precision=args.precision,
         tol=args.tol,
     )
@@ -391,6 +402,8 @@ def _cmd_flatness(args) -> dict:
 def _cmd_invariance(args) -> dict:
     import numpy as np
 
+    if args.system != "E7":
+        raise UsageError("the weighted-projective lines exist only for E7")
     rng = np.random.default_rng(args.seed)
     sets = []
     ok = True
@@ -417,6 +430,7 @@ def _cmd_invariance(args) -> dict:
 
 
 def _cmd_fit(args) -> dict:
+    beta = _one_beta(args)
     op = _operator_for(args.system, args.variant)
     entries = args.entries.split(",")
     if entries == ["discrepant"]:
@@ -441,7 +455,7 @@ def _cmd_fit(args) -> dict:
         )
     count = args.samples or (need + 4 if frames else 0)
     pool = oracle.FramePool(
-        op.system, count, seed=args.seed, beta=args.beta[0],
+        op.system, count, seed=args.seed, beta=beta,
         fit_frames=frames[largest] if frames else None,
     )
     rows = []
@@ -482,9 +496,9 @@ def _cmd_derive(args) -> dict:
 
 def _cmd_export(args) -> dict:
     op = _operator_for(args.system, args.variant)
+    if args.matrix_n is None and args.nu is not None:
+        raise UsageError("argument --nu: a nu applies only to a flag matrix (--matrix-n)")
     if args.matrix_n is not None:
-        from .operator import flag_matrix
-
         nu = args.nu if args.nu is not None else Fraction(0)
         mat = flag_matrix(op, args.matrix_n, nu)
         if args.format == "csv":

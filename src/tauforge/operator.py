@@ -22,13 +22,12 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .exactpoly import MultiPoly, NuLinear, weighted_monomials
+from .exactpoly import ONE, ZERO, MultiPoly, NuLinear, weighted_monomials
 from .rootsys import (
     RootSystem,
     build_system,
     characteristic_vector,
     integer_weight_coords,
-    vcombo,
     vdot,
 )
 
@@ -66,7 +65,6 @@ class FlagBasis:
     n: int
     cv: tuple[int, ...]
     monomials: tuple[tuple[int, ...], ...]
-    weights: tuple[tuple[Fraction, ...], ...]
     grades: tuple[int, ...]
 
     @property
@@ -79,13 +77,15 @@ class SpectrumResult:
     basis: FlagBasis
     eigenvalues: tuple[NuLinear, ...] | None
     certificate: str
-    nu_samples: tuple[Fraction, ...]
-    numeric: dict | None = None
+    # for a "not-triangular" matrix: the first nonzero entry below the
+    # diagonal (lowest column, then lowest row) as row monomial, column
+    # monomial and coefficient
+    below_diagonal: tuple[tuple[int, ...], tuple[int, ...], NuLinear] | None = None
 
     def at(self, nu) -> list:
-        if self.eigenvalues is not None:
-            return [e.eval(nu) for e in self.eigenvalues]
-        raise ValueError("numeric fallback result has no closed eigenvalues")
+        if self.eigenvalues is None:
+            raise ValueError("a matrix that is not triangular has no diagonal spectrum")
+        return [e.eval(nu) for e in self.eigenvalues]
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +246,6 @@ def flag_degree_check(op: AlgebraicOperator) -> dict:
 # flag basis
 
 
-def _system_for_cv(cv: tuple[int, ...]) -> RootSystem | None:
-    for kind in ("E7", "A1", "A2", "G2"):
-        sysr = build_system(kind)
-        if characteristic_vector(sysr) == cv:
-            return sysr
-    return None
-
-
 def _dominance_sorted(block: list, heights: dict) -> list:
     """Kahn's algorithm over one grade, smallest ready monomial first.
 
@@ -285,165 +277,125 @@ def _dominance_sorted(block: list, heights: dict) -> list:
 
 
 @lru_cache(maxsize=None)
-def enumerate_flag_basis(cv: tuple[int, ...], n: int, kind: str | None = None) -> FlagBasis:
+def enumerate_flag_basis(kind: str, n: int) -> FlagBasis:
     """All monomials with sum(cv_i p_i) <= n, graded, dominance-refined.
 
-    Within a grade the monomials are topologically sorted so that a
-    monomial whose weight is dominated comes first (deterministic
-    lexicographic tie-break).  This makes the operator's matrix on the
-    basis upper triangular.  Dominance is compared on the integer
-    simple-root coordinates of the weights (integer_weight_coords).
+    cv is the characteristic vector of the root system `kind`.  Within a
+    grade the monomials are topologically sorted so that a monomial whose
+    weight is dominated comes first (deterministic lexicographic
+    tie-break).  This makes the operator's matrix on the basis upper
+    triangular.  Dominance is compared on the integer simple-root
+    coordinates of the weights (integer_weight_coords).
     """
-    cv = tuple(cv)
     if n < 0:
         raise ValueError("n must be >= 0")
-    sysr = build_system(kind) if kind else _system_for_cv(cv)
-    monos = weighted_monomials(cv, n)
-    weights = {}
-    heights = {}
-    if sysr is not None:
-        fw = sysr.fundamental_weights
-        coords = integer_weight_coords(sysr)
-        for p in monos:
-            weights[p] = vcombo(p, fw)
-            heights[p] = tuple(
-                sum(e * c[k] for e, c in zip(p, coords)) for k in range(sysr.rank)
-            )
+    sysr = build_system(kind)
+    cv = characteristic_vector(sysr)
+    coords = integer_weight_coords(sysr)
+    heights = {
+        p: tuple(sum(e * c[k] for e, c in zip(p, coords)) for k in range(sysr.rank))
+        for p in weighted_monomials(cv, n)
+    }
 
     def grade(p):
         return sum(c * e for c, e in zip(cv, p))
 
     ordered: list[tuple[int, ...]] = []
     by_grade: dict[int, list] = {}
-    for p in monos:
+    for p in heights:
         by_grade.setdefault(grade(p), []).append(p)
     for g in sorted(by_grade):
-        block = sorted(by_grade[g])
-        if sysr is None:
-            ordered.extend(block)
-            continue
-        ordered.extend(_dominance_sorted(block, heights))
+        ordered.extend(_dominance_sorted(sorted(by_grade[g]), heights))
     return FlagBasis(
         n=n,
         cv=cv,
         monomials=tuple(ordered),
-        weights=tuple(weights.get(p, ()) for p in ordered),
         grades=tuple(grade(p) for p in ordered),
     )
-
-
-def _basis_for_op(op: AlgebraicOperator, n: int) -> FlagBasis:
-    return enumerate_flag_basis(op.cv, n, kind=op.system.kind)
 
 
 def _flag_images(op: AlgebraicOperator, basis: FlagBasis) -> list[MultiPoly]:
     """h applied to each basis monomial, in basis order.
 
-    An image may leave P_n; _expand_images rejects any term outside the
+    An image may leave P_n; _flag_columns rejects any term outside the
     basis, and flag-check reports the images' weighted degrees.
     """
-    one = NuLinear(Fraction(1))
-    return [apply(op, MultiPoly(op.rank, {p: one})) for p in basis.monomials]
+    return [apply(op, MultiPoly(op.rank, {p: ONE})) for p in basis.monomials]
 
 
-def _expand_images(
-    basis: FlagBasis, images: list[MultiPoly], nu
-) -> list[list[Fraction]]:
+def _flag_columns(basis: FlagBasis, images: list[MultiPoly]) -> list[dict[int, NuLinear]]:
+    """The sparse matrix of a map of P_n: per column, row index -> coefficient.
+
+    images[k] is the image of basis monomial k.  Raises if an image has a
+    term outside the basis, i.e. leaves P_n.
+    """
     pos = {p: k for k, p in enumerate(basis.monomials)}
-    dim = basis.dim
-    mat = [[Fraction(0)] * dim for _ in range(dim)]
-    for col, img in enumerate(images):
+    columns = []
+    for img in images:
+        column = {}
         for exp, coef in img.terms.items():
             row = pos.get(exp)
             if row is None:
-                raise ValueError(f"image term {exp} not in the basis")
-            val = coef.eval(nu)
-            if val:
-                mat[row][col] = val
+                raise ValueError(f"image term {exp} leaves P_{basis.n}")
+            column[row] = coef
+        columns.append(column)
+    return columns
+
+
+def _dense(columns: list[dict[int, NuLinear]], value) -> list[list[Fraction]]:
+    """The dense matrix with entry value(coefficient) at each stored entry."""
+    dim = len(columns)
+    mat = [[Fraction(0)] * dim for _ in range(dim)]
+    for col, column in enumerate(columns):
+        for row, coef in column.items():
+            mat[row][col] = value(coef)
     return mat
 
 
 def flag_matrix(op: AlgebraicOperator, n: int, nu) -> list[list[Fraction]]:
     """Exact matrix of the operator on FlagBasis(n) at rational nu.
 
-    Raises if an image has a term outside the basis, i.e. leaves P_n;
-    verifies block triangularity with
-    respect to the weighted-degree grading.
+    Raises if an image has a term outside the basis, i.e. leaves P_n, or
+    breaks the block triangularity of the weighted-degree grading.
     """
     nu = Fraction(nu)
-    basis = _basis_for_op(op, n)
-    mat = _expand_images(basis, _flag_images(op, basis), nu)
-    for r in range(basis.dim):
-        for c in range(basis.dim):
-            if basis.grades[r] > basis.grades[c] and mat[r][c]:
+    basis = enumerate_flag_basis(op.system.kind, n)
+    columns = _flag_columns(basis, _flag_images(op, basis))
+    for col, column in enumerate(columns):
+        for row, coef in column.items():
+            if basis.grades[row] > basis.grades[col] and coef.eval(nu):
                 raise ValueError(
-                    f"grade block violated at row {basis.monomials[r]}, "
-                    f"column {basis.monomials[c]}"
+                    f"grade block violated at row {basis.monomials[row]}, "
+                    f"column {basis.monomials[col]}"
                 )
-    return mat
+    return _dense(columns, lambda coef: coef.eval(nu))
 
 
-def _strictly_upper(mat) -> bool:
-    return all(mat[r][c] == 0 for r in range(len(mat)) for c in range(r))
-
-
-def spectrum(op: AlgebraicOperator, n: int, nu=None) -> SpectrumResult:
+def spectrum(op: AlgebraicOperator, n: int) -> SpectrumResult:
     """Eigenvalues of the operator on FlagBasis(n), affine in nu.
 
-    The matrix is built at three rational nu values; if the dominance
-    ordering renders it upper triangular at each, eigenvalues are read off
-    the diagonal and fitted affinely with an exact zero-residual
-    requirement.  Otherwise falls back to a numeric eigensolve per grade
-    block, flagged in the certificate.
+    One pass over the sparse nu-symbolic columns: if no nonzero entry lies
+    below the diagonal, the matrix is upper triangular for every nu and
+    the eigenvalues are its diagonal coefficients.  Otherwise the result
+    is a failed check naming the first entry below the diagonal.
     """
-    basis = _basis_for_op(op, n)
-    images = _flag_images(op, basis)
-    samples = (Fraction(0), Fraction(1), Fraction(2))
-    mats = [_expand_images(basis, images, s) for s in samples]
-    if all(_strictly_upper(m) for m in mats):
-        eigs = []
-        for k in range(basis.dim):
-            d0, d1, d2 = (m[k][k] for m in mats)
-            c1 = d1 - d0
-            if d0 + 2 * c1 != d2:
-                raise ValueError(
-                    f"diagonal entry {k} is not affine in nu: {d0}, {d1}, {d2}"
-                )
-            eigs.append(NuLinear(d0, c1))
-        result = SpectrumResult(
-            basis=basis,
-            eigenvalues=tuple(eigs),
-            certificate="dominance-triangular",
-            nu_samples=samples,
-        )
-    else:
-        import numpy as np
-
-        numeric = {}
-        for s, m in zip(samples, mats):
-            vals = []
-            start = 0
-            grades = basis.grades
-            while start < basis.dim:
-                stop = start
-                while stop < basis.dim and grades[stop] == grades[start]:
-                    stop += 1
-                block = np.array(
-                    [[float(m[r][c]) for c in range(start, stop)] for r in range(start, stop)]
-                )
-                vals.extend(sorted(np.linalg.eigvals(block).real.tolist()))
-                start = stop
-            numeric[str(s)] = vals
-        result = SpectrumResult(
-            basis=basis,
-            eigenvalues=None,
-            certificate="numeric-block",
-            nu_samples=samples,
-            numeric=numeric,
-        )
-    if nu is not None and result.eigenvalues is not None:
-        _ = result.at(nu)
-    return result
+    basis = enumerate_flag_basis(op.system.kind, n)
+    columns = _flag_columns(basis, _flag_images(op, basis))
+    for col, column in enumerate(columns):
+        below = [row for row in column if row > col]
+        if below:
+            row = min(below)
+            return SpectrumResult(
+                basis=basis,
+                eigenvalues=None,
+                certificate="not-triangular",
+                below_diagonal=(basis.monomials[row], basis.monomials[col], column[row]),
+            )
+    return SpectrumResult(
+        basis=basis,
+        eigenvalues=tuple(column.get(k, ZERO) for k, column in enumerate(columns)),
+        certificate="dominance-triangular",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -519,19 +471,11 @@ def _substitution_images(line: tuple[int, MultiPoly]) -> list[MultiPoly]:
     return imgs
 
 
-def _line_matrix(basis: FlagBasis, images: list[MultiPoly]) -> list[list[Fraction]]:
-    pos = {p: k for k, p in enumerate(basis.monomials)}
-    dim = basis.dim
-    mat = [[Fraction(0)] * dim for _ in range(dim)]
-    for col, p in enumerate(basis.monomials):
-        mono = MultiPoly(7, {p: NuLinear(Fraction(1))})
-        img = mono.substitute(images)
-        for exp, coef in img.terms.items():
-            row = pos.get(exp)
-            if row is None:
-                raise ValueError(f"substitution image term {exp} leaves P_{basis.n}")
-            mat[row][col] = coef.c0
-    return mat
+def _line_matrix(basis: FlagBasis, images: list[MultiPoly]) -> list[dict[int, NuLinear]]:
+    """The substitution tau_k -> images[k-1] on P_n, as sparse columns."""
+    return _flag_columns(
+        basis, [MultiPoly(7, {p: ONE}).substitute(images) for p in basis.monomials]
+    )
 
 
 def exact_det(mat: list[list[Fraction]]) -> Fraction:
@@ -556,16 +500,17 @@ def exact_det(mat: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _unit_triangular_in_order(mat, order) -> bool:
-    """Is mat upper triangular with unit diagonal after permuting by order?"""
-    dim = len(mat)
-    for ri, r in enumerate(order):
-        if mat[r][r] != 1:
-            return False
-        for ci in range(ri):
-            if mat[r][order[ci]] != 0:
-                return False
-    return True
+def _unit_triangular_in_order(columns: list[dict[int, NuLinear]], order) -> bool:
+    """Is the matrix upper triangular with unit diagonal after permuting by order?
+
+    The substitution matrices are nu-free, so each entry is its c0.
+    """
+    place = {k: i for i, k in enumerate(order)}
+    return all(
+        column.get(col, ZERO).c0 == 1
+        and all(place[row] <= place[col] or not coef.c0 for row, coef in column.items())
+        for col, column in enumerate(columns)
+    )
 
 
 def weighted_projective_check(params, n: int, mode: str = "sequential") -> dict:
@@ -589,7 +534,7 @@ def weighted_projective_check(params, n: int, mode: str = "sequential") -> dict:
         pd = {k: Fraction(v) for k, v in zip(WP_PARAM_NAMES, vals)}
     if mode not in ("sequential", "simultaneous"):
         raise ValueError(f"unknown mode {mode!r}")
-    basis = enumerate_flag_basis(E7_CV, n, kind="E7")
+    basis = enumerate_flag_basis("E7", n)
     lines = _wp_lines(pd)
 
     report = {
@@ -598,36 +543,36 @@ def weighted_projective_check(params, n: int, mode: str = "sequential") -> dict:
         "dim": basis.dim,
         "params": {k: str(v) for k, v in pd.items()},
     }
+    imgs = [MultiPoly.variable(7, k) for k in range(1, 8)]
     if mode == "sequential":
         per_line = []
-        comp = [MultiPoly.variable(7, k) for k in range(1, 8)]
         for line in lines:
             a, _ = line
-            imgs = _substitution_images(line)
-            mat = _line_matrix(basis, imgs)
+            step = _substitution_images(line)
             order = sorted(range(basis.dim), key=lambda k: (basis.monomials[k][a - 1], basis.monomials[k]))
             per_line.append(
-                {"line": a, "unit_triangular": _unit_triangular_in_order(mat, order)}
+                {
+                    "line": a,
+                    "unit_triangular": _unit_triangular_in_order(
+                        _line_matrix(basis, step), order
+                    ),
+                }
             )
-            comp = [c.substitute(imgs) for c in comp]
-        mat = _line_matrix(basis, comp)
-        det = exact_det(mat)
+            imgs = [c.substitute(step) for c in imgs]
         report["per_line"] = per_line
-        report["det"] = str(det)
         report["unit_triangular_lines"] = all(x["unit_triangular"] for x in per_line)
-        report["containment_ok"] = True
-        report["invertible"] = det != 0
-        report["ok"] = report["unit_triangular_lines"] and det == 1
     else:
-        imgs = [MultiPoly.variable(7, k) for k in range(1, 8)]
         for a, g in lines:
             imgs[a - 1] = imgs[a - 1] + g
-        mat = _line_matrix(basis, imgs)
-        det = exact_det(mat)
-        report["det"] = str(det)
-        report["containment_ok"] = True
-        report["invertible"] = det != 0
-        report["ok"] = det != 0
+        # the lines are not applied one by one, so none is tested alone
+        report["unit_triangular_lines"] = None
+    det = exact_det(_dense(_line_matrix(basis, imgs), lambda coef: coef.c0))
+    report["det"] = str(det)
+    report["containment_ok"] = True
+    report["invertible"] = det != 0
+    report["ok"] = (
+        report["unit_triangular_lines"] and det == 1 if mode == "sequential" else det != 0
+    )
     return report
 
 

@@ -619,7 +619,8 @@ def ground_state_residual(sysr: RootSystem, point: SamplePoint):
     """Relative defect of (H Psi0)/Psi0 against the closed-form energy.
 
     (H Psi0)/Psi0 = -1/2 [D log Psi0 + sum_k g_k (d_k log Psi0)^2] + V
-    with V = nu(nu-1) (beta^2/4) sum over positive roots of 1/sin^2.
+    with V = nu(nu-1) (beta^2/4) sum over positive roots of |alpha|^2/sin^2;
+    both V and D log Psi0 weight each root's 1/sin^2 by |alpha|^2 / 2.
     """
     _require_clearance(sysr, point)
     hp = _is_hp(point)
@@ -629,14 +630,15 @@ def ground_state_residual(sysr: RootSystem, point: SamplePoint):
         return 0.0
     roots = _root_mp(sysr.kind, mp.dps) if hp else _root_array(sysr.kind)
     gw = _metric_weights(sysr.kind, hp)
+    half_len2 = sysr.root_halves.tolist() if hp else sysr.root_halves
     dim = sysr.y_dim
     y = point.y
     inv_sin2 = 0 if hp else 0.0
     grad = [mpf(0)] * dim if hp else np.zeros(dim)
     if hp:
-        for r in roots:
+        for r, w in zip(roots, half_len2):
             c, s = mp.cos_sin(beta * sum(r[k] * y[k] for k in range(dim)) / 2)
-            inv_sin2 += 1 / s**2
+            inv_sin2 += w / s**2
             ct = (beta / 2) * c / s
             for k in range(dim):
                 grad[k] += nu * ct * r[k]
@@ -646,7 +648,7 @@ def ground_state_residual(sysr: RootSystem, point: SamplePoint):
         y_arr = np.array([float(v) for v in y])
         th = beta * (roots @ y_arr) / 2
         s = np.sin(th)
-        inv_sin2 = (1 / s**2).sum()
+        inv_sin2 = (half_len2 / s**2).sum()
         grad = nu * (beta / 2) * ((np.cos(th) / s) @ roots)
         d_log = -nu * (beta**2 / 2) * inv_sin2
         quad = float((np.array(gw) * grad * grad).sum())

@@ -96,6 +96,14 @@ class RootSystem:
     def rank(self) -> int:
         return len(self.fundamental_weights)
 
+    @cached_property
+    def root_halves(self) -> np.ndarray:
+        """|alpha|^2 / 2 per positive root: 1 if simply laced, 1 or 3 on G2.
+
+        Small integers, so these doubles are exact at any precision.
+        """
+        return np.array([float(vdot(r, r) / 2) for r in self.positive_roots])
+
     def y_rep(self, v: Vec) -> Vec:
         """Coordinates of a hyperplane vector in the reduced y variables.
 

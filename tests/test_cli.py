@@ -59,13 +59,15 @@ def test_tau_eval_hp_carries_the_working_precision(capsys):
 
 
 def test_verify_ground_state(capsys):
-    code, rep = run_json(
-        capsys, "verify-ground-state", "--samples", "5",
-        "--nu", "0.5,1.7", "--beta", "1,2",
-    )
-    assert code == 0
-    assert rep["ok"]
-    assert rep["result"]["max_residual"] < 1e-8
+    # G2 has roots of two lengths, so its 1/sin^2 terms carry |alpha|^2 / 2
+    for system in ("E7", "G2"):
+        code, rep = run_json(
+            capsys, "verify-ground-state", "--system", system, "--samples", "5",
+            "--nu", "0.5,1.7", "--beta", "1,2",
+        )
+        assert code == 0
+        assert rep["ok"]
+        assert rep["result"]["max_residual"] < 1e-8
 
 
 def test_verify_tables_exit_codes(capsys):
@@ -99,6 +101,24 @@ def test_spectrum(capsys):
     assert rep["result"]["certificate"] == "dominance-triangular"
 
 
+def test_a_spectrum_below_the_diagonal_fails_and_names_the_entry(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from tauforge.exactpoly import MultiPoly
+    from tauforge.operator import e7_operator
+
+    can = e7_operator("canonical")
+    broken = replace(can, B=(can.B[0], can.B[1] + MultiPoly.variable(7, 3)) + can.B[2:])
+    monkeypatch.setattr("tauforge.cli.e7_operator", lambda variant: broken)
+    code, rep = run_json(capsys, "spectrum", "--variant", "canonical", "--n", "2")
+    assert code == 1
+    assert rep["result"]["certificate"] == "not-triangular"
+    assert rep["result"]["below_diagonal"] == {
+        "row": [0, 0, 1, 0, 0, 0, 0], "column": [0, 1, 0, 0, 0, 0, 0], "coefficient": "1",
+    }
+    assert "eigenvalues" not in rep["result"]
+
+
 def test_flatness_fault_detection(capsys):
     code, rep = run_json(
         capsys, "flatness", "--points", "3", "--fault"
@@ -116,6 +136,16 @@ def test_invariance(capsys):
     for entry in rep["result"]["sets"]:
         assert entry["ok"]
         assert entry["det"] == "1"
+
+
+def test_simultaneous_invariance_tests_no_line_alone(capsys):
+    code, rep = run_json(
+        capsys, "invariance", "--n", "4", "--sets", "2", "--mode", "simultaneous"
+    )
+    assert code == (0 if rep["ok"] else 1)
+    for entry in rep["result"]["sets"]:
+        assert entry["unit_triangular"] is None
+        assert entry["invertible"] == (entry["det"] != "0")
 
 
 @pytest.mark.parametrize("precision", ["double", "hp"])
@@ -297,6 +327,17 @@ BAD_VALUES = [
     (["fit", "--entries", "B1", "--output", "/nonexistent/x.json"],
      "tauforge fit: error: argument --output: no directory '/nonexistent' to write into"),
     (["orbits", "--output", "."], "tauforge orbits: error: argument --output: '.' is a directory"),
+    (["tau-eval", "--samples", "1", "--beta", "1,2"],
+     "tauforge tau-eval: error: argument --beta: tau-eval takes one beta, got 1.0,2.0"),
+    (["flatness", "--points", "1", "--beta", "1,2"],
+     "tauforge flatness: error: argument --beta: flatness takes one beta, got 1.0,2.0"),
+    (["fit", "--entries", "B1", "--beta", "1,2"],
+     "tauforge fit: error: argument --beta: fit takes one beta, got 1.0,2.0"),
+    (["export", "--nu", "1/2"],
+     "tauforge export: error: argument --nu: a nu applies only to a flag matrix"
+     " (--matrix-n)"),
+    (["invariance", "--system", "A2", "--n", "1", "--sets", "1"],
+     "tauforge invariance: error: the weighted-projective lines exist only for E7"),
 ]
 
 
@@ -333,12 +374,13 @@ def test_fit_samples_zero_sizes_the_pool(capsys):
 
 
 def test_hp_ground_state_runs_at_the_working_precision(capsys):
-    code, rep = run_json(
-        capsys, "verify-ground-state", "--precision", "hp", "--samples", "2",
-        "--tol", "1e-30",
-    )
-    assert code == 0
-    assert 0 < rep["result"]["max_residual"] < 1e-30
+    for system in ("E7", "G2"):
+        code, rep = run_json(
+            capsys, "verify-ground-state", "--system", system, "--precision", "hp",
+            "--samples", "2", "--tol", "1e-30",
+        )
+        assert code == 0
+        assert 0 < rep["result"]["max_residual"] < 1e-30
 
 
 def test_reports_do_not_depend_on_the_cpu_count(capsys, monkeypatch):
@@ -467,6 +509,17 @@ GOLDEN_REPORTS = [
      "37eb1c63af0b560621069388b6801daa04acfb69cb2d129267f8a71ca95e7234"),
     (["derive", "--system", "G2"],
      "d576c68b6e3cf9d83376b5c84af4aaaf24e3d50c919f168b667d788fbbe60db2"),
+    # recorded before the flag spectrum moved to one sparse nu-symbolic pass
+    (["spectrum", "--variant", "canonical", "--n", "7", "--nu", "0"],
+     "59e69baf60cb6fe42e3d742c43e9bd1983e8d7f1e5d4623b4ffad67d7d52b674"),
+    (["spectrum", "--system", "G2", "--n", "4", "--nu", "1/3"],
+     "f2169159eba2e2b59eb22e4febf0c8ea6d38e24ace52ad32048d9a817fe8792b"),
+    (["export", "--matrix-n", "3", "--nu", "1/2"],
+     "064074d95e8cf2f11196bff2e112e3ffbd22870a9949a15f689ef1c40d1dcb7a"),
+    (["export", "--matrix-n", "2", "--format", "csv"],
+     "47048ecbaf38d2db50ea737d40e12938c26772d89c0607708ca68ee0a277d0fe"),
+    (["invariance", "--n", "4"],
+     "ff57204844ca604477657238347dccf1f2fe490cb52e4d8fb513132b7ecab651"),
 ]
 
 
@@ -565,7 +618,8 @@ FUZZ_CALLS = {
     "orbits": st.just([]),
     "flag-check": st.sampled_from([["--n", "0"], ["--n", "1"]]),
     "spectrum": st.sampled_from([["--n", "0"], ["--n", "1"]]),
-    "export": st.sampled_from([[], ["--matrix-n", "1"]]),
+    "export": st.sampled_from([[], ["--matrix-n", "0"], ["--matrix-n", "1"]]),
+    "invariance": st.sampled_from([["--n", "0", "--sets", "1"], ["--n", "1", "--sets", "1"]]),
     "tau-eval": st.just(["--samples", "1"]),
     "verify-ground-state": st.just(["--samples", "1"]),
 }
@@ -576,6 +630,7 @@ _numbers = st.one_of(
     st.sampled_from(["", "x", "1/0", "nan", "-inf", "1e400", "0"]),
 )
 FUZZ_VALUES = {
+    "--system": st.sampled_from(["E7", "A1", "A2", "G2", "g2", "B3"]),
     "--seed": st.one_of(st.integers(-3, 2**70).map(str), _numbers),
     "--nu": st.lists(_numbers, min_size=1, max_size=3).map(",".join),
     "--beta": st.lists(_numbers, min_size=1, max_size=2).map(",".join),

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +8,8 @@ from tauforge.exactpoly import MultiPoly, NuLinear
 from tauforge.operator import (
     E7_CV,
     WP_PARAM_NAMES,
+    _line_matrix,
+    _unit_triangular_in_order,
     apply,
     e7_operator,
     enumerate_flag_basis,
@@ -81,12 +84,12 @@ def test_apply_to_constants_and_tau1():
 
 
 def test_flag_dimensions():
-    dims = [enumerate_flag_basis(E7_CV, n, kind="E7").dim for n in range(7)]
+    dims = [enumerate_flag_basis("E7", n).dim for n in range(7)]
     assert dims == [1, 2, 6, 12, 25, 44, 79]
 
 
 def test_flag_basis_grades_are_sorted_and_bounded():
-    basis = enumerate_flag_basis(E7_CV, 4, kind="E7")
+    basis = enumerate_flag_basis("E7", 4)
     assert list(basis.grades) == sorted(basis.grades)
     assert all(g <= 4 for g in basis.grades)
     for mono, grade in zip(basis.monomials, basis.grades):
@@ -99,8 +102,6 @@ def test_flag_degree_bounds_hold_for_both_variants():
 
 
 def test_degree_violations_name_each_entry_at_its_top_degree():
-    from dataclasses import replace
-
     can = e7_operator("canonical")
     t5, t6, t7 = (MultiPoly.variable(7, k) for k in (5, 6, 7))
     # A12 (bound 3) gains terms of weighted degree 8 and 6; B1 (bound 1) a
@@ -139,6 +140,33 @@ def test_spectrum_on_the_two_smallest_flags():
         NuLinear.of(Fraction(-3, 2), Fraction(-27)),
     )
     assert c.at(Fraction(1, 2)) == [0, Fraction(-3, 2) - Fraction(27, 2)]
+
+
+def _unit(k):
+    return tuple(1 if a == k else 0 for a in range(7))
+
+
+def test_a_matrix_below_the_diagonal_names_its_first_entry():
+    # B2 += tau_3 sends tau_2 to tau_3, which follows it in the dominance order
+    can = e7_operator("canonical")
+    broken = replace(can, B=(can.B[0], can.B[1] + MultiPoly.variable(7, 3)) + can.B[2:])
+    s = spectrum(broken, 2)
+    assert s.certificate == "not-triangular"
+    assert s.eigenvalues is None
+    assert s.below_diagonal == (_unit(2), _unit(1), NuLinear.of(1))
+    with pytest.raises(ValueError):
+        s.at(0)
+
+
+def test_an_image_outside_the_flag_is_named():
+    # B1 += tau_7 sends tau_1 to a term of weighted degree 4, outside P_1
+    can = e7_operator("canonical")
+    broken = replace(can, B=(can.B[0] + MultiPoly.variable(7, 7),) + can.B[1:])
+    message = r"image term \(0, 0, 0, 0, 0, 0, 1\) leaves P_1"
+    with pytest.raises(ValueError, match=message):
+        spectrum(broken, 1)
+    with pytest.raises(ValueError, match=message):
+        flag_matrix(broken, 1, 0)
 
 
 def _free_spectrum(monomials):
@@ -205,7 +233,7 @@ def test_flag_order_matches_the_ready_set_reference(kind, top):
     sysr = build_system(kind)
     cv = characteristic_vector(sysr)
     for n in range(top + 1):
-        basis = enumerate_flag_basis(cv, n, kind=kind)
+        basis = enumerate_flag_basis(kind, n)
         assert basis.monomials == _ready_set_order(sysr, cv, n)
 
 
@@ -220,6 +248,17 @@ def test_wp_invariance_sequential_round_trip():
     assert rep["unit_triangular_lines"]
 
 
+def test_unit_triangularity_needs_the_line_order_and_a_unit_diagonal():
+    basis = enumerate_flag_basis("E7", 4)
+    t = [MultiPoly.variable(7, k) for k in range(1, 8)]
+    by_tau2 = sorted(range(basis.dim), key=lambda k: (basis.monomials[k][1], basis.monomials[k]))
+    shear = _line_matrix(basis, [t[0], t[1] + t[2]] + t[2:])
+    assert _unit_triangular_in_order(shear, by_tau2)
+    assert not _unit_triangular_in_order(shear, by_tau2[::-1])
+    double = _line_matrix(basis, [t[0], t[1] + t[1]] + t[2:])
+    assert not _unit_triangular_in_order(double, by_tau2)
+
+
 def test_wp_simultaneous_can_be_singular():
     # applying all lines at once is not a composition of transvections
     params = {k: Fraction(0) for k in WP_PARAM_NAMES}
@@ -228,6 +267,7 @@ def test_wp_simultaneous_can_be_singular():
     rep = weighted_projective_check(params, 6, mode="simultaneous")
     assert rep["det"] == "0"
     assert not rep["ok"]
+    assert rep["unit_triangular_lines"] is None
 
 
 def test_wp_rejects_bad_input():
