@@ -19,8 +19,6 @@ raw = e7_operator("raw")
 report = verify_tables(raw, samples=12, seed=20240, tol=1e-6)
 print("raw tables vs oracle at 12 sample points:")
 print("  discrepant entries:", report["discrepant"])
-print("  nu-linearity of numeric B:",
-      f"{report['nu_linearity_max_residual']:.2e}")
 
 # stage 2: refit one discrepant entry from high-precision frames;
 # denominators are snapped to small rationals and re-checked at

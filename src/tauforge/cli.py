@@ -54,8 +54,8 @@ class UsageError(ValueError):
     """An argument value that parsing accepted but the command cannot use."""
 
 
-def _count(minimum: int):
-    """argparse type: an int that is at least `minimum`."""
+def _count(minimum: int, maximum: int | None = None):
+    """argparse type: an int that is at least `minimum` (and at most `maximum`)."""
 
     def parse(text: str) -> int:
         try:
@@ -64,6 +64,8 @@ def _count(minimum: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
@@ -209,19 +211,6 @@ def _render_text(value, indent: int = 0) -> list[str]:
     return lines
 
 
-def _emit(report: dict, args) -> int:
-    if args.format == "json":
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    else:
-        payload = "\n".join(_render_text(report)) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    return 0 if report["ok"] else 1
-
-
 def _jsonable(value):
     if isinstance(value, tuple):
         return list(value)
@@ -234,11 +223,9 @@ def _config(args) -> dict:
     keys = (
         "command", "system", "variant", "seed", "tol", "precision",
         "samples", "points", "sets", "n", "nu", "beta", "entries", "mode",
-        "matrix_n", "fault", "format", "output",
+        "matrix_n", "fault", "format", "output", "precision_digits",
     )
-    cfg = {k: _jsonable(getattr(args, k, None)) for k in keys}
-    cfg["precision_digits"] = oracle.hp_digits()
-    return cfg
+    return {k: _jsonable(getattr(args, k, None)) for k in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +250,11 @@ def _cmd_orbits(args) -> dict:
 def _cmd_tau_eval(args) -> dict:
     sysr = build_system(args.system)
     pts = oracle.sample_points(
-        sysr, args.samples, seed=args.seed, beta=_one_beta(args), precision=args.precision
+        sysr, args.samples, seed=args.seed, beta=_one_beta(args),
+        precision=args.precision, digits=args.precision_digits,
     )
     rows = []
-    with mp.workdps(oracle.hp_digits()):
+    with mp.workdps(args.precision_digits):
         for pt in pts:
             tau = oracle.tau_numeric(sysr, pt)
             rows.append(
@@ -285,12 +273,12 @@ def _cmd_verify_ground_state(args) -> dict:
     rho = deformed_weyl_vector(sysr)
     rows = []
     worst = 0.0
-    with mp.workdps(oracle.hp_digits()):
+    with mp.workdps(args.precision_digits):
         for beta in args.beta:
             for nu in args.nu:
                 pts = oracle.sample_points(
                     sysr, args.samples, seed=args.seed, beta=beta, nu=nu,
-                    precision=args.precision,
+                    precision=args.precision, digits=args.precision_digits,
                 )
                 res = [float(oracle.ground_state_residual(sysr, pt)) for pt in pts]
                 peak = max(res)
@@ -328,6 +316,7 @@ def _cmd_verify_tables(args) -> dict:
         nu_list=nus,
         beta_list=tuple(args.beta),
         precision=args.precision,
+        digits=args.precision_digits,
     )
     return {"ok": rep["all_pass"], "result": rep}
 
@@ -389,6 +378,7 @@ def _cmd_flatness(args) -> dict:
         beta=beta,
         precision=args.precision,
         tol=args.tol,
+        digits=args.precision_digits,
     )
     if fault:
         detected = rep["max_riemann_normalized"] > 1e-3
@@ -455,7 +445,7 @@ def _cmd_fit(args) -> dict:
         )
     count = args.samples or (need + 4 if frames else 0)
     pool = oracle.FramePool(
-        op.system, count, seed=args.seed, beta=beta,
+        op.system, count, seed=args.seed, beta=beta, digits=args.precision_digits,
         fit_frames=frames[largest] if frames else None,
     )
     rows = []
@@ -481,7 +471,8 @@ def _cmd_derive(args) -> dict:
         raise UsageError("derivation is limited to rank <= 2 systems")
     op = derive_operator(build_system(args.system))
     rep = oracle.verify_tables(
-        op, samples=20, seed=args.seed, tol=args.tol, precision="hp"
+        op, samples=20, seed=args.seed, tol=args.tol, precision="hp",
+        digits=args.precision_digits,
     )
     ok = rep["all_pass"] and not op.violations
     return {
@@ -539,7 +530,11 @@ def _add_common(p, *, samples=None, seed=0, tol=None, precision=False,
     p.add_argument("--seed", type=_count(0), default=seed)
     p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--output", type=_output_path, default=None)
-    p.add_argument("--precision-digits", type=_count(1), default=None)
+    # hp carries at least double precision's 15 digits (at 1 digit a sample
+    # rounds onto a root wall, where a cotangent divides by zero); two hp
+    # verify-tables points take 3 s at 1000 digits, 8 s at 2000
+    p.add_argument("--precision-digits", type=_count(15, 1000),
+                   default=oracle.hp_digits())
     if samples is not None:
         # fit's default of 0 sizes the frame pool from the entries
         p.add_argument("--samples", type=_count(0 if samples == 0 else 1),
@@ -639,38 +634,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved = os.environ.get("TAUFORGE_PRECISION")
-    if args.precision_digits is not None:
-        os.environ["TAUFORGE_PRECISION"] = str(args.precision_digits)
-    try:
-        return _run(parser, args)
-    finally:
-        if saved is None:
-            os.environ.pop("TAUFORGE_PRECISION", None)
-        else:
-            os.environ["TAUFORGE_PRECISION"] = saved
-
-
-def _run(parser, args) -> int:
     try:
         _resolve_variant(args)
         body = args.handler(args)
     except (UsageError, oracle.SamplingError) as exc:
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
     if "raw_text" in body:
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(body["raw_text"])
+        payload = body["raw_text"]
+    else:
+        report = {
+            "schema": "tauforge.cli/1",
+            "config": _config(args),
+            "ok": body["ok"],
+            "result": body["result"],
+        }
+        if args.format == "json":
+            payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
         else:
-            sys.stdout.write(body["raw_text"])
-        return 0 if body["ok"] else 1
-    report = {
-        "schema": "tauforge.cli/1",
-        "config": _config(args),
-        "ok": body["ok"],
-        "result": body["result"],
-    }
-    return _emit(report, args)
+            payload = "\n".join(_render_text(report)) + "\n"
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
+    return 0 if body["ok"] else 1
 
 
 if __name__ == "__main__":

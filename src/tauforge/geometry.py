@@ -59,6 +59,7 @@ def flatness_sample_points(
     beta: float = 1.0,
     spread: float = 0.05,
     precision: str = "double",
+    digits: int = hp_digits(),
 ) -> list[SamplePoint]:
     """Clearance samples jittered around the chart center.
 
@@ -79,7 +80,9 @@ def flatness_sample_points(
         radial = 1.0 - 0.2 * accepted / max(count - 1, 1)
         return radial * center + rng.uniform(-spread, spread, sysr.y_dim) / float(beta)
 
-    return _rejection_sample(sysr, count, seed, float(beta), 0.0, precision, draw)
+    return _rejection_sample(
+        sysr, count, seed, float(beta), 0.0, precision, digits, draw
+    )
 
 
 def with_coefficient(
@@ -377,19 +380,22 @@ def flatness_report(
     precision: str = "double",
     tol: float | None = None,
     spread: float = 0.05,
+    digits: int = hp_digits(),
 ) -> dict:
     """Riemann residuals at tau(y) images of chart-centered samples.
 
-    hp points run on every CPU (see oracle._map_points).
+    hp points are rounded at `digits`, run at `digits` and run on every
+    CPU (see oracle._map_points).
     """
     if tol is None:
         tol = 1e-6 if precision == "double" else 1e-30
     sysr = op.system
     pts = flatness_sample_points(
-        sysr, points, seed=seed, beta=beta, spread=spread, precision=precision
+        sysr, points, seed=seed, beta=beta, spread=spread, precision=precision,
+        digits=digits,
     )
     hp = precision == "hp"
-    dps = hp_digits() if hp else mp.dps
+    dps = digits if hp else mp.dps
     metric = None
 
     def point_row(pt) -> tuple:

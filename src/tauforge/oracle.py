@@ -66,7 +66,8 @@ def _check_rejections(rejected: int, beta) -> None:
 
 
 def hp_digits() -> int:
-    return int(os.environ.get("TAUFORGE_PRECISION", "50"))
+    """The default high-precision working precision, in decimal digits."""
+    return 50
 
 
 # ---------------------------------------------------------------------------
@@ -329,27 +330,30 @@ def sample_points(
     beta: float = 1.0,
     nu: float = 0.5,
     precision: str = "double",
+    digits: int = hp_digits(),
 ) -> list[SamplePoint]:
     """Uniform draws from [0.05, 0.35]^d, rejection-resampled for clearance.
 
     Raises SamplingError after MAX_REJECTED_DRAWS rejections in a row.
     """
     return _rejection_sample(
-        sysr, count, seed, beta, nu, precision,
+        sysr, count, seed, beta, nu, precision, digits,
         lambda rng, accepted: rng.uniform(0.05, 0.35, sysr.y_dim),
     )
 
 
-def _rejection_sample(sysr, count, seed, beta, nu, precision, draw) -> list[SamplePoint]:
+def _rejection_sample(
+    sysr, count, seed, beta, nu, precision, digits, draw
+) -> list[SamplePoint]:
     """`count` points that clear the root walls, in draw order.
 
     draw(rng, accepted) gives the next candidate y from the seeded rng and
     the number of points accepted so far.  hp points carry the same y as
-    mpf.  Raises SamplingError after MAX_REJECTED_DRAWS rejections in a row.
+    mpf, rounded at `digits`.  Raises SamplingError after
+    MAX_REJECTED_DRAWS rejections in a row.
     """
     rng = np.random.default_rng(seed)
     out: list[SamplePoint] = []
-    dps = hp_digits()
     rejected = 0
     while len(out) < count:
         u = draw(rng, len(out))
@@ -360,7 +364,7 @@ def _rejection_sample(sysr, count, seed, beta, nu, precision, draw) -> list[Samp
             continue
         rejected = 0
         if precision == "hp":
-            with mp.workdps(dps):
+            with mp.workdps(digits):
                 cand = SamplePoint(
                     y=tuple(mpf(str(v)) for v in u), beta=beta, nu=nu
                 )
@@ -711,8 +715,8 @@ def _eval_compiled(terms, powers, tau):
 def distinct_nus(nu_list) -> list:
     """nu_list as a list; ValueError if a value repeats.
 
-    The nu-linearity check divides by differences of the nu values, so a
-    repeated value would turn it into a division by zero.
+    Each nu is one more check of the B entries; a repeated value checks
+    the same thing twice and overstates what the report covers.
     """
     nus = list(nu_list)
     if len(set(nus)) < len(nus):
@@ -730,15 +734,14 @@ def verify_tables(
     nu_list=None,
     beta_list=None,
     precision: str = "double",
+    digits: int = hp_digits(),
 ) -> dict:
     """Compare every table entry against the chain-rule oracle.
 
     Returns a JSON-ready report; reproducible for a fixed seed.  B entries
-    are checked at every nu in nu_list, and the numeric B is additionally
-    confirmed affine in nu via a three-value linear fit; with fewer than
-    three nu values that check is not run and reports None.  Raises
-    ValueError if nu_list repeats a value.  hp points run on every CPU
-    (see _map_points).
+    are checked at every nu in nu_list.  Raises ValueError if nu_list
+    repeats a value.  hp points are rounded at `digits`, run at `digits`
+    and run on every CPU (see _map_points).
     """
     sysr = op.system
     nu_list = distinct_nus(nu_list) if nu_list else [float(x) for x in DEFAULT_NU_LIST]
@@ -749,12 +752,11 @@ def verify_tables(
     ids += [("B", i, None) for i in range(rank)]
     names = [f"A{i+1}{j+1}" if j is not None else f"B{i+1}" for _, i, j in ids]
     worst = dict.fromkeys(names, 0.0)
-    nu_lin_worst = 0.0 if len(nu_list) >= 3 else None
 
     def rel(got, ref) -> float:
         return float(abs(got - ref) / (1 + abs(ref)))
 
-    with mp.workdps(hp_digits()):
+    with mp.workdps(digits):
         gw = _metric_weights(sysr.kind, hp)
         nubs = [mpf(str(nu)) if hp else float(nu) for nu in nu_list]
         # A is nu-free and compiled at nu = 0; B once per nu of the list
@@ -770,7 +772,7 @@ def verify_tables(
             b2 = (mpf(str(beta)) if hp else float(beta)) ** 2
 
             def point_notes(pt) -> list:
-                """(entry, residual) at pt in check order; None for nu-linearity."""
+                """(entry, residual) at pt in check order."""
                 frame = _geom(sysr, pt)
                 taus = frame[0]
                 pw = _powers(taus, exps)
@@ -781,24 +783,19 @@ def verify_tables(
                         notes.append((name, rel(_eval_compiled(row[0], pw, taus), ref)))
                         continue
                     base, slope = ref
-                    refs = [base + nub * slope for nub in nubs]
-                    for terms, value in zip(row, refs):
+                    for terms, nub in zip(row, nubs):
+                        value = base + nub * slope
                         notes.append((name, rel(_eval_compiled(terms, pw, taus), value)))
-                    if len(nubs) >= 3:
-                        (n0, n1, n2), (v0, v1, v2) = nubs[:3], refs[:3]
-                        pred = v0 + (v1 - v0) * (n2 - n0) / (n1 - n0)
-                        notes.append((None, rel(pred, v2)))
                 return notes
 
             pts = sample_points(
-                sysr, samples, seed=seed, beta=beta, nu=0.0, precision=precision
+                sysr, samples, seed=seed, beta=beta, nu=0.0, precision=precision,
+                digits=digits,
             )
             per_point = _map_points(point_notes, pts) if hp else map(point_notes, pts)
             for notes in per_point:
                 for name, r in notes:
-                    if name is None:
-                        nu_lin_worst = max(nu_lin_worst, r)
-                    elif r > worst[name]:
+                    if r > worst[name]:
                         worst[name] = r
 
     entries = [
@@ -816,7 +813,6 @@ def verify_tables(
         "tol": tol,
         "nu_list": [float(x) for x in nu_list],
         "beta_list": [float(x) for x in beta_list],
-        "nu_linearity_max_residual": nu_lin_worst,
         "entries": entries,
         "discrepant": discrepant,
         "all_pass": not discrepant,
@@ -863,21 +859,24 @@ def _fit_plan(op: AlgebraicOperator, which: str, samples: int | None = None):
 class FramePool:
     """Shared high-precision frames so several fits reuse the geometry.
 
-    All `count` points are drawn, but frames are built only for the first
-    `fit_frames` (default: all but the held-out ones) and the last
-    HELD_OUT_FRAMES, the only frames fit_entry reads.  The frames are built
-    on every CPU (see _map_points).
+    The sample coordinates are rounded at `digits`.  A fit works at `dps`
+    = max(digits, 50) digits, and the frames carry 20 guard digits more
+    (see workdps).  All `count` points are drawn, but frames are built only
+    for the first `fit_frames` (default: all but the held-out ones) and the
+    last HELD_OUT_FRAMES, the only frames fit_entry reads.  The frames are
+    built on every CPU (see _map_points).
     """
 
     def __init__(self, sysr: RootSystem, count: int, seed: int = 23, beta=1,
-                 dps: int | None = None, fit_frames: int | None = None):
+                 digits: int = hp_digits(), fit_frames: int | None = None):
         self.sysr = sysr
-        self.dps = dps or max(hp_digits(), 50)
+        self.dps = max(digits, 50)
         held = max(count - HELD_OUT_FRAMES, 0)
         self.fit_frames = held if fit_frames is None else min(fit_frames, held)
-        with mp.workdps(self.dps + 20):
+        with self.workdps():
             pts = sample_points(
-                sysr, count, seed=seed, beta=float(beta), nu=0.0, precision="hp"
+                sysr, count, seed=seed, beta=float(beta), nu=0.0, precision="hp",
+                digits=digits,
             )
             self.beta = mpf(beta)
             self.frames = _map_points(
@@ -885,12 +884,16 @@ class FramePool:
                 pts[: self.fit_frames] + pts[held:],
             )
 
+    def workdps(self):
+        """The precision context the frames are built and fitted in."""
+        return mp.workdps(self.dps + 20)
+
 
 def fit_entry(
     op: AlgebraicOperator,
     which: str,
     samples: int | None = None,
-    precision_digits: int | None = None,
+    digits: int = hp_digits(),
     seed: int = 23,
     pool: FramePool | None = None,
 ) -> FitResult:
@@ -899,15 +902,17 @@ def fit_entry(
     Fits over all monomials within the entry's weighted-degree bound (with
     independent nu^0/nu^1 coefficients for B, fitted as two right-hand
     sides of one qr_solve), reconstructs rationals with denominators <=
-    MAX_DENOMINATOR, and reports the residual at held-out points.
+    MAX_DENOMINATOR, and reports the residual at held-out points.  The fit
+    works at the pool's precision; without a pool it builds one at
+    `digits` (see FramePool).
     """
     sysr = op.system
     kind_, i, j, basis, needed, want_frames = _fit_plan(op, which, samples)
-    dps = precision_digits or max(hp_digits(), 50)
+    if pool is None:
+        pool = FramePool(sysr, needed + 8, seed=seed, digits=digits, fit_frames=want_frames)
+    dps = pool.dps
 
-    with mp.workdps(dps + 20):
-        if pool is None:
-            pool = FramePool(sysr, needed + 8, seed=seed, dps=dps, fit_frames=want_frames)
+    with pool.workdps():
         if pool.fit_frames < want_frames:
             raise ValueError(
                 f"frame pool too small for {which}: needs {want_frames} fit"

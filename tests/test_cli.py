@@ -252,7 +252,11 @@ BAD_COUNTS = [
     (["tau-eval", "--samples", "0"], "argument --samples: must be >= 1, got 0"),
     (["fit", "--samples", "-1"], "argument --samples: must be >= 0, got -1"),
     (["tau-eval", "--precision", "hp", "--precision-digits", "0"],
-     "argument --precision-digits: must be >= 1, got 0"),
+     "argument --precision-digits: must be >= 15, got 0"),
+    (["verify-tables", "--precision", "hp", "--precision-digits", "14"],
+     "argument --precision-digits: must be >= 15, got 14"),
+    (["tau-eval", "--precision", "hp", "--precision-digits", "1001"],
+     "argument --precision-digits: must be <= 1000, got 1001"),
 ]
 
 
@@ -404,32 +408,37 @@ def test_reports_do_not_depend_on_the_cpu_count(capsys, monkeypatch):
         assert "jobs" not in json.loads(out)["config"]
 
 
-def test_precision_digits_do_not_outlive_main(capsys, monkeypatch):
-    monkeypatch.delenv("TAUFORGE_PRECISION", raising=False)
+def test_precision_digits_do_not_outlive_main(capsys):
     argv = ("tau-eval", "--samples", "1", "--precision", "hp")
     _, first = run_json(capsys, *argv, "--precision-digits", "60")
     assert first["config"]["precision_digits"] == 60
-    assert "TAUFORGE_PRECISION" not in os.environ
     _, second = run_json(capsys, *argv)
     assert second["config"]["precision_digits"] == 50
-    monkeypatch.setenv("TAUFORGE_PRECISION", "55")
-    run(capsys, *argv, "--precision-digits", "60")
-    assert os.environ["TAUFORGE_PRECISION"] == "55"
-    # a usage error raised by the handler exits through the same restore
-    with pytest.raises(SystemExit):
-        main(["fit", "--entries", "A9", "--precision-digits", "60"])
-    assert os.environ["TAUFORGE_PRECISION"] == "55"
 
 
-def cli_process(*argv, timeout=120, preexec_fn=None):
-    """The CLI in a fresh process; a hang fails the test at the timeout."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("TAUFORGE_PRECISION", None)
+def cli_process(*argv, timeout=120, preexec_fn=None, env=None):
+    """The CLI in a fresh process; a hang fails the test at the timeout.
+
+    `env` adds variables to this process's environment.
+    """
+    env = dict(os.environ, PYTHONPATH=SRC, **(env or {}))
     return subprocess.run(
         [sys.executable, "-m", "tauforge.cli", *argv],
         env=env, capture_output=True, text=True, timeout=timeout,
         preexec_fn=preexec_fn,
     )
+
+
+def test_the_environment_does_not_set_the_precision():
+    # the working precision comes from --precision-digits alone; no
+    # environment variable moves the hp sample points
+    argv = ("verify-tables", "--variant", "canonical", "--precision", "hp",
+            "--samples", "2")
+    plain = cli_process(*argv)
+    assert plain.returncode == 0
+    for value in ("72", "abc"):
+        proc = cli_process(*argv, env={"TAUFORGE_PRECISION": value})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, plain.stdout, "")
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
@@ -499,16 +508,19 @@ def test_a_beta_no_point_clears_ends_as_a_usage_error(argv):
 # chain-rule core was shared; hp and exact reports only, because double
 # precision depends on the host's libm
 GOLDEN_REPORTS = [
+    # re-recorded without the nu_linearity_max_residual key, which was
+    # deleted; the report is otherwise the old one byte for byte
     (["verify-tables", "--variant", "canonical", "--precision", "hp", "--samples", "2"],
-     "1e870dca506b9a4c1dfc700e6121348c01121a9152a5707e227b645e2264c4a0"),
+     "60df52593b25e9dc9b6ccd1d9c52b7d1aa69d5347b956f723133c2fff40437f1"),
     (["fit", "--entries", "A11"],
      "985cad6e321a5a924447b6973689d92fa8e94d26addfa8cfe0011568bbbdc848"),
     (["flag-check", "--n", "3"],
      "bdcffaaf4a7097c186292a11956e7d3cebbb08e6accdb984ed28ad0730d9738f"),
     (["spectrum", "--n", "2", "--nu", "1/2"],
      "37eb1c63af0b560621069388b6801daa04acfb69cb2d129267f8a71ca95e7234"),
+    # re-recorded without the deleted nu_linearity_max_residual key
     (["derive", "--system", "G2"],
-     "d576c68b6e3cf9d83376b5c84af4aaaf24e3d50c919f168b667d788fbbe60db2"),
+     "93a0cdefc2589fd2d4fcd0a99ab289fd5ae1180480e016bad6b187eaaef52ff5"),
     # recorded before the flag spectrum moved to one sparse nu-symbolic pass
     (["spectrum", "--variant", "canonical", "--n", "7", "--nu", "0"],
      "59e69baf60cb6fe42e3d742c43e9bd1983e8d7f1e5d4623b4ffad67d7d52b674"),
@@ -526,9 +538,7 @@ GOLDEN_REPORTS = [
 @pytest.mark.parametrize(
     "argv,digest", GOLDEN_REPORTS, ids=["_".join(argv) for argv, _ in GOLDEN_REPORTS]
 )
-def test_reports_match_their_golden_digests(capsys, monkeypatch, argv, digest):
-    # sample points are rounded at hp_digits(); pin its default
-    monkeypatch.delenv("TAUFORGE_PRECISION", raising=False)
+def test_reports_match_their_golden_digests(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -538,8 +548,6 @@ def test_fit_builds_only_the_frames_it_reads(capsys, monkeypatch):
     # A17 fits on frames 0-95 of a 104-point pool and checks 100-103
     from tauforge import oracle
 
-    # sample points are rounded at hp_digits(); pin its default
-    monkeypatch.delenv("TAUFORGE_PRECISION", raising=False)
     # frames built in forked children would escape the count below
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = []
@@ -636,6 +644,11 @@ FUZZ_VALUES = {
     "--beta": st.lists(_numbers, min_size=1, max_size=2).map(",".join),
     "--tol": _numbers,
     "--output": st.sampled_from(["<file>", "<dir>", "/nonexistent/x.json", ""]),
+    "--precision-digits": st.one_of(
+        st.integers(15, 80).map(str),
+        st.sampled_from(["14", "1000", "1001", "-50"]),
+        _numbers,
+    ),
 }
 
 
@@ -676,6 +689,7 @@ def fuzz_argv(draw):
 @given(argv=fuzz_argv())
 @settings(
     max_examples=40,
+    derandomize=True,
     deadline=timedelta(seconds=10),
     suppress_health_check=[HealthCheck.too_slow],
 )

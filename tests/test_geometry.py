@@ -297,9 +297,7 @@ def _frame_fields(result):
 
 
 @pytest.mark.parametrize("variant", ["raw", "canonical", "sabotaged"])
-def test_curvature_matches_the_two_pass_reference_bit_for_bit(variant, monkeypatch):
-    # sample_points rounds hp coordinates at hp_digits(); pin its default
-    monkeypatch.delenv("TAUFORGE_PRECISION", raising=False)
+def test_curvature_matches_the_two_pass_reference_bit_for_bit(variant):
     op = e7_operator("canonical" if variant == "sabotaged" else variant)
     if variant == "sabotaged":
         op = sabotaged(op)
