@@ -35,5 +35,6 @@ print("rho^2 / nu^2 =", rho.rho_sq_over_nu_sq)
 
 # orbits of the smallest weight come in +/- pairs
 orb1 = weyl_orbit(sysr, 1)
-negated = {tuple(-c for c in v) for v in orb1.elements}
-print("orbit 1 closed under negation:", negated == set(orb1.elements))
+rows = {tuple(u) for u in orb1.ints.tolist()}
+negated = {tuple(-c for c in u) for u in rows}
+print("orbit 1 closed under negation:", negated == rows)

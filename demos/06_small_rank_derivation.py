@@ -2,11 +2,12 @@
 Deriving the operator from scratch at small rank
 ================================================
 
-For rank <= 2 the whole construction fits in exact lattice arithmetic:
-push the Laplacian through the orbit sums, reduce every Weyl-invariant
-exponential sum back to a polynomial in tau by dominance recursion, and
-read off A and B.  This independently reproduces the published A1 form
-and cross-checks the numeric oracle.
+For rank <= 2 the whole construction is derived from the orbit integers:
+evaluate the orbit sums, the Laplacian and the ground-state cotangent
+terms at random points over finite fields, solve for each entry's
+coefficients, and rebuild the rationals by CRT and rational
+reconstruction, confirmed at a fresh prime.  This independently
+reproduces the published A1 form and cross-checks the numeric oracle.
 """
 
 from tauforge.derive import derive_operator

@@ -1,222 +1,253 @@
-"""Exact small-rank derivations of the algebraic operator.
+"""Derivation of the operator by evaluation over finite fields.
 
-For rank <= 2 the whole pipeline behind the big tables can be re-run
-symbolically: expand the orbit sums as exponential sums on the weight
-lattice, push the Laplacian and the ground-state cotangent terms through,
-and reduce everything back to polynomials in the invariants by triangular
-dominance recursion.  A1 has a two-line closed form to compare against;
-A2 and G2 certify the numeric oracle at the exact rational level.
+Write z_k = e^{i y_k / M}, where the integer rows u of an orbit's `ints`
+are M = `scale` times its y vectors.  Every chain-rule quantity is then a
+Laurent polynomial in z, with g_k the metric weights:
+
+    tau_a          = sum_u z^u
+    J_ak           = sum_u u_k z^u               (M/i times d tau_a / dy_k)
+    A_ij           = -(1/M^2) sum_k g_k J_ik J_jk
+    B_i, nu^0 part = -(1/M^2) sum_u (sum_k g_k u_k^2) z^u
+    B_i, nu^1 part = -(1/M^2) sum_alpha (W_alpha + 1)/(W_alpha - 1)
+                                        sum_k g_k (M alpha)_k J_ik
+
+with W_alpha = z^{M alpha} over the positive roots.  The factors of i pair
+up, so the identities hold over F_p for any prime p, at every z in
+(F_p^*)^n with no W_alpha = 1; complex taus (A2) need no special case.
+
+At random such points each entry is solved mod p for its coefficients
+over every monomial within its weighted-degree bound; all entries of one
+bound are right-hand sides of one Gauss-Jordan elimination.  31-bit
+primes are combined by CRT, and every coefficient is rebuilt by Wang's
+rational reconstruction, until a fresh prime confirms the whole operator.
+
+The result is certified three ways.  The fresh prime must reproduce every
+reconstructed coefficient.  Each point beyond the number of unknowns
+tests the fitted entry against the chain rule, and a wrong entry passes
+such a point with probability at most deg/p (Schwartz-Zippel, deg the
+degree of the cleared difference in z).  `derive` then checks the tables
+against the high-precision numeric oracle (`verify_tables`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .exactpoly import MultiPoly, NuLinear
-from .operator import AlgebraicOperator
-from .rootsys import (
-    RootSystem,
-    Vec,
-    _orbit_elements,
-    build_system,
-    characteristic_vector,
-    deformed_weyl_vector,
-    vdot,
-    vscale,
-    vsub,
-    weight_exponents,
-    weyl_orbit,
-)
+import numpy as np
+
+from .exactpoly import MultiPoly, NuLinear, weighted_monomials
+from .operator import AlgebraicOperator, build_operator
+from .rootsys import RootSystem, characteristic_vector, weyl_orbit
+
+# below 2^31, so the product of two residues fits in an int64
+PRIMES = tuple(2**31 - d for d in (1, 19, 61, 69, 85, 99, 105, 151))
+# the points are drawn from this seed; the derived tables do not depend on it
+POINT_SEED = 2009
+# points beyond the largest basis, each one more check of every entry
+EXTRA_POINTS = 4
 
 
-class ExpSum:
-    """Finite exponential sum sum_u c_u e^{i u.y} on the weight lattice.
-
-    Keys are exact ambient vectors, values exact rationals; the zero
-    coefficient is never stored.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[Vec, Fraction] = {
-            k: v for k, v in (terms or {}).items() if v
-        }
-
-    @staticmethod
-    def orbit(vectors) -> "ExpSum":
-        return ExpSum({tuple(v): Fraction(1) for v in vectors})
-
-    def add_term(self, vec: Vec, coef) -> None:
-        c = self.terms.get(vec, Fraction(0)) + coef
-        if c:
-            self.terms[vec] = c
-        else:
-            self.terms.pop(vec, None)
-
-    def __sub__(self, other: "ExpSum") -> "ExpSum":
-        out = ExpSum(self.terms)
-        for k, v in other.terms.items():
-            out.add_term(k, -v)
-        return out
-
-    def scaled(self, c) -> "ExpSum":
-        return ExpSum({k: c * v for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExpSum) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"ExpSum({len(self.terms)} terms)"
-
-
-def exp_product(s: ExpSum, t: ExpSum) -> ExpSum:
-    """Exact convolution on the weight lattice."""
-    out = ExpSum()
-    for u, cu in s.terms.items():
-        for v, cv in t.terms.items():
-            out.add_term(tuple(a + b for a, b in zip(u, v, strict=True)), cu * cv)
+def _power(base: np.ndarray, e: int, p: int) -> np.ndarray:
+    """base ** e mod p, elementwise, for e >= 0."""
+    out = np.ones_like(base)
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
     return out
 
 
-@dataclass(frozen=True)
-class TauPolynomialOf:
-    """The orbit sum m_lambda written as a polynomial in the invariants."""
-
-    weight: Vec
-    poly: MultiPoly
-
-
-@lru_cache(maxsize=None)
-def _rho_hat(kind: str) -> Vec:
-    return deformed_weyl_vector(build_system(kind)).root_sum
-
-
-@lru_cache(maxsize=None)
-def _tau_exp(kind: str, index: int) -> ExpSum:
-    sysr = build_system(kind)
-    return ExpSum.orbit(weyl_orbit(sysr, index).elements)
+def _laurent(z: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """z^u mod p for every point z (row of z) and every integer row u."""
+    out = np.ones((len(z), len(rows)), dtype=np.int64)
+    for k in range(z.shape[1]):
+        lo, hi = int(rows[:, k].min()), int(rows[:, k].max())
+        # table[:, e - lo] = z_k^e for lo <= e <= hi; z^(p-1) = 1 on F_p^*
+        table = np.empty((len(z), hi - lo + 1), dtype=np.int64)
+        table[:, 0] = _power(z[:, k], lo % (p - 1), p)
+        for t in range(1, hi - lo + 1):
+            table[:, t] = table[:, t - 1] * z[:, k] % p
+        out = out * table[:, rows[:, k] - lo] % p
+    return out
 
 
-def _dominant_peak(sysr: RootSystem, s: ExpSum) -> tuple[Vec, Fraction]:
-    """Highest remaining weight; it must be dominant for a Weyl invariant."""
-    rho = _rho_hat(sysr.kind)
-    lam = max(s.terms, key=lambda u: (vdot(u, rho), u))
-    for alpha in sysr.simple_roots:
-        if vdot(lam, alpha) < 0:
-            raise ValueError(
-                f"non-dominant residue {lam}: input sum is not Weyl-invariant"
-            )
-    return lam, s.terms[lam]
+def _chain_rule_mod(sysr: RootSystem, p: int, count: int, rng):
+    """(tau, entries) mod p at `count` random points.
 
-
-@lru_cache(maxsize=None)
-def _orbit_sum_memo(kind: str, lam: Vec) -> MultiPoly:
-    sysr = build_system(kind)
-    p = weight_exponents(sysr, lam)
-    rank = sysr.rank
-    prod = ExpSum({tuple(Fraction(0) for _ in lam): Fraction(1)})
-    poly = MultiPoly.constant(rank, 1)
-    for a, pa in enumerate(p):
-        for _ in range(pa):
-            prod = exp_product(prod, _tau_exp(kind, a + 1))
-            poly = poly * MultiPoly.variable(rank, a + 1)
-    residue = prod - ExpSum.orbit(_orbit_elements(lam, sysr.simple_roots))
-    while not residue.is_zero():
-        mu, c = _dominant_peak(sysr, residue)
-        residue = residue - ExpSum.orbit(
-            _orbit_elements(mu, sysr.simple_roots)
-        ).scaled(c)
-        poly = poly - _orbit_sum_memo(kind, mu).scale(c)
-    return poly
-
-
-def orbit_sum_to_tau(sysr: RootSystem, lam) -> TauPolynomialOf:
-    """m_lambda as a polynomial in tau, by triangular dominance recursion.
-
-    The leading monomial is tau^p with unit coefficient for lam = sum p_a
-    w_a; everything else comes from strictly lower orbits, so expanding
-    the result back into exponential sums reproduces m_lambda exactly.
+    tau is (count, rank); entries maps A11 .. B<rank> to its values, one
+    column for an A entry, two for a B entry (its nu^0 part and its nu^1
+    slope).  A point with some W_alpha = 1 is redrawn.
     """
-    key = tuple(Fraction(c) for c in lam)
-    return TauPolynomialOf(weight=key, poly=_orbit_sum_memo(sysr.kind, key))
+    rank = sysr.rank
+    orbits = [weyl_orbit(sysr, a + 1) for a in range(rank)]
+    # z stands for one scale M, which every orbit of a supported system shares
+    (scale,) = {o.scale for o in orbits}
+    # the metric weights are small integers (1 and 2)
+    g = np.array([int(x) for x in sysr.metric_weights[: sysr.y_dim]], dtype=np.int64)
+    roots = np.array(
+        [[int(c * scale) for c in sysr.y_rep(r)] for r in sysr.positive_roots],
+        dtype=np.int64,
+    )
+    z = rng.integers(1, p, size=(count, sysr.y_dim))
+    w = _laurent(z, roots, p)
+    while (hit := (w == 1).any(axis=1)).any():
+        z[hit] = rng.integers(1, p, size=(int(hit.sum()), sysr.y_dim))
+        w = _laurent(z, roots, p)
+    cot = (w + 1) * _power((w - 1) % p, p - 2, p) % p
+    c = -pow(scale * scale, -1, p) % p
+    tau, jac, entries = [], [], {}
+    for a, orbit in enumerate(orbits):
+        zu = _laurent(z, orbit.ints, p)
+        j = zu @ orbit.ints % p
+        tau.append(zu.sum(axis=1) % p)
+        jac.append(j)
+        base = zu @ (orbit.ints**2 @ g) % p
+        slope = (cot * (j @ (roots * g).T % p) % p).sum(axis=1) % p
+        entries[f"B{a + 1}"] = np.stack([base, slope], axis=1) * c % p
+    for i in range(rank):
+        for k in range(i, rank):
+            value = (jac[i] * jac[k] % p) @ g % p
+            entries[f"A{i + 1}{k + 1}"] = value[:, None] * c % p
+    return np.stack(tau, axis=1), entries
 
 
-def reduce_exp_sum(sysr: RootSystem, s: ExpSum) -> MultiPoly:
-    """Write a Weyl-invariant exponential sum as a polynomial in tau."""
-    poly = MultiPoly.zero(sysr.rank)
-    residue = ExpSum(s.terms)
-    while not residue.is_zero():
-        lam, c = _dominant_peak(sysr, residue)
-        residue = residue - ExpSum.orbit(
-            _orbit_elements(lam, sysr.simple_roots)
-        ).scaled(c)
-        poly = poly + _orbit_sum_memo(sysr.kind, lam).scale(c)
-    return poly
+def _gauss_jordan(values: np.ndarray, rhs: np.ndarray, p: int):
+    """(x, inconsistent) with values x = rhs mod p, column by column.
+
+    values has more rows than columns; x is None if they are of lower
+    rank.  inconsistent flags each right-hand side that no x satisfies.
+    """
+    n = values.shape[1]
+    aug = np.concatenate([values, rhs], axis=1) % p
+    for c in range(n):
+        nonzero = np.flatnonzero(aug[c:, c])
+        if not len(nonzero):
+            return None, None
+        r = c + nonzero[0]
+        aug[[c, r]] = aug[[r, c]]
+        aug[c] = aug[c] * pow(int(aug[c, c]), -1, p) % p
+        factors = aug[:, c].copy()
+        factors[c] = 0
+        aug = (aug - np.outer(factors, aug[c])) % p
+    return aug[:n, n:], aug[n:, n:].any(axis=0)
+
+
+def _solve_prime(sysr: RootSystem, p: int, rng, bounds: dict, bases: dict) -> dict:
+    """entry name -> coefficient residues mod p, per monomial its parts.
+
+    bounds maps each entry to its weighted-degree bound, bases each bound
+    to its monomials.  A rank-deficient system draws more points.  Raises
+    ValueError naming the first entry that no polynomial within its bound
+    fits.
+    """
+    size = max(len(b) for b in bases.values())
+    top = max(max(e) for b in bases.values() for e in b)
+    for count in range(size + EXTRA_POINTS, 4 * size + EXTRA_POINTS + 1, size):
+        tau, entries = _chain_rule_mod(sysr, p, count, rng)
+        powers = [np.ones_like(tau)]
+        for _ in range(top):
+            powers.append(powers[-1] * tau % p)
+        solved = {}
+        for bound, basis in bases.items():
+            values = np.ones((count, len(basis)), dtype=np.int64)
+            for m, exp in enumerate(basis):
+                for k, e in enumerate(exp):
+                    values[:, m] = values[:, m] * powers[e][:, k] % p
+            names = [name for name, b in bounds.items() if b == bound]
+            x, inconsistent = _gauss_jordan(
+                values, np.concatenate([entries[name] for name in names], axis=1), p
+            )
+            if x is None:
+                break
+            k = 0
+            for name in names:
+                parts = entries[name].shape[1]
+                if inconsistent[k : k + parts].any():
+                    raise ValueError(
+                        f"{name}: no polynomial of weighted degree <= {bound} "
+                        f"matches the chain rule mod {p}"
+                    )
+                solved[name] = x[:, k : k + parts].ravel().tolist()
+                k += parts
+        else:
+            return solved
+    raise ValueError(f"the points mod {p} leave a basis rank-deficient")
+
+
+def _rational(r: int, m: int) -> Fraction | None:
+    """Wang's reconstruction: a/b = r mod m with a^2, b^2 <= m/2, or None."""
+    r0, r1, t0, t1 = m, r % m, 0, 1
+    while 2 * r1 * r1 > m:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 == 0 or 2 * t1 * t1 > m:
+        return None
+    value = Fraction(r1, t1)
+    return value if value.denominator == abs(t1) else None
+
+
+def _agrees(values: list | None, residues: list, p: int) -> bool:
+    """Do the rebuilt rationals (None where none was found) reduce to the residues?"""
+    return values is not None and all(
+        v is not None
+        and v.denominator % p
+        and v.numerator * pow(v.denominator, -1, p) % p == r
+        for v, r in zip(values, residues)
+    )
 
 
 def derive_operator(sysr: RootSystem) -> AlgebraicOperator:
     """A and B from first principles, exact, for rank <= 2 systems.
 
-    A_ij collects -(u.v) e^{u+v} over the two orbits.  The nu-free part
-    of B_i is the Laplacian -|u|^2 e^u; the nu part pairs each orbit
-    element u of positive height m = <u, alpha_check> with its mirror
-    s_alpha(u), which turns the cotangent factor into the finite
-    geometric sum e^u + e^{s_alpha u} + 2 sum_{t=1}^{m-1} e^{u - t alpha}.
+    See the module docstring.  Raises ValueError naming an entry whose
+    coefficients no fresh prime confirms within PRIMES.
     """
     if sysr.rank > 2:
-        raise ValueError("symbolic derivation is limited to rank <= 2")
+        raise ValueError("derivation is limited to rank <= 2")
     rank = sysr.rank
-    orbits = [weyl_orbit(sysr, a + 1).elements for a in range(rank)]
-
-    a_entries: dict[tuple[int, int], MultiPoly] = {}
-    for i in range(rank):
-        for j in range(i, rank):
-            s = ExpSum()
-            for u in orbits[i]:
-                for v in orbits[j]:
-                    s.add_term(
-                        tuple(a + b for a, b in zip(u, v, strict=True)),
-                        -vdot(u, v),
-                    )
-            a_entries[(i, j)] = reduce_exp_sum(sysr, s)
-
-    b_list = []
-    for i in range(rank):
-        lap = ExpSum()
-        for u in orbits[i]:
-            lap.add_term(tuple(u), -vdot(u, u))
-        cot = ExpSum()
-        for alpha in sysr.positive_roots:
-            asq = vdot(alpha, alpha)
-            for u in orbits[i]:
-                au = vdot(alpha, u)
-                m = 2 * au / asq
-                if m <= 0:
-                    continue
-                m = int(m)
-                cot.add_term(tuple(u), -au)
-                cot.add_term(tuple(vsub(u, vscale(m, alpha))), -au)
-                for t in range(1, m):
-                    cot.add_term(tuple(vsub(u, vscale(t, alpha))), -2 * au)
-        b_list.append(
-            reduce_exp_sum(sysr, lap)
-            + reduce_exp_sum(sysr, cot) * MultiPoly.constant(rank, NuLinear.of(0, 1))
+    cv = characteristic_vector(sysr)
+    bounds = {
+        f"A{i + 1}{j + 1}": cv[i] + cv[j] for i in range(rank) for j in range(i, rank)
+    } | {f"B{i + 1}": cv[i] for i in range(rank)}
+    # canonical (weighted degree, exponent) order, the order of the tables
+    bases = {
+        bound: sorted(
+            weighted_monomials(cv, bound),
+            key=lambda e: (sum(c * x for c, x in zip(cv, e)), e),
+        )
+        for bound in sorted(set(bounds.values()))
+    }
+    rng = np.random.default_rng(POINT_SEED)
+    modulus, crt, rebuilt = 1, {}, {}
+    for p in PRIMES:
+        solved = _solve_prime(sysr, p, rng, bounds, bases)
+        culprit = next(
+            (name for name in bounds if not _agrees(rebuilt.get(name), solved[name], p)),
+            None,
+        )
+        if culprit is None:
+            break
+        # fold p into the CRT residues, then rebuild every coefficient
+        inv = pow(modulus, -1, p)
+        for name, residues in solved.items():
+            old = crt.get(name, [0] * len(residues))
+            crt[name] = [x + modulus * ((r - x) * inv % p) for x, r in zip(old, residues)]
+        modulus *= p
+        rebuilt = {name: [_rational(x, modulus) for x in xs] for name, xs in crt.items()}
+    else:
+        raise ValueError(
+            f"{culprit}: no rational reconstruction is confirmed at a fresh prime "
+            f"within {len(PRIMES)} primes"
         )
 
-    full = tuple(
-        tuple(a_entries[(min(i, j), max(i, j))] for j in range(rank))
-        for i in range(rank)
-    )
-    return AlgebraicOperator(
-        system=sysr,
-        cv=characteristic_vector(sysr),
-        A=full,
-        B=tuple(b_list),
-        variant="derived",
-    )
+    polys = {}
+    for name, bound in bounds.items():
+        # per monomial its nu^0 coefficient, and for B its nu^1 slope
+        basis, values = bases[bound], rebuilt[name]
+        parts = len(values) // len(basis)
+        coefs = zip(*[values[k::parts] for k in range(parts)])
+        polys[name] = MultiPoly(
+            rank, {exp: NuLinear(*c) for exp, c in zip(basis, coefs) if any(c)}
+        )
+    return build_operator(sysr, polys, "derived")

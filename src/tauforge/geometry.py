@@ -9,7 +9,7 @@ formula error.  Points are always tau(y) images of clearance samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -17,7 +17,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .exactpoly import MultiPoly
-from .operator import AlgebraicOperator
+from .operator import AlgebraicOperator, build_operator
 from .oracle import (
     SamplePoint,
     _compile_poly,
@@ -103,12 +103,9 @@ def with_coefficient(
     for axis, p in enumerate(exp):
         if p:
             mono = mono * MultiPoly.variable(op.rank, axis + 1) ** p
-    fixed = entry + mono
-    rows = [list(r) for r in op.A]
-    rows[i - 1][j - 1] = fixed
-    if i != j:
-        rows[j - 1][i - 1] = fixed
-    return replace(op, A=tuple(tuple(r) for r in rows), variant=op.variant + "+fault")
+    return build_operator(
+        op.system, {f"A{i}{j}": entry + mono}, op.variant + "+fault", base=op
+    )
 
 
 def sabotaged(op: AlgebraicOperator) -> AlgebraicOperator:

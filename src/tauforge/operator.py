@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from typing import Mapping
 
 from .exactpoly import ONE, ZERO, MultiPoly, NuLinear, weighted_monomials
 from .rootsys import (
@@ -58,6 +59,51 @@ class AlgebraicOperator:
 
     def b_entry(self, i: int) -> MultiPoly:
         return self.B[i - 1]
+
+
+def _entry_indices(which: str, rank: int) -> tuple[str, int, int | None]:
+    """Zero-based ("A", i, j) or ("B", i, None) for an id such as A17 or B3."""
+    key = which.strip().upper()
+    digits = key[1:]
+    if digits.isdecimal():
+        if key[0] == "A" and len(digits) == 2:
+            i, j = int(digits[0]) - 1, int(digits[1]) - 1
+            if 0 <= i < rank and 0 <= j < rank:
+                return "A", i, j
+        if key[0] == "B" and 0 < int(digits) <= rank:
+            return "B", int(digits) - 1, None
+    raise ValueError(f"bad entry id {which!r} for rank {rank}")
+
+
+def build_operator(
+    sysr: RootSystem,
+    entries: Mapping[str, MultiPoly],
+    variant: str,
+    base: AlgebraicOperator | None = None,
+) -> AlgebraicOperator:
+    """The operator with the named entries (A17, B3, ...), the rest from base.
+
+    A_ij and A_ji are one entry, so A is symmetric.  Raises ValueError on
+    a bad id, or when an entry is neither named nor in base.
+    """
+    rank = sysr.rank
+    A = [list(row) for row in base.A] if base else [[None] * rank for _ in range(rank)]
+    B = list(base.B) if base else [None] * rank
+    for which, poly in entries.items():
+        kind_, i, j = _entry_indices(which, rank)
+        if kind_ == "A":
+            A[i][j] = A[j][i] = poly
+        else:
+            B[i] = poly
+    if None in B or any(None in row for row in A):
+        raise ValueError(f"{variant} operator is missing a table entry")
+    return AlgebraicOperator(
+        system=sysr,
+        cv=characteristic_vector(sysr),
+        A=tuple(map(tuple, A)),
+        B=tuple(B),
+        variant=variant,
+    )
 
 
 @dataclass(frozen=True)
@@ -159,36 +205,20 @@ def e7_operator(variant: str = "raw") -> AlgebraicOperator:
     _verify_checksum(body, "e7_operator_raw.json")
     if body["system"] != "E7" or tuple(body["charvec"]) != E7_CV:
         raise ValueError("unexpected raw table header")
-    rank = 7
-    tri = {
-        (i, i + j): MultiPoly.from_terms(rank, rows)
+    entries = {
+        f"A{i + 1}{i + j + 1}": MultiPoly.from_terms(7, rows)
         for i, row in enumerate(body["A"])
         for j, rows in enumerate(row)
-    }
-    b_list = [MultiPoly.from_terms(rank, rows) for rows in body["B"]]
+    } | {f"B{i + 1}": MultiPoly.from_terms(7, rows) for i, rows in enumerate(body["B"])}
     if variant == "canonical":
         corr = json.loads(_data_text("e7_operator_corrections.json"))
         _verify_checksum(corr, "e7_operator_corrections.json")
         if corr["base_checksum"] != body["checksum"]:
             raise ValueError("corrections were built against different raw tables")
-        for key, rows in corr["entries"].items():
-            poly = MultiPoly.from_terms(rank, rows)
-            if key.startswith("A"):
-                i, j = int(key[1]) - 1, int(key[2]) - 1
-                tri[(i, j)] = poly
-            else:
-                b_list[int(key[1:]) - 1] = poly
-    full = tuple(
-        tuple(tri[(min(i, j), max(i, j))] for j in range(rank)) for i in range(rank)
-    )
-    sysr = build_system("E7")
-    return AlgebraicOperator(
-        system=sysr,
-        cv=characteristic_vector(sysr),
-        A=full,
-        B=tuple(b_list),
-        variant=variant,
-    )
+        entries |= {
+            key: MultiPoly.from_terms(7, rows) for key, rows in corr["entries"].items()
+        }
+    return build_operator(build_system("E7"), entries, variant)
 
 
 # ---------------------------------------------------------------------------

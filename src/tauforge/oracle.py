@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,7 +29,7 @@ from mpmath import mp, mpf
 
 from .exactpoly import MultiPoly, NuLinear, weighted_monomials
 from .fixedpoint import complex_qr_solve, qr_solve, to_fixed
-from .operator import AlgebraicOperator
+from .operator import AlgebraicOperator, _entry_indices, build_operator
 from .rootsys import RootSystem, build_system, deformed_weyl_vector, weyl_orbit
 
 DEFAULT_NU_LIST = (Fraction(0), Fraction(1, 2), Fraction(5, 2))
@@ -258,14 +258,6 @@ def _orbit_ints(kind: str) -> tuple[int, tuple]:
     # every orbit of a supported system has the same scale (2 for E7)
     (scale,) = {o.scale for o in orbits}
     return scale, tuple(o.ints for o in orbits)
-
-
-def _orbit_vectors(kind: str) -> tuple:
-    """Per fundamental weight: the orbit's y-representative vectors, exact."""
-    scale, ints = _orbit_ints(kind)
-    return tuple(
-        tuple(tuple(Fraction(c, scale) for c in u) for u in m.tolist()) for m in ints
-    )
 
 
 @lru_cache(maxsize=None)
@@ -823,20 +815,6 @@ def verify_tables(
 # refitting
 
 
-def _entry_indices(which: str, rank: int) -> tuple[str, int, int | None]:
-    """Zero-based ("A", i, j) or ("B", i, None) for an id such as A17 or B3."""
-    key = which.strip().upper()
-    digits = key[1:]
-    if digits.isdecimal():
-        if key[0] == "A" and len(digits) == 2:
-            i, j = int(digits[0]) - 1, int(digits[1]) - 1
-            if 0 <= i < rank and 0 <= j < rank:
-                return "A", i, j
-        if key[0] == "B" and 0 < int(digits) <= rank:
-            return "B", int(digits) - 1, None
-    raise ValueError(f"bad entry id {which!r} for rank {rank}")
-
-
 # fit_entry fits on the first frames of a pool and checks the result on
 # its last HELD_OUT_FRAMES
 HELD_OUT_FRAMES = 4
@@ -1001,13 +979,4 @@ def fit_entry(
 
 def with_entry(op: AlgebraicOperator, which: str, poly: MultiPoly) -> AlgebraicOperator:
     """A copy of the operator with one table entry replaced."""
-    kind_, i, j = _entry_indices(which, op.rank)
-    A = [list(row) for row in op.A]
-    B = list(op.B)
-    if kind_ == "A":
-        A[i][j] = A[j][i] = poly
-    else:
-        B[i] = poly
-    return replace(
-        op, A=tuple(tuple(r) for r in A), B=tuple(B), variant=f"{op.variant}+fit"
-    )
+    return build_operator(op.system, {which: poly}, f"{op.variant}+fit", base=op)

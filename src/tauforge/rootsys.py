@@ -4,8 +4,7 @@ E7 is realized in 8 coordinates on the hyperplane x7 = -x8; the small
 systems A1, A2, G2 live in their usual 2- and 3-coordinate ambient
 spaces.  Roots and weights are exact (tuples of Fraction), so dominance
 tests need no tolerances.  Weyl orbits are walked in integer Dynkin
-labels and kept as one integer array per orbit; their Fraction elements
-are built only when something reads them.
+labels and kept as one integer array per orbit.
 """
 
 from __future__ import annotations
@@ -55,22 +54,16 @@ class WeylOrbit:
     """A Weyl orbit as one integer array.
 
     Row r of `ints` is element r in the y coordinates times `scale`; rows
-    are sorted.  `elements`, the exact ambient vectors in the same order,
-    is built on first read.
+    are sorted.
     """
 
     generator_weight: Vec
-    simple_roots: tuple[Vec, ...]
     scale: int
     ints: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.ints)
-
-    @cached_property
-    def elements(self) -> tuple[Vec, ...]:
-        return tuple(_orbit_elements(self.generator_weight, self.simple_roots))
 
 
 @dataclass(frozen=True)
@@ -283,7 +276,7 @@ def _labels(v: Vec, simple: tuple[Vec, ...]) -> list[Fraction]:
     return [2 * vdot(v, s) / vdot(s, s) for s in simple]
 
 
-def _orbit_walk(weight: Vec, simple: tuple[Vec, ...], rep=tuple) -> tuple[int, list]:
+def _orbit_walk(weight: Vec, simple: tuple[Vec, ...], rep) -> tuple[int, list]:
     """(scale, rows): row r is scale * rep(element r) of the Weyl orbit, sorted.
 
     scale is the lcm of the denominators of rep(weight) and rep(alpha_i).
@@ -314,18 +307,12 @@ def _orbit_walk(weight: Vec, simple: tuple[Vec, ...], rep=tuple) -> tuple[int, l
     return scale, sorted(r[rank:] for r in rows)
 
 
-def _orbit_elements(weight: Vec, simple: tuple[Vec, ...]) -> list[Vec]:
-    """The Weyl orbit of a weight as exact ambient vectors, sorted."""
-    scale, rows = _orbit_walk(weight, simple)
-    return [tuple(Fraction(c, scale) for c in v) for v in rows]
-
-
 @lru_cache(maxsize=None)
 def _orbit_cached(kind: str, weight_index: int) -> WeylOrbit:
     sys = build_system(kind)
     w = sys.fundamental_weights[weight_index - 1]
     scale, rows = _orbit_walk(w, sys.simple_roots, sys.y_rep)
-    return WeylOrbit(w, sys.simple_roots, scale, np.array(rows, dtype=np.int64))
+    return WeylOrbit(w, scale, np.array(rows, dtype=np.int64))
 
 
 def weyl_orbit(sys: RootSystem, weight_index: int) -> WeylOrbit:
@@ -382,20 +369,6 @@ def integer_weight_coords(sys: RootSystem) -> tuple[tuple[int, ...], ...]:
             raise ValueError(f"fundamental weight {w} is not in the root span")
     scale = math.lcm(*(x.denominator for c in coords for x in c))
     return tuple(tuple(int(x * scale) for x in c) for c in coords)
-
-
-def weight_exponents(sys: RootSystem, lam: Vec) -> tuple[int, ...]:
-    """Exponents p with lam = sum p_a w_a.
-
-    Raises if p is not in Z>=0^rank, or if lam has a component off the span
-    of the fundamental weights (the coroot pairings cannot see it).
-    """
-    p = _labels(lam, sys.simple_roots)
-    if any(c.denominator != 1 or c < 0 for c in p):
-        raise ValueError(f"{lam} is not in the non-negative weight cone")
-    if vcombo(p, sys.fundamental_weights) != tuple(lam):
-        raise ValueError(f"{lam} is not in the span of the fundamental weights")
-    return tuple(int(c) for c in p)
 
 
 def highest_root(sys: RootSystem) -> Vec:

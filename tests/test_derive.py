@@ -2,106 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from tauforge.derive import (
-    ExpSum,
-    derive_operator,
-    exp_product,
-    orbit_sum_to_tau,
-    reduce_exp_sum,
-)
-from tauforge.exactpoly import MultiPoly, NuLinear
+from tauforge import derive
+from tauforge.derive import derive_operator
+from tauforge.exactpoly import MultiPoly, NuLinear, weighted_monomials
+from tauforge.operator import build_operator, operator_to_json
 from tauforge.oracle import verify_tables
-from tauforge.rootsys import _orbit_elements, build_system, weyl_orbit
+from tauforge.rootsys import build_system
 
 A1 = build_system("A1")
 A2 = build_system("A2")
 G2 = build_system("G2")
-
-
-def tau_exp(sysr, a):
-    return ExpSum.orbit(weyl_orbit(sysr, a).elements)
-
-
-def expand(sysr, poly):
-    """Evaluate a tau polynomial back into an exponential sum (nu-free)."""
-    taus = [tau_exp(sysr, a) for a in range(1, sysr.rank + 1)]
-    total = ExpSum()
-    for exp, coef in poly.terms.items():
-        assert coef.c1 == 0
-        term = ExpSum({(Fraction(0),) * sysr.ambient_dim: coef.c0})
-        for t, p in zip(taus, exp):
-            for _ in range(p):
-                term = exp_product(term, t)
-        total = total - term.scaled(-1)
-    return total
-
-
-def test_exp_product_squares_the_a1_generator():
-    t = tau_exp(A1, 1)
-    sq = exp_product(t, t)
-    w = A1.fundamental_weights[0]
-    two_w = tuple(2 * c for c in w)
-    # m_w^2 = m_2w + 2
-    assert sq.terms[two_w] == 1
-    assert sq.terms[(Fraction(0), Fraction(0))] == 2
-
-
-def test_exp_product_commutes():
-    s = tau_exp(G2, 1)
-    t = tau_exp(G2, 2)
-    assert exp_product(s, t) == exp_product(t, s)
-
-
-def test_fundamental_orbit_sums_are_the_variables():
-    for sysr in (A1, A2, G2):
-        for a in range(1, sysr.rank + 1):
-            got = orbit_sum_to_tau(sysr, sysr.fundamental_weights[a - 1])
-            assert got.poly == MultiPoly.variable(sysr.rank, a)
-    zero = (Fraction(0),) * A2.ambient_dim
-    assert orbit_sum_to_tau(A2, zero).poly == MultiPoly.constant(2, 1)
-
-
-def test_a1_double_weight_reduction():
-    w = A1.fundamental_weights[0]
-    got = orbit_sum_to_tau(A1, tuple(2 * c for c in w)).poly
-    t = MultiPoly.variable(1, 1)
-    assert got == t * t - MultiPoly.constant(1, 2)
-
-
-@pytest.mark.parametrize("sysr,coords", [(A2, (2, 1)), (G2, (1, 1)), (G2, (0, 2))])
-def test_reduction_round_trips_through_expansion(sysr, coords):
-    lam = tuple(
-        sum(p * w[k] for p, w in zip(coords, sysr.fundamental_weights))
-        for k in range(sysr.ambient_dim)
-    )
-    reduced = orbit_sum_to_tau(sysr, lam)
-    back = expand(sysr, reduced.poly)
-    assert back == ExpSum.orbit(_orbit_elements(lam, sysr.simple_roots))
-
-
-def test_reduce_exp_sum_inverts_expand():
-    t1, t2 = tau_exp(G2, 1), tau_exp(G2, 2)
-    s = exp_product(t1, t2)
-    poly = reduce_exp_sum(G2, s)
-    assert poly == MultiPoly.variable(2, 1) * MultiPoly.variable(2, 2)
-
-
-def test_non_invariant_input_is_rejected():
-    # e^{w_1} alone is not Weyl invariant; after removing the peak orbit a
-    # non-dominant residue remains
-    s = ExpSum({tuple(A2.fundamental_weights[0]): Fraction(1, 2)})
-    bad = s - ExpSum.orbit(_orbit_elements(
-        tuple(A2.fundamental_weights[0]), A2.simple_roots
-    )).scaled(Fraction(1, 2))
-    assert not bad.is_zero()
-    with pytest.raises(ValueError):
-        reduce_exp_sum(A2, ExpSum({next(iter(bad.terms)): Fraction(1)}))
-
-
-def test_weights_outside_the_cone_are_rejected():
-    half = tuple(Fraction(c, 2) for c in A2.fundamental_weights[0])
-    with pytest.raises(ValueError):
-        orbit_sum_to_tau(A2, half)
 
 
 def test_rank_limit():
@@ -147,3 +57,85 @@ def test_derived_a_entries_are_symmetric_and_nu_free():
         for j in range(1, 3):
             assert op.a_entry(i, j) == op.a_entry(j, i)
             assert op.a_entry(i, j).is_nu_free()
+
+
+# operator_to_json checksums of the tables the Fraction exponential-sum
+# reducer derived; they do not depend on the order of the terms
+DERIVED_CHECKSUMS = {
+    "A1": "b1f63d238176159f4bd73e3ba4505166bcf0e1a25aadf904f4f9ca8c120ac4ea",
+    "A2": "e1965a11edbb118e94faa32497acfafc457acf07763bdfd4177e9e9ce6abc61a",
+    "G2": "c2c5138220d733c00b6244a11500be722290aec1970f3fe4bcd0c12e929b719d",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DERIVED_CHECKSUMS))
+def test_derived_tables_keep_their_checksums(kind):
+    op = derive_operator(build_system(kind))
+    assert operator_to_json(op)["checksum"] == DERIVED_CHECKSUMS[kind]
+
+
+def _reloaded(op):
+    """op written out by operator_to_json and read back by MultiPoly.from_terms."""
+    body = operator_to_json(op)
+    entries = {
+        f"A{i + 1}{i + j + 1}": MultiPoly.from_terms(op.rank, rows)
+        for i, row in enumerate(body["A"])
+        for j, rows in enumerate(row)
+    } | {f"B{i + 1}": MultiPoly.from_terms(op.rank, rows) for i, rows in enumerate(body["B"])}
+    return build_operator(op.system, entries, op.variant)
+
+
+@pytest.mark.parametrize("precision", ["double", "hp"])
+@pytest.mark.parametrize("kind", ["A1", "A2", "G2"])
+def test_reloaded_tables_give_the_same_report_bits(kind, precision):
+    # the report must not depend on how the operator was built: its terms
+    # are stored in the order in which the table files list them
+    op = derive_operator(build_system(kind))
+    again = _reloaded(op)
+    assert again == op
+    assert [list(p.terms) for row in again.A for p in row] + [
+        list(p.terms) for p in again.B
+    ] == [list(p.terms) for row in op.A for p in row] + [list(p.terms) for p in op.B]
+    assert verify_tables(op, samples=20, seed=77, precision=precision) == verify_tables(
+        again, samples=20, seed=77, precision=precision
+    )
+
+
+def test_a_residue_corrupted_at_the_check_prime_is_refused(monkeypatch):
+    # rank-2 coefficients reconstruct from the first prime, so the second
+    # is the check prime; a wrong residue there is never confirmed
+    solve = derive._solve_prime
+
+    def corrupted(sysr, p, *args):
+        solved = solve(sysr, p, *args)
+        if p == derive.PRIMES[1]:
+            solved["A12"][0] = (solved["A12"][0] + 1) % p
+        return solved
+
+    monkeypatch.setattr(derive, "_solve_prime", corrupted)
+    with pytest.raises(ValueError, match="^A12: no rational reconstruction is confirmed"):
+        derive_operator(G2)
+
+
+@pytest.mark.parametrize("kind", ["A1", "G2"])
+def test_a_basis_one_grade_too_small_is_refused(kind, monkeypatch):
+    monkeypatch.setattr(
+        derive, "weighted_monomials", lambda cv, bound: weighted_monomials(cv, bound - 1)
+    )
+    with pytest.raises(ValueError, match="no polynomial of weighted degree"):
+        derive_operator(build_system(kind))
+
+
+def test_a_rank_deficient_system_draws_more_points(monkeypatch):
+    solve = derive._gauss_jordan
+    rows = []
+
+    def deficient_once(values, rhs, p):
+        rows.append(len(values))
+        return (None, None) if len(rows) == 1 else solve(values, rhs, p)
+
+    monkeypatch.setattr(derive, "_gauss_jordan", deficient_once)
+    op = derive_operator(A1)
+    assert operator_to_json(op)["checksum"] == DERIVED_CHECKSUMS["A1"]
+    # A1's largest basis is 1, tau, tau^2
+    assert rows[:2] == [3 + derive.EXTRA_POINTS, 6 + derive.EXTRA_POINTS]

