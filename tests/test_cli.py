@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tauforge
@@ -535,6 +535,15 @@ GOLDEN_REPORTS = [
      "47048ecbaf38d2db50ea737d40e12938c26772d89c0607708ca68ee0a277d0fe"),
     (["invariance", "--n", "4"],
      "ff57204844ca604477657238347dccf1f2fe490cb52e4d8fb513132b7ecab651"),
+    # hp curvature, recorded before its assembly moved from numpy object
+    # arrays to libmp values; these points pass through chart_center's
+    # np.linalg.lstsq, so the digests also pin that solve on this host
+    (["flatness", "--precision", "hp", "--points", "3"],
+     "6594114eddda37bc48465a12b4dc77e9e9fc8ead1a1ea73fb19063e675936da0"),
+    (["flatness", "--system", "A2", "--precision", "hp", "--points", "2"],
+     "ce97e33b392fa6f6bff71c05fe3acfec2ef4c32272f686d5617fe509955ad961"),
+    (["flatness", "--system", "G2", "--precision", "hp", "--points", "3"],
+     "af296b6350ad1e2f7b1b9ed4ff822a33cc2136453ad5ac64bae0e457e0f91c19"),
 ]
 
 
@@ -691,6 +700,8 @@ def fuzz_argv(draw):
 
 
 @given(argv=fuzz_argv())
+# the derandomized draws never reach this usage error, so it is pinned here
+@example(argv=["derive", "--system", "E7"])
 @settings(
     max_examples=40,
     derandomize=True,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from tauforge.derive import derive_operator
 from tauforge.geometry import (
@@ -155,7 +155,7 @@ def _ref_d2A_polys(op, dA):
 class _RefPointEvaluator:
     def __init__(self, tau):
         self.tau = tau
-        self.hp = isinstance(tau[0], mpf)
+        self.hp = isinstance(tau[0], (mpf, mpc))
         self.powers = [[mpf(1) if self.hp else 1.0, t] for t in tau]
         self._coef_cache = {}
 
@@ -304,10 +304,14 @@ def test_curvature_matches_the_two_pass_reference_bit_for_bit(variant):
     for pt in flatness_sample_points(E7, 2, seed=11):
         tau = tau_numeric(E7, pt)
         assert _frame_fields(_curvature(op, tau)) == _ref_curvature(op, tau)
-    with mp.workdps(50):
-        pt = flatness_sample_points(E7, 1, seed=11, precision="hp")[0]
-        tau = tau_numeric(E7, pt)
-        assert _frame_fields(_curvature(op, tau)) == _ref_curvature(op, tau)
+    # the hp kernel reads its precision from the context, so check more than one
+    for digits in (15, 50, 60):
+        with mp.workdps(digits):
+            pt = flatness_sample_points(
+                E7, 1, seed=11, precision="hp", digits=digits
+            )[0]
+            tau = tau_numeric(E7, pt)
+            assert _frame_fields(_curvature(op, tau)) == _ref_curvature(op, tau)
 
 
 @pytest.mark.parametrize("kind", ["A2", "G2"])
@@ -315,6 +319,13 @@ def test_derived_curvature_matches_the_reference_bit_for_bit(kind):
     op = derive_operator(build_system(kind))
     sysr = op.system
     points = [tau_numeric(sysr, pt) for pt in flatness_sample_points(sysr, 2, seed=11)]
+    # the hp flatness samples: mpf taus for G2, mpc taus for A2
+    with mp.workdps(50):
+        points += [
+            tau_numeric(sysr, pt)
+            for pt in flatness_sample_points(sysr, 2, seed=11, precision="hp", digits=50)
+        ]
+    assert isinstance(points[-1][0], mpc if kind == "A2" else mpf)
     # real tau points as well: the A2 invariants are complex at real y
     for point in (("0.3", "1.7"), ("-2.25", "0.125")):
         points += [tuple(float(v) for v in point), tuple(mpf(v) for v in point)]
