@@ -9,12 +9,13 @@ formula error.  Points are always tau(y) images of clearance samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 
 import numpy as np
 from mpmath import mp, mpc, mpf
+from mpmath import libmp
 
 from .exactpoly import MultiPoly
 from .operator import AlgebraicOperator, build_operator
@@ -120,9 +121,7 @@ class MetricFrame:
     A: tuple
     A_inv: tuple
     cond: float
-    dA: tuple | None = None
     christoffel: tuple | None = None
-    riemann_max: float | None = None
 
 
 class _MetricPolys:
@@ -253,13 +252,10 @@ def _mm(X, Y):
     """Matrix products over the last two axes, with numpy broadcasting.
 
     Each entry is 0 + X[i,0] Y[0,j] + X[i,1] Y[1,j] + ... in that order,
-    the order of sum() over m, so float64 and object (mpf) arrays give the
-    bits of the scalar loop.
+    the order of sum() over m, so float64 and complex arrays give the bits
+    of the scalar loop.
     """
-    acc = 0
-    for m in range(X.shape[-1]):
-        acc = acc + X[..., :, m, None] * Y[..., None, m, :]
-    return acc
+    return sum(X[..., :, m, None] * Y[..., None, m, :] for m in range(X.shape[-1]))
 
 
 def _bracket(T):
@@ -267,16 +263,96 @@ def _bracket(T):
     return (T.transpose(0, 2, 1) + T.transpose(2, 0, 1)) - T.transpose(1, 2, 0)
 
 
+def _curvature_mp(metric: _MetricPolys, vals: list, frame: MetricFrame) -> tuple:
+    """_curvature on nested lists of _mpf_ tuples, or of _mpc_ pairs for A2.
+
+    They are combined by the functions the mpf and mpc operators call, at
+    the context's precision and rounding, each sum over m from zero as in
+    _curvature, so every value keeps its bits.  Products with an exact-zero
+    factor are skipped, and so is the first addition to zero: adding an
+    exact zero returns a value rounded at prec unchanged.
+    """
+    cplx = any(isinstance(v, mpc) for v in chain(vals, *frame.A_inv))
+    ops = ("mul", "add", "sub", "neg", "shift")  # libmp.mpf_mul or libmp.mpc_mul, ...
+    mul, add, sub, neg, shift = (getattr(libmp, ("mpc_" if cplx else "mpf_") + f) for f in ops)
+    prec, rnd = mp._prec_rounding  # what the mpf and mpc operators read
+    zero, wrap = ((libmp.fzero,) * 2, mp.make_mpc) if cplx else (libmp.fzero, mp.make_mpf)
+    R = range(len(frame.A_inv))
+
+    def raw(v):
+        return v._mpc_ if isinstance(v, mpc) else (v._mpf_, libmp.fzero) if cplx else v._mpf_
+
+    def total(terms):
+        acc = zero
+        for t in terms:
+            acc = t if acc == zero else add(acc, t, prec, rnd)
+        return acc
+
+    def dot(xs, ys):
+        return total(mul(x, y, prec, rnd) for x, y in zip(xs, ys) if x != zero != y)
+
+    def mm(X, Y):
+        cols = list(zip(*Y))
+        return [[dot(row, col) for col in cols] for row in X]
+
+    def bracket(T):  # out[j][k][m] = T[j][m][k] + T[k][m][j] - T[m][j][k]
+        return [[[sub(add(T[j][m][k], T[k][m][j], prec, rnd), T[m][j][k], prec, rnd)
+                  for m in R] for k in R] for j in R]
+
+    def largest(values):
+        return max(chain((mpf(0),), map(abs, map(wrap, values))))
+
+    vals = [raw(v) for v in vals]
+    A = [[vals[x] for x in row] for row in metric.A.tolist()]
+    dA, d2A = ([[[vals[x] for x in row] for row in m] for m in index.tolist()]
+               for index in (metric.dA, metric.d2A_distinct))
+    g = [[raw(v) for v in row] for row in frame.A_inv]
+    gdA = [mm(g, m) for m in dA]
+    dg = [[[neg(v) for v in row] for row in mm(m, g)] for m in gdA]
+    br = bracket(dg)
+    gamma = [[[shift(dot(Ai, b), -1) for b in brj] for brj in br] for Ai in A]
+    norm = 1 + largest(chain.from_iterable(chain.from_iterable(gamma))) ** 2
+    gd2Ag = [mm(mm(g, m), g) for m in d2A]
+    dgamma = []
+    for l, slots in enumerate(metric.d2A_slot.tolist()):
+        dbr = bracket([
+            [[neg(add(add(a, b, prec, rnd), c, prec, rnd)) for a, b, c in zip(*rows)]
+             for rows in zip(mm(mm(dg[k], dA[l]), g), gd2Ag[slot], mm(gdA[l], dg[k]))]
+            for k, slot in enumerate(slots)
+        ])
+        # each m term dA[l, i, m] br[j, k, m] + A[i, m] dbr[j, k, m] is summed first
+        dgamma.append([[[shift(total(
+            add(mul(x, y, prec, rnd), mul(u, v, prec, rnd), prec, rnd) if x != zero != y
+            else mul(u, v, prec, rnd) for x, y, u, v in zip(dAli, brj[k], Ai, dbrj[k])
+        ), -1) for k in R] for brj, dbrj in zip(br, dbr)] for dAli, Ai in zip(dA[l], A)])
+
+    riemann, bianchi = [], []
+    for i, Gi in enumerate(gamma):
+        Ri = []
+        for j in R:
+            # P[k][l][m] = Gamma^i_{km} Gamma^m_{lj}; the second product of
+            # the quadratic term, Gamma^i_{lm} Gamma^m_{kj}, is P[l][k][m]
+            P = [[[mul(x, gamma[m][l][j], prec, rnd) for m, x in enumerate(Gik)] for l in R]
+                 for Gik in Gi]
+            Ri.append([[add(sub(dgamma[k][i][l][j], dgamma[l][i][k][j], prec, rnd),
+                            total(map(sub, P[k][l], P[l][k], repeat(prec), repeat(rnd))), prec, rnd)
+                        for l in R] for k in R])
+        riemann.extend(chain.from_iterable(Ri))
+        bianchi.extend(add(add(Ri[j][k][l], Ri[k][l][j], prec, rnd), Ri[l][j][k], prec, rnd)
+                       for j, k, l in combinations(R, 3))
+    riemann_max, bianchi_max = largest(chain.from_iterable(riemann)), largest(bianchi)
+    frame = replace(frame, christoffel=tuple(tuple(tuple(map(wrap, r)) for r in p) for p in gamma))
+    return float(riemann_max / norm), float(bianchi_max / norm), frame
+
+
 def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = None):
     """(riemann_max_normalized, bianchi_max_normalized, frame).
 
     `metric` is op compiled in the arithmetic of tau_point; pass it to
-    reuse one compilation across points.  Tensors are numpy arrays: float64
-    for real doubles, and objects for mpf (or complex) values, so numpy
-    applies the scalar operators element by element.  Every sum runs over
-    m in order from zero, which keeps the bits of the scalar formulas in
-    the comments.  Rank-4 tensors other than dGamma are built one leading
-    index at a time, which bounds the memory of the mpf objects.
+    reuse one compilation across points.  mpf and mpc points go to
+    _curvature_mp; doubles run on numpy arrays, float64 or (A2) complex
+    objects.  Every sum runs over m in order from zero, which keeps the
+    bits of the scalar formulas in the comments.
     """
     r = op.rank
     tau = tuple(tau_point)
@@ -285,13 +361,12 @@ def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = N
         metric = _MetricPolys(op, hp)
     vals = metric.values(tau)
     frame = _metric_frame(tau, [[vals[x] for x in row] for row in metric.A], hp)
+    if hp:
+        return _curvature_mp(metric, vals, frame)
     dtype = float if all(isinstance(v, float) for v in vals) else object
     vals = np.array(vals, dtype=dtype)
-    A = vals[metric.A]
-    dA = vals[metric.dA]
+    A, dA = vals[metric.A], vals[metric.dA]
     g = np.array(frame.A_inv, dtype=dtype)
-    half = mpf("0.5") if hp else 0.5
-    zero = mpf(0) if hp else 0.0
 
     # dg[k] = -g dA[k] g
     gdA = _mm(g, dA)
@@ -299,12 +374,8 @@ def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = N
     # Gamma^i_{jk} = 1/2 sum_m A^{im} bracket[j, k, m] with
     # bracket[j, k, m] = d_j g_{mk} + d_k g_{mj} - d_m g_{jk}
     bracket = _bracket(dg)
-    acc = 0
-    for m in range(r):
-        acc = acc + A[:, None, None, m] * bracket[None, :, :, m]
-    gamma = np.multiply(half, acc)
-    gamma_max = max(abs(v) for v in gamma.flat)
-    norm = 1 + gamma_max**2
+    gamma = 0.5 * sum(A[:, None, None, m] * bracket[None, :, :, m] for m in range(r))
+    norm = 1 + max(abs(v) for v in gamma.flat) ** 2
 
     # g d2A g, once per distinct second-derivative matrix
     gd2Ag = _mm(_mm(g, vals[metric.d2A_distinct]), g)
@@ -317,13 +388,11 @@ def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = N
         # dGamma[l, i, j, k] = d_l Gamma^i_{jk}
         #   = 1/2 sum_m (dA[l, i, m] bracket[j, k, m] + A[i, m] d_l bracket[j, k, m])
         dbracket = _bracket(d2g)
-        acc = 0
-        for m in range(r):
-            acc = acc + (
-                dA[l, :, None, None, m] * bracket[None, :, :, m]
-                + A[:, None, None, m] * dbracket[None, :, :, m]
-            )
-        dgamma.append(np.multiply(half, acc))
+        dgamma.append(0.5 * sum(
+            dA[l, :, None, None, m] * bracket[None, :, :, m]
+            + A[:, None, None, m] * dbracket[None, :, :, m]
+            for m in range(r)
+        ))
     dgamma = np.array(dgamma, dtype=dtype)
 
     # R^i_{jkl} = dGamma[k, i, l, j] - dGamma[l, i, k, j]
@@ -331,14 +400,13 @@ def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = N
     # one i at a time; the first Bianchi identity R^i_{jkl} + R^i_{klj}
     # + R^i_{ljk} = 0 is checked for j < k < l
     j, k, l = np.array(list(combinations(range(r), 3)), dtype=int).reshape(-1, 3).T
-    riemann_max = bianchi_max = zero
+    riemann_max = bianchi_max = 0.0
     for i in range(r):
-        acc = 0
-        for m in range(r):
-            acc = acc + (
-                gamma[i, None, :, None, m] * gamma[m].T[:, None, :]
-                - gamma[i, None, None, :, m] * gamma[m].T[:, :, None]
-            )
+        acc = sum(
+            gamma[i, None, :, None, m] * gamma[m].T[:, None, :]
+            - gamma[i, None, None, :, m] * gamma[m].T[:, :, None]
+            for m in range(r)
+        )
         d = dgamma[:, i]
         R = (d.transpose(2, 0, 1) - d.transpose(2, 1, 0)) + acc
         riemann_max = max(chain((riemann_max,), np.abs(R).flat))
@@ -347,16 +415,7 @@ def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = N
     return (
         float(riemann_max / norm),
         float(bianchi_max / norm),
-        MetricFrame(
-            tau=frame.tau,
-            A=frame.A,
-            A_inv=frame.A_inv,
-            cond=frame.cond,
-            christoffel=tuple(
-                tuple(tuple(row) for row in plane) for plane in gamma.tolist()
-            ),
-            riemann_max=float(riemann_max / norm),
-        ),
+        replace(frame, christoffel=tuple(tuple(map(tuple, plane)) for plane in gamma.tolist())),
     )
 
 
