@@ -537,7 +537,8 @@ GOLDEN_REPORTS = [
      "ff57204844ca604477657238347dccf1f2fe490cb52e4d8fb513132b7ecab651"),
     # hp curvature, recorded before its assembly moved from numpy object
     # arrays to libmp values; these points pass through chart_center's
-    # np.linalg.lstsq, so the digests also pin that solve on this host
+    # np.linalg.lstsq, so a LAPACK that rounds that solve differently
+    # moves these digests too
     (["flatness", "--precision", "hp", "--points", "3"],
      "6594114eddda37bc48465a12b4dc77e9e9fc8ead1a1ea73fb19063e675936da0"),
     (["flatness", "--system", "A2", "--precision", "hp", "--points", "2"],
