@@ -12,7 +12,7 @@ from mpmath import qr_solve as mp_qr_solve
 from tauforge.derive import derive_operator
 from tauforge.exactpoly import MultiPoly
 from tauforge.geometry import sabotaged
-from tauforge.fixedpoint import complex_qr_solve, qr_solve
+from tauforge.fixedpoint import complex_qr_solve, qr_solve, to_fixed
 from tauforge.operator import e7_operator
 from tauforge.oracle import (
     CancellationError,
@@ -157,6 +157,116 @@ def test_hp_fast_path_agrees_with_direct_summation():
                     for a, b in zip(fa, da):
                         worst = max(worst, abs(a - b) / (1 + abs(a)))
                 assert worst < mp.mpf(10) ** (5 - dps), (kind, dps, worst)
+
+
+def _geom_hp_stack(sysr, y, beta):
+    """Reference for _geom_hp: the walk over orbit elements sorted by their
+    nonzero (k, u_k) lists, sharing prefix products through a stack.
+
+    Each row's factors are multiplied in k order with the same rounding as
+    the kernel, and tau, J and the Laplacian are summed row by row, so every
+    output must match the kernel's bit for bit.
+    """
+    dim = sysr.y_dim
+    gws = [int(g) for g in sysr.metric_weights[:dim]]
+    scale, ints = _orbit_ints(sysr.kind)
+    paired = sysr.has_minus_one
+    max_u = [0] * dim
+    orbits = []
+    for m in ints:
+        us = set(map(tuple, m.tolist()))
+        if paired and any(tuple(-uk for uk in u) not in us for u in us):
+            raise CancellationError("orbit is not closed under negation")
+        rows, prev = [], ()
+        for nz in sorted(tuple((k, uk) for k, uk in enumerate(u) if uk) for u in us):
+            for k, uk in nz:
+                max_u[k] = max(max_u[k], abs(uk))
+            if paired and nz[0][1] < 0:
+                continue
+            share = 0
+            while share < min(len(nz), len(prev)) and nz[share] == prev[share]:
+                share += 1
+            w2num = sum(gws[k] * uk * uk for k, uk in nz)
+            rows.append((share, nz[share:], nz, w2num))
+            prev = nz
+        orbits.append(rows)
+
+    shift = mp.prec + 64
+    half = 1 << (shift - 1)
+    with mp.workprec(shift + 16):
+        theta = [beta * yk / scale for yk in y]
+        table = []
+        for k in range(dim):
+            row = {}
+            for u in range(-max_u[k], max_u[k] + 1):
+                c, s = mp.cos_sin(u * theta[k])
+                row[u] = (to_fixed(c, shift), to_fixed(s, shift))
+            table.append(row)
+
+    stack = [(1 << shift, 0)] * (dim + 1)
+    to_mpf = lambda acc, down: mp.ldexp(mpf(int(acc)), -shift) / down
+    taus, jacs, laps = [], [], []
+    for rows in orbits:
+        tau_c = tau_s = lap_c = lap_s = 0
+        jac_c = [0] * dim
+        jac_s = [0] * dim
+        for depth, tail, nz, w2num in rows:
+            fc, fs = stack[depth]
+            for k, uk in tail:
+                c, s = table[k][uk]
+                fc, fs = (
+                    (fc * c - fs * s + half) >> shift,
+                    (fc * s + fs * c + half) >> shift,
+                )
+                depth += 1
+                stack[depth] = (fc, fs)
+            tau_c += fc
+            lap_c += w2num * fc
+            for k, uk in nz:
+                jac_s[k] += uk * fs
+            if not paired:
+                tau_s += fs
+                lap_s += w2num * fs
+                for k, uk in nz:
+                    jac_c[k] += uk * fc
+        if paired:
+            taus.append(to_mpf(2 * tau_c, 1))
+            jacs.append([-beta * to_mpf(2 * jac_s[k], scale) for k in range(dim)])
+            laps.append(-(beta**2) * to_mpf(2 * lap_c, scale**2))
+        else:
+            taus.append(to_mpf(tau_c, 1) + 1j * to_mpf(tau_s, 1))
+            jacs.append(
+                [
+                    -beta * to_mpf(jac_s[k], scale)
+                    + 1j * beta * to_mpf(jac_c[k], scale)
+                    for k in range(dim)
+                ]
+            )
+            laps.append(
+                -(beta**2)
+                * (to_mpf(lap_c, scale**2) + 1j * to_mpf(lap_s, scale**2))
+            )
+    cotg = [mpf(0)] * dim
+    for r in _root_mp(sysr.kind, mp.dps):
+        c, s = mp.cos_sin(beta * sum(r[k] * y[k] for k in range(dim)) / 2)
+        ct = (beta / 2) * c / s
+        for k in range(dim):
+            cotg[k] += ct * r[k]
+    return taus, jacs, laps, cotg
+
+
+@pytest.mark.parametrize("dps", [15, 50, 70, 90])
+@pytest.mark.parametrize("kind", ["E7", "A1", "A2", "G2"])
+def test_hp_kernel_matches_the_stack_walk_bit_for_bit(kind, dps):
+    # E7, A1 and G2 take the paired path, A2 the complex one
+    sysr = build_system(kind)
+    with mp.workdps(dps):
+        points = sample_points(sysr, 3, seed=41, precision="hp", digits=dps)
+        for point, beta in zip(points, ("1", "1", "1.3")):
+            beta = mpf(beta)
+            got = _geom_hp(sysr, point.y, beta)
+            want = _geom_hp_stack(sysr, point.y, beta)
+            assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
 # sha256 of repr(_geom_hp(E7, y, 1)) at the first seed-23 hp sample point,
