@@ -600,7 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=11, precision=True, variant="canonical")
     p.add_argument("--points", type=_count(1), default=10)
     p.add_argument("--tol", type=_parse_tol, default=None,
-                   help="default 1e-6 double, 1e-30 hp")
+                   help="default 1e-6 double; hp 10^(20-digits), "
+                   "between 1e-30 and 1e-6")
     p.add_argument("--fault", action="store_true",
                    help="inject the A11 fault and require detection")
     p.set_defaults(handler=_cmd_flatness)

@@ -428,6 +428,17 @@ def bianchi_at(op: AlgebraicOperator, tau_point) -> float:
     return _curvature(op, tau_point)[1]
 
 
+def hp_tol(digits: int) -> float:
+    """The default hp flatness tolerance at `digits` working digits.
+
+    A flat E7 metric's hp residual is about 10^(8 - digits) at the worst
+    default sample (cond(A) ~ 2e11), so the tolerance is 10^(20 - digits),
+    twelve orders above it, held between 1e-30 (50 digits and above) and
+    double's 1e-6 (26 digits and below).
+    """
+    return float(f"1e-{min(30, max(6, digits - 20))}")
+
+
 def flatness_report(
     op: AlgebraicOperator,
     points: int = 10,
@@ -441,10 +452,11 @@ def flatness_report(
     """Riemann residuals at tau(y) images of chart-centered samples.
 
     hp points are rounded at `digits`, run at `digits` and run on every
-    CPU (see oracle._map_points).
+    CPU (see oracle._map_points).  The default tol is 1e-6 in double and
+    hp_tol(digits) at hp.
     """
     if tol is None:
-        tol = 1e-6 if precision == "double" else 1e-30
+        tol = 1e-6 if precision == "double" else hp_tol(digits)
     sysr = op.system
     pts = flatness_sample_points(
         sysr, points, seed=seed, beta=beta, spread=spread, precision=precision,

@@ -76,9 +76,11 @@ def hp_digits() -> int:
 # _map_points forks only when its first item took at least this long.  On
 # a 2-CPU x86-64 host a fork of a warm E7 process costs about 20-30 ms:
 # about 5 ms for the fork, the pipe and the reaping, and 10-20 ms of
-# copy-on-write faults in the child's first item.  An item of 50 ms or
-# more (a warm E7 frame at 70 digits takes 55-75 ms) repays that, while
-# the 1-2 ms hp points of the rank-2 systems stay in-process.
+# copy-on-write faults in the child's first item.  The first item is the
+# cold one: a refit's first E7 frame at 70 digits takes 55-80 ms (a warm
+# one 40-55 ms) and the first E7 point of hp verify-tables or flatness
+# 0.2-0.8 s, so these fork, while the first hp point of a rank-2 system
+# takes 15-30 ms (the later ones 1-2 ms) and stays in-process.
 FORK_MIN_ITEM_S = 0.05
 
 
@@ -415,48 +417,73 @@ except ImportError:
 
 @dataclass(frozen=True)
 class _HpPlan:
-    """The hp kernel's walk over the orbits, built once per system.
+    """The hp kernel's trie over the orbit rows, built once per system.
 
-    Vectors are scaled by `scale` to integers u.  Each orbit's rows
-    (share, tail, nz, w2num) are sorted by their nonzero (k, u_k) list nz;
-    the first `share` factors of a row are those of the row before it, so
-    only `tail` is multiplied in.  w2num = sum_k g_k u_k^2.  When `paired`,
-    only rows whose first nonzero u_k is positive are kept: each stands
-    for itself and its negative.
+    Rows u are the orbit vectors times `scale`; a row's path is its nonzero
+    (k, u_k) list.  Node 0 is the root, 1; node i > 0 is node parent[i] times
+    the factor keys[key[i]] = (k, u); `levels` holds each depth's (lo, hi).
+    `orbits` holds per orbit (ends, U, w2): each row's last node, the rows
+    as an object matrix, and the orbit's one sum_k g_k u_k^2.  When `paired`,
+    only rows whose first nonzero u_k is positive are kept: each stands for
+    itself and its negative.
     """
 
     scale: int
-    max_u: tuple
     paired: bool
+    keys: tuple
+    parent: np.ndarray
+    key: np.ndarray
+    levels: tuple
     orbits: tuple
 
 
 def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
     """Plan for integer orbit rows u (the vectors u / scale) and weights `gws`.
 
-    With `paired`, raises CancellationError unless every orbit is closed
-    under negation.
+    A depth-d node is an exact mixed-radix code of its orbit and d-prefix,
+    the row with every entry after its d-th nonzero set to zero.  Raises
+    ValueError if sum_k g_k u_k^2 varies on an orbit and, with `paired`,
+    CancellationError unless every orbit is closed under negation.
     """
-    max_u = [0] * len(gws)
-    plans = []
+    bound = max(int(np.abs(m).max()) for m in orbits)
+    radix, dim = 2 * bound + 1, len(gws)
+    if len(orbits) * radix**dim >= 2**63:
+        raise ValueError("orbit rows too large for int64 prefix codes")
+    place = radix ** np.arange(dim - 1, -1, -1)
+    kept = []
     for m in orbits:
-        us = set(map(tuple, m.tolist()))
-        if paired and any(tuple(-uk for uk in u) not in us for u in us):
-            raise CancellationError("orbit is not closed under negation")
-        rows, prev = [], ()
-        for nz in sorted(tuple((k, uk) for k, uk in enumerate(u) if uk) for u in us):
-            for k, uk in nz:
-                max_u[k] = max(max_u[k], abs(uk))
-            if paired and nz[0][1] < 0:
-                continue
-            share = 0
-            while share < min(len(nz), len(prev)) and nz[share] == prev[share]:
-                share += 1
-            w2num = sum(gws[k] * uk * uk for k, uk in nz)
-            rows.append((share, nz[share:], nz, w2num))
-            prev = nz
-        plans.append(tuple(rows))
-    return _HpPlan(scale, tuple(max_u), paired, tuple(plans))
+        w2 = np.unique((m * m) @ np.asarray(gws))
+        if len(w2) != 1:
+            raise ValueError("sum_k g_k u_k^2 is not constant on an orbit")
+        if paired:
+            if (np.sort((bound + m) @ place) != np.sort((bound - m) @ place)).any():
+                raise CancellationError("orbit is not closed under negation")
+            m = m[m[np.arange(len(m)), (m != 0).argmax(axis=1)] > 0]
+        kept.append((m, int(w2[0])))
+    sizes = [len(m) for m, _ in kept]
+    rows = np.concatenate([m for m, _ in kept])
+    orbit = np.repeat(np.arange(len(kept)), sizes) * radix**dim
+    count = np.cumsum(rows != 0, axis=1)  # nonzeros up to and including k
+    node = np.zeros(len(rows), dtype=np.int64)
+    parent, key, levels = [[0]], [], []
+    for d in range(1, count[:, -1].max() + 1):
+        live = np.flatnonzero(count[:, -1] >= d)
+        prefix = np.where(count[live] <= d, rows[live], 0)
+        code = orbit[live] + (bound + prefix) @ place
+        _, first, inv = np.unique(code, return_index=True, return_inverse=True)
+        at = live[first]
+        k = (count[at] == d).argmax(axis=1)  # where the d-th nonzero sits
+        lo = levels[-1][1] if levels else 1
+        levels.append((lo, lo + len(at)))
+        parent.append(node[at])
+        key.append(k * radix + bound + rows[at, k])
+        node[live] = lo + inv
+    codes, key = np.unique(np.concatenate(key), return_inverse=True)
+    keys = tuple((int(c) // radix, int(c) % radix - bound) for c in codes)
+    ends = np.split(node, np.cumsum(sizes)[:-1])
+    orbits = tuple((e, m.astype(object), w2) for e, (m, w2) in zip(ends, kept))
+    key, levels = np.append(0, key), tuple(levels)
+    return _HpPlan(scale, paired, keys, np.concatenate(parent), key, levels, orbits)
 
 
 @lru_cache(maxsize=None)
@@ -472,71 +499,43 @@ def _geom_hp(sysr: RootSystem, y, beta):
     Phase factors e^{i beta u.y / M} are products of per-coordinate roots
     e^{i beta y_k / M} raised to small integer powers, computed in integer
     arithmetic with 64 guard bits and accumulated exactly over the orbit.
-    The walk follows _hp_plan: rows share prefix products through a stack,
-    and for systems containing -1 the row of -u is the conjugate of the row
-    of u, so the sums over half the orbit are doubled.
+    The products follow _hp_plan's trie one depth at a time on numpy object
+    arrays, each node rounded once from its parent; tau, J = f @ U and the
+    Laplacian w2 tau are exact integer sums.  For systems containing -1 the
+    row of -u is the conjugate of the row of u, so half-orbit sums double.
     """
     dim = sysr.y_dim
     plan = _hp_plan(sysr.kind)
     scale = plan.scale
     shift = mp.prec + 64
     half = 1 << (shift - 1)
-
     with mp.workprec(shift + 16):
         theta = [beta * yk / scale for yk in y]
-        table = []
-        for k in range(dim):
-            row = {}
-            for u in range(-plan.max_u[k], plan.max_u[k] + 1):
-                c, s = mp.cos_sin(u * theta[k])
-                row[u] = (_mpz(to_fixed(c, shift)), _mpz(to_fixed(s, shift)))
-            table.append(row)
-
-    zero = _mpz(0)
-    stack = [(_mpz(1 << shift), zero)] * (dim + 1)
-    full = not plan.paired
+        table = [mp.cos_sin(u * theta[k]) for k, u in plan.keys]
+    fixed = [[_mpz(to_fixed(v, shift)) for v in cs] for cs in table]
+    tab_c, tab_s = np.array(fixed, dtype=object).T
+    fc, fs = np.empty((2, len(plan.parent)), dtype=object)
+    fc[0], fs[0] = _mpz(1 << shift), _mpz(0)
+    for lo, hi in plan.levels:
+        pc, ps = fc[plan.parent[lo:hi]], fs[plan.parent[lo:hi]]
+        c, s = tab_c[plan.key[lo:hi]], tab_s[plan.key[lo:hi]]
+        fc[lo:hi] = (pc * c - ps * s + half) >> shift
+        fs[lo:hi] = (pc * s + ps * c + half) >> shift
     to_mpf = lambda acc, down: mp.ldexp(mpf(int(acc)), -shift) / down
+    cplx = lambda re, im, down: to_mpf(re, down) + 1j * to_mpf(im, down)
     taus, jacs, laps = [], [], []
-    for rows in plan.orbits:
-        tau_c = tau_s = lap_c = lap_s = zero
-        jac_c = [zero] * dim
-        jac_s = [zero] * dim
-        for depth, tail, nz, w2num in rows:
-            fc, fs = stack[depth]
-            for k, uk in tail:
-                c, s = table[k][uk]
-                fc, fs = (
-                    (fc * c - fs * s + half) >> shift,
-                    (fc * s + fs * c + half) >> shift,
-                )
-                depth += 1
-                stack[depth] = (fc, fs)
-            tau_c += fc
-            lap_c += w2num * fc
-            for k, uk in nz:
-                jac_s[k] += uk * fs
-            if full:
-                tau_s += fs
-                lap_s += w2num * fs
-                for k, uk in nz:
-                    jac_c[k] += uk * fc
+    for ends, U, w2 in plan.orbits:
+        tau_c, jac_s = fc[ends].sum(), fs[ends] @ U
         if plan.paired:
             taus.append(to_mpf(2 * tau_c, 1))
-            jacs.append([-beta * to_mpf(2 * jac_s[k], scale) for k in range(dim)])
-            laps.append(-(beta**2) * to_mpf(2 * lap_c, scale**2))
+            jacs.append([-beta * to_mpf(2 * j, scale) for j in jac_s])
+            laps.append(-(beta**2) * to_mpf(2 * w2 * tau_c, scale**2))
         else:
-            taus.append(to_mpf(tau_c, 1) + 1j * to_mpf(tau_s, 1))
-            jacs.append(
-                [
-                    -beta * to_mpf(jac_s[k], scale)
-                    + 1j * beta * to_mpf(jac_c[k], scale)
-                    for k in range(dim)
-                ]
-            )
-            laps.append(
-                -(beta**2)
-                * (to_mpf(lap_c, scale**2) + 1j * to_mpf(lap_s, scale**2))
-            )
+            tau_s = fs[ends].sum()
+            jac_c = [1j * beta * to_mpf(j, scale) for j in fc[ends] @ U]
+            taus.append(cplx(tau_c, tau_s, 1))
+            jacs.append([-beta * to_mpf(j, scale) + c for j, c in zip(jac_s, jac_c)])
+            laps.append(-(beta**2) * cplx(w2 * tau_c, w2 * tau_s, scale**2))
     cotg = [mpf(0)] * dim
     for r in _root_mp(sysr.kind, mp.dps):
         c, s = mp.cos_sin(beta * sum(r[k] * y[k] for k in range(dim)) / 2)

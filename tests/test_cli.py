@@ -128,6 +128,30 @@ def test_flatness_fault_detection(capsys):
     assert rep["config"]["fault"] is True
 
 
+@pytest.mark.parametrize("digits,tol", [("15", 1e-06), ("30", 1e-10)])
+def test_hp_flatness_tolerance_follows_the_working_precision(capsys, digits, tol):
+    argv = ["flatness", "--precision", "hp", "--precision-digits", digits]
+    code, rep = run_json(capsys, *argv)
+    assert code == 0
+    assert rep["result"]["tol"] == tol
+    assert rep["result"]["all_pass"]
+    # --tol still overrides the default
+    code, rep = run_json(capsys, *argv, "--points", "3", "--tol", "1e-30")
+    assert code == 1
+    assert rep["result"]["tol"] == 1e-30
+
+
+@pytest.mark.parametrize("digits", ["15", "50"])
+def test_hp_flatness_fails_the_fault_at_any_precision(capsys, digits):
+    code, rep = run_json(
+        capsys, "flatness", "--precision", "hp", "--precision-digits", digits,
+        "--points", "3", "--fault",
+    )
+    assert code == 0
+    assert rep["result"]["fault_detected"]
+    assert not rep["result"]["all_pass"]
+
+
 def test_invariance(capsys):
     code, rep = run_json(
         capsys, "invariance", "--sets", "2", "--n", "4", "--seed", "5"

@@ -13,6 +13,7 @@ from tauforge.geometry import (
     chart_center,
     flatness_report,
     flatness_sample_points,
+    hp_tol,
     metric_at,
     riemann_at,
     sabotaged,
@@ -88,6 +89,15 @@ def test_flatness_sharpens_by_ten_orders_at_high_precision():
     hp = flatness_report(can, points=3, seed=11, precision="hp")
     assert hp["max_riemann_normalized"] < 1e-30
     assert hp["max_riemann_normalized"] < 1e-10 * double["max_riemann_normalized"]
+
+
+def test_the_hp_flatness_tolerance_follows_the_working_digits():
+    assert [hp_tol(d) for d in (15, 26, 27, 30, 49, 50, 60, 1000)] == [
+        1e-6, 1e-6, 1e-7, 1e-10, 1e-29, 1e-30, 1e-30, 1e-30,
+    ]
+    rep = flatness_report(e7_operator("canonical"), points=2, seed=11,
+                          precision="hp", digits=20)
+    assert rep["tol"] == 1e-6 and rep["all_pass"]
 
 
 def test_raw_tables_are_not_flat():

@@ -40,6 +40,7 @@ from tauforge.oracle import (
     _powers,
     _rho_sq,
     _geom_hp,
+    _hp_plan,
     _orbit_ints,
     _root_mp,
     _map_points,
@@ -289,16 +290,61 @@ def test_hp_kernel_golden_bits(dps, digest):
 
 def test_hp_plan_rejects_an_orbit_not_closed_under_negation():
     # integer rows at scale 2: closed is {(1, 0), (-1, 0)}, lopsided is
-    # {(1/2, 1), (-1/2, 0)}
+    # {(1/2, 1), (-1, 1/2)}; both have one sum_k g_k u_k^2
     closed = np.array([[2, 0], [-2, 0]])
-    lopsided = np.array([[1, 2], [-1, 0]])
+    lopsided = np.array([[1, 2], [-2, 1]])
     plan = _build_hp_plan(2, (closed,), [1, 1], paired=True)
-    assert [len(rows) for rows in plan.orbits] == [1]
+    assert [len(ends) for ends, _, _ in plan.orbits] == [1]
     with pytest.raises(CancellationError):
         _build_hp_plan(2, (closed, lopsided), [1, 1], paired=True)
     plan = _build_hp_plan(2, (closed, lopsided), [1, 1], paired=False)
-    assert plan.scale == 2 and plan.max_u == (2, 2)
-    assert [len(rows) for rows in plan.orbits] == [2, 2]
+    assert plan.scale == 2
+    assert [len(ends) for ends, _, _ in plan.orbits] == [2, 2]
+    assert [w2 for _, _, w2 in plan.orbits] == [4, 5]
+
+
+def test_hp_plan_rejects_an_orbit_whose_weighted_norm_varies():
+    # the square {(+-1, 0), (0, +-1)} at scale 2 has one norm under equal
+    # weights and two under g = (1, 2)
+    square = np.array([[2, 0], [-2, 0], [0, 2], [0, -2]])
+    plan = _build_hp_plan(2, (square,), [1, 1], paired=True)
+    assert [w2 for _, _, w2 in plan.orbits] == [4]
+    with pytest.raises(ValueError, match="not constant"):
+        _build_hp_plan(2, (square,), [1, 2], paired=True)
+
+
+def _trie_path(plan, node):
+    """The (k, u_k) factors from the root to `node`, in k order."""
+    path = []
+    while node:
+        path.append(plan.keys[plan.key[node]])
+        node = plan.parent[node]
+    return path[::-1]
+
+
+def test_e7_hp_plan_has_one_node_per_distinct_row_prefix():
+    plan = _hp_plan("E7")
+    assert plan.paired and plan.scale == 2
+    assert len(plan.parent) - 1 == 16_518
+    sizes = [len(ends) for ends, _, _ in plan.orbits]
+    assert sizes == [28, 63, 288, 378, 1008, 2016, 5040]
+    assert sum(sizes) == 8_821
+    # levels tile the nodes in depth order, and a level reads only below it
+    assert plan.levels[0][0] == 1 and plan.levels[-1][1] == len(plan.parent)
+    for (_, hi), (lo, _) in zip(plan.levels, plan.levels[1:]):
+        assert hi == lo
+    for lo, hi in plan.levels:
+        assert (plan.parent[lo:hi] < lo).all()
+    # each kept row ends at the node whose path is its nonzero (k, u_k) list
+    _, ints = _orbit_ints("E7")
+    gws = [int(g) for g in E7.metric_weights[: E7.y_dim]]
+    for (ends, U, w2), m in zip(plan.orbits, ints):
+        assert {tuple(u) for u in U.tolist()} == {
+            tuple(u) for u in m.tolist() if next(x for x in u if x) > 0
+        }
+        for node, u in zip(ends.tolist(), U.tolist()):
+            assert _trie_path(plan, node) == [(k, x) for k, x in enumerate(u) if x]
+        assert {sum(g * x * x for g, x in zip(gws, u)) for u in m.tolist()} == {w2}
 
 
 # sha256 of repr(_geom_double(sysr, y, beta)) at the first sample point of
