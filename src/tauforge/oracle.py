@@ -77,11 +77,11 @@ def hp_digits() -> int:
 # a 2-CPU x86-64 host a fork of a warm E7 process costs about 20-30 ms:
 # about 5 ms for the fork, the pipe and the reaping, and 10-20 ms of
 # copy-on-write faults in the child's first item.  The first item is the
-# cold one: a refit's first E7 frame at 70 digits takes 55-80 ms (a warm
+# cold one: a refit's first E7 frame at 70 digits takes 45-65 ms (a warm
 # one 40-55 ms) and the first E7 point of hp verify-tables or flatness
-# 0.2-0.8 s, so these fork, while the first hp point of a rank-2 system
-# takes 15-30 ms (the later ones 1-2 ms) and stays in-process.
-FORK_MIN_ITEM_S = 0.05
+# 0.2-0.9 s, so these fork, while the first hp point of a rank-2 system
+# takes 2-9 ms and stays in-process.
+FORK_MIN_ITEM_S = 0.02
 
 
 def _cpus() -> int:
@@ -452,18 +452,18 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
     place = radix ** np.arange(dim - 1, -1, -1)
     kept = []
     for m in orbits:
-        w2 = np.unique((m * m) @ np.asarray(gws))
-        if len(w2) != 1:
+        w2 = (m * m) @ np.asarray(gws)
+        if (w2 != w2[0]).any():
             raise ValueError("sum_k g_k u_k^2 is not constant on an orbit")
         if paired:
-            if (np.sort((bound + m) @ place) != np.sort((bound - m) @ place)).any():
+            if set((bound + m) @ place) != set((bound - m) @ place):
                 raise CancellationError("orbit is not closed under negation")
             m = m[m[np.arange(len(m)), (m != 0).argmax(axis=1)] > 0]
         kept.append((m, int(w2[0])))
     sizes = [len(m) for m, _ in kept]
     rows = np.concatenate([m for m, _ in kept])
     orbit = np.repeat(np.arange(len(kept)), sizes) * radix**dim
-    count = np.cumsum(rows != 0, axis=1)  # nonzeros up to and including k
+    count = (rows != 0) @ np.tri(dim, dtype=np.int64).T  # nonzeros up to k
     node = np.zeros(len(rows), dtype=np.int64)
     parent, key, levels = [[0]], [], []
     for d in range(1, count[:, -1].max() + 1):
@@ -478,7 +478,7 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
         parent.append(node[at])
         key.append(k * radix + bound + rows[at, k])
         node[live] = lo + inv
-    codes, key = np.unique(np.concatenate(key), return_inverse=True)
+    codes, _, key = np.unique(np.concatenate(key), True, True)
     keys = tuple((int(c) // radix, int(c) % radix - bound) for c in codes)
     ends = np.split(node, np.cumsum(sizes)[:-1])
     orbits = tuple((e, m.astype(object), w2) for e, (m, w2) in zip(ends, kept))
