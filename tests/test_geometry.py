@@ -7,6 +7,7 @@ from mpmath import mp, mpc, mpf
 from tauforge.derive import derive_operator
 from tauforge.geometry import (
     SingularMetricError,
+    _MetricPolys,
     _curvature,
     _invert,
     bianchi_at,
@@ -342,6 +343,57 @@ def test_derived_curvature_matches_the_reference_bit_for_bit(kind):
     for tau in points:
         with mp.workdps(50):
             assert _frame_fields(_curvature(op, tau)) == _ref_curvature(op, tau)
+
+
+def _ref_metric_values(metric, tau):
+    """_MetricPolys.values before it moved to the shared term loop: powers
+    by repeated products up to each coordinate's top exponent, and every
+    compiled polynomial summed from zero, term by term."""
+    one, zero = (mpf(1), mpf(0)) if metric.hp else (1.0, 0.0)
+    top = [0] * len(tau)
+    for terms in metric.terms:
+        for _, pairs in terms:
+            for i, p in pairs:
+                top[i] = max(top[i], p)
+    powers = []
+    for t, n in zip(tau, top):
+        row = [one, t]
+        for _ in range(2, n + 1):
+            row.append(row[-1] * t)
+        powers.append(row)
+    out = []
+    for terms in metric.terms:
+        total = zero
+        for c, pairs in terms:
+            m = c
+            for i, p in pairs:
+                m = m * powers[i][p]
+            total += m
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind,digits",
+    [("E7", None), ("E7", 50), ("E7", 70), ("A2", None), ("A2", 50), ("G2", None), ("G2", 50)],
+)
+def test_metric_values_match_the_repeated_product_reference_bit_for_bit(kind, digits):
+    # digits None is double precision; A2's taus are complex, so its two
+    # cases are complex doubles and mpc
+    op = e7_operator("canonical") if kind == "E7" else derive_operator(build_system(kind))
+    sysr = op.system
+    precision = "double" if digits is None else "hp"
+    with mp.workdps(digits or mp.dps):
+        metric = _MetricPolys(op, precision == "hp")
+        for pt in flatness_sample_points(sysr, 2, seed=11, precision=precision,
+                                         digits=digits or 50):
+            tau = tau_numeric(sysr, pt)
+            got, want = metric.values(tau), _ref_metric_values(metric, tau)
+            assert len(got) == len(want) == len(metric.terms)
+            for terms, g, w in zip(metric.terms, got, want):
+                # an empty sum is zero in either form: the reference's 0.0
+                # or mpf(0), the shared loop's 0 * tau[0]
+                assert repr(g) == repr(w) if terms else g == w == 0
 
 
 def test_flatness_sampler_gives_up_when_no_point_clears(monkeypatch):

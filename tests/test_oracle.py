@@ -9,6 +9,7 @@ import pytest
 from mpmath import matrix, mp, mpf
 from mpmath import qr_solve as mp_qr_solve
 
+from tauforge import oracle
 from tauforge.derive import derive_operator
 from tauforge.exactpoly import MultiPoly
 from tauforge.geometry import sabotaged
@@ -465,6 +466,42 @@ def test_a2_refit_rejects_coefficients_with_an_imaginary_part():
     assert fit_entry(op, "A11").ok
 
 
+def _ref_monomial_row(basis, taus):
+    """fit_entry's design row before it moved to the shared term loop: `**`
+    powers of the exponents the basis uses, and each monomial a product
+    from mpf(1) in coordinate order."""
+    pw = [{e: t**e for e in es} for t, es in zip(taus, [set(col) for col in zip(*basis)])]
+    row = []
+    for p in basis:
+        m = mpf(1)
+        for k, e in enumerate(p):
+            if e:
+                m *= pw[k][e]
+        row.append(m)
+    return row
+
+
+@pytest.mark.parametrize(
+    "kind,which,count,digits",
+    [("E7", "B2", 14, 50), ("E7", "B2", 14, 70), ("A2", "A11", 24, 50), ("G2", "A11", 20, 50)],
+)
+def test_fit_design_rows_match_the_reference_bit_for_bit(monkeypatch, kind, which, count, digits):
+    op = e7_operator("raw") if kind == "E7" else derive_operator(build_system(kind))
+    sysr = op.system
+    pool = FramePool(sysr, count, seed=23, digits=digits)
+    # the rows reach the solver as its first argument; A2's frames are mpc
+    name = "qr_solve" if sysr.has_minus_one else "complex_qr_solve"
+    solve, seen = getattr(oracle, name), []
+    monkeypatch.setattr(oracle, name, lambda rows, rhs: seen.append(rows) or solve(rows, rhs))
+    assert fit_entry(op, which, pool=pool).ok
+    _, _, _, basis, _, frames = _fit_plan(op, which)
+    with pool.workdps():
+        want = [_ref_monomial_row(basis, frame[0]) for frame in pool.frames[:frames]]
+        (got,) = seen
+        assert got == want
+        assert repr(got) == repr(want)
+
+
 def test_qr_solve_recovers_small_rationals_for_several_right_hand_sides():
     # a consistent overdetermined integer system: every solution is rebuilt
     # exactly by the fit's reconstruction with denominators up to 4
@@ -752,9 +789,30 @@ def test_cheap_points_stay_in_process(monkeypatch, capsys):
     from tauforge.cli import main
 
     forks = _pin_cpus(monkeypatch, 3, free_fork=False)
-    assert main(["derive", "--system", "A2"]) == 0
+    for system in ("A2", "G2"):
+        assert main(["derive", "--system", system]) == 0
     capsys.readouterr()
     assert forks == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-tables", "--precision", "hp", "--samples", "3"],
+        ["flatness", "--precision", "hp", "--points", "3"],
+    ],
+)
+def test_e7_hp_points_fork_once_on_two_cpus(monkeypatch, capsys, argv):
+    # item 0, the one _map_points times, must still cost what an E7 hp
+    # point costs once one-off set-up such as compiling the metric has
+    # moved out of it
+    from tauforge.cli import main
+
+    forks = _pin_cpus(monkeypatch, 2, free_fork=False)
+    main(argv)
+    capsys.readouterr()
+    assert len(forks) == 1
+    _no_child_left()
 
 
 def test_a_forked_frame_pool_equals_the_one_cpu_pool(monkeypatch):
