@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -199,44 +198,18 @@ class MultiPoly:
     def evaluate(self, point: Sequence, nu=0):
         """Evaluate at tau = point.
 
-        Fraction/int inputs give an exact Fraction; float inputs are
-        accumulated with math.fsum; anything else (mpmath, complex) uses
-        plain summation in that arithmetic.
+        Fraction/int inputs give an exact result; anything else runs with
+        float coefficients in the point's arithmetic, summed in storage
+        order.  Nothing in tauforge evaluates floats through here: the
+        table checks, the refit and the flatness metric compile their
+        polynomials once and call eval_compiled themselves.
         """
         if len(point) != self.rank:
             raise ValueError("point length does not match rank")
-        exact = all(isinstance(v, (int, Fraction)) for v in point) and isinstance(
-            nu, (int, Fraction)
-        )
-        powers = _power_table(point, self.terms)
-        if exact:
-            total = Fraction(0)
-            for exp, coef in self.terms.items():
-                mono = Fraction(1)
-                for i, p in enumerate(exp):
-                    if p:
-                        mono *= powers[i][p]
-                total += (Fraction(coef.c0) + Fraction(coef.c1) * Fraction(nu)) * mono
-            return total
-        floats = all(isinstance(v, (int, float)) for v in point)
-        vals = []
-        for exp, coef in self.terms.items():
-            mono = None
-            for i, p in enumerate(exp):
-                if p:
-                    mono = powers[i][p] if mono is None else mono * powers[i][p]
-            c = coef.eval(nu)
-            vals.append(c if mono is None else c * mono)
-        if not vals:
-            return 0.0 if floats else 0
-        if floats and all(isinstance(v, (int, float)) for v in vals):
-            return math.fsum(vals)
-        if all(isinstance(v, complex) for v in vals):
-            return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
-        total = vals[0]
-        for v in vals[1:]:
-            total = total + v
-        return total
+        exact = all(isinstance(v, (int, Fraction)) for v in (*point, nu))
+        terms = compile_poly(self, Fraction if exact else float, nu)
+        powers = product_powers(point, top_exponents([terms], self.rank))
+        return eval_compiled(terms, powers, point)
 
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Compose: replace tau_i by images[i-1] (images must be nu-free)."""
@@ -319,21 +292,63 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _power_table(point: Sequence, terms) -> list[list]:
-    """powers[i][p] = point[i]**p for every power appearing in terms."""
-    rank = len(point)
-    max_pow = [0] * rank
-    for exp in terms:
-        for i, p in enumerate(exp):
-            if p > max_pow[i]:
-                max_pow[i] = p
-    table = []
-    for i in range(rank):
-        row = [1, point[i]] if max_pow[i] >= 1 else [1]
-        for p in range(2, max_pow[i] + 1):
-            row.append(row[-1] * point[i])
-        table.append(row)
-    return table
+# -- the one evaluator ---------------------------------------------------
+#
+# A polynomial is compiled once per coupling and arithmetic, and every
+# evaluation runs the same term loop over a table of coordinate powers.
+
+
+def compile_poly(poly: MultiPoly, conv, nu) -> tuple:
+    """poly at coupling nu as terms (c, ((k, e), ...)), in storage order.
+
+    c = conv(c0) + conv(c1) * nu is formed once, conv turning a Fraction
+    into the evaluation's arithmetic; the pairs list the nonzero exponents
+    of the term.
+    """
+    return tuple(
+        (
+            conv(coef.c0) + conv(coef.c1) * nu,
+            tuple((k, e) for k, e in enumerate(exp) if e),
+        )
+        for exp, coef in poly.terms.items()
+    )
+
+
+def top_exponents(compiled, rank: int) -> list[int]:
+    """Per coordinate, the largest exponent any compiled poly raises it to."""
+    top = [0] * rank
+    for terms in compiled:
+        for _, pairs in terms:
+            for k, e in pairs:
+                if e > top[k]:
+                    top[k] = e
+    return top
+
+
+def product_powers(tau, top) -> list[list]:
+    """powers[k][e] = tau[k]^e up to top[k], each the previous one times tau[k]."""
+    powers = []
+    for t, n in zip(tau, top):
+        row = [1, t]
+        for _ in range(2, n + 1):
+            row.append(row[-1] * t)
+        powers.append(row)
+    return powers
+
+
+def eval_compiled(terms, powers, tau):
+    """Sum of the compiled terms at tau, in whatever arithmetic tau carries.
+
+    Each term is c times its powers, left to right; the sum starts from
+    the first term, and an empty sum is 0 * tau[0].
+    """
+    total = None
+    for c, pairs in terms:
+        m = c
+        for k, e in pairs:
+            m = m * powers[k][e]
+        total = m if total is None else total + m
+    return 0 * tau[0] if total is None else total
 
 
 def weighted_monomials(cv: Sequence[int], bound: int) -> list[tuple[int, ...]]:

@@ -17,11 +17,11 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath import libmp
 
-from .exactpoly import MultiPoly
+from .exactpoly import MultiPoly, compile_poly, eval_compiled, product_powers, top_exponents
 from .operator import AlgebraicOperator, build_operator
 from .oracle import (
     SamplePoint,
-    _compile_poly,
+    _converter,
     _map_points,
     _rejection_sample,
     hp_digits,
@@ -30,6 +30,8 @@ from .oracle import (
 from .rootsys import RootSystem
 
 COND_LIMIT = 1e14
+# half-width of the box of flatness samples around the scaled chart center
+SPREAD = 0.05
 
 
 class SingularMetricError(ValueError):
@@ -58,7 +60,6 @@ def flatness_sample_points(
     count: int,
     seed: int = 11,
     beta: float = 1.0,
-    spread: float = 0.05,
     precision: str = "double",
     digits: int = hp_digits(),
 ) -> list[SamplePoint]:
@@ -79,7 +80,7 @@ def flatness_sample_points(
         # stratified radii: every run walks the full band from the center
         # down to the t = 0.8 shell instead of leaving coverage to chance
         radial = 1.0 - 0.2 * accepted / max(count - 1, 1)
-        return radial * center + rng.uniform(-spread, spread, sysr.y_dim) / float(beta)
+        return radial * center + rng.uniform(-SPREAD, SPREAD, sysr.y_dim) / float(beta)
 
     return _rejection_sample(
         sysr, count, seed, float(beta), 0.0, precision, digits, draw
@@ -127,8 +128,8 @@ class MetricFrame:
 class _MetricPolys:
     """A and its first and second tau-derivatives, compiled once per operator.
 
-    Coefficients are converted once by oracle._compile_poly, to float or to
-    mpf at the current precision.  Entries with the same term list (A_ij
+    Coefficients are converted once by exactpoly.compile_poly, to float or
+    to mpf at the current precision.  Entries with the same term list (A_ij
     and A_ji, mixed partials in either order, the many zero second
     derivatives) share one compiled form, so each distinct polynomial is
     evaluated once per point.
@@ -138,10 +139,9 @@ class _MetricPolys:
 
     def __init__(self, op: AlgebraicOperator, hp: bool, derivatives: bool = True):
         r = op.rank
-        self.hp = hp
         self.terms: list = []
-        self.max_exp = [0] * r
         index: dict = {}
+        conv = _converter(hp)
         # A is nu-free, so compiling at nu = 0 adds an exact zero
         nu0 = mpf(0) if hp else 0.0
 
@@ -150,49 +150,32 @@ class _MetricPolys:
             at = index.get(key)
             if at is None:
                 at = index[key] = len(self.terms)
-                self.terms.append(_compile_poly(poly, nu0, hp))
-                self.max_exp = [max(col) for col in zip(self.max_exp, *dict(key))]
+                self.terms.append(compile_poly(poly, conv, nu0))
             return at
 
         rr = range(r)
         self.A = np.array([[add(op.A[i][j]) for j in rr] for i in rr])
-        if not derivatives:
-            return
-        dA = [[[op.A[i][j].partial_derivative(k + 1) for j in rr] for i in rr] for k in rr]
-        self.dA = np.array([[[add(p) for p in row] for row in plane] for plane in dA])
-        d2A = np.array(
-            [
-                [[[add(dA[k][i][j].partial_derivative(l + 1)) for j in rr] for i in rr] for l in rr]
+        if derivatives:
+            dA = [[[op.A[i][j].partial_derivative(k + 1) for j in rr] for i in rr] for k in rr]
+            self.dA = np.array([[[add(p) for p in row] for row in plane] for plane in dA])
+            d2A = np.array([
+                [[[add(dA[k][i][j].partial_derivative(l + 1)) for j in rr] for i in rr]
+                 for l in rr]
                 for k in rr
-            ]
-        ).reshape(r * r, r, r)
-        # d2A_distinct holds each distinct matrix d2A[k][l] once (mixed
-        # partials come in equal pairs); d2A_slot[k, l] is its position
-        _, first, slot = np.unique(
-            d2A.reshape(r * r, r * r), axis=0, return_index=True, return_inverse=True
-        )
-        self.d2A_distinct = d2A[first]
-        self.d2A_slot = slot.reshape(r, r)
+            ]).reshape(r * r, r, r)
+            # d2A_distinct holds each distinct matrix d2A[k][l] once (mixed
+            # partials come in equal pairs); d2A_slot[k, l] is its position
+            _, first, slot = np.unique(
+                d2A.reshape(r * r, r * r), axis=0, return_index=True, return_inverse=True
+            )
+            self.d2A_distinct = d2A[first]
+            self.d2A_slot = slot.reshape(r, r)
+        self.top = top_exponents(self.terms, r)
 
     def values(self, tau) -> list:
-        """Every compiled polynomial at tau: a sum from zero, term by term."""
-        one, zero = (mpf(1), mpf(0)) if self.hp else (1.0, 0.0)
-        powers = []
-        for t, top in zip(tau, self.max_exp):
-            row = [one, t]
-            for _ in range(2, top + 1):
-                row.append(row[-1] * t)
-            powers.append(row)
-        out = []
-        for terms in self.terms:
-            total = zero
-            for c, pairs in terms:
-                m = c
-                for i, p in pairs:
-                    m = m * powers[i][p]
-                total += m
-            out.append(total)
-        return out
+        """Every compiled polynomial at tau, on repeated-product powers."""
+        powers = product_powers(tau, self.top)
+        return [eval_compiled(terms, powers, tau) for terms in self.terms]
 
 
 def _invert(mat, hp: bool):
@@ -446,7 +429,6 @@ def flatness_report(
     beta: float = 1.0,
     precision: str = "double",
     tol: float | None = None,
-    spread: float = 0.05,
     digits: int = hp_digits(),
 ) -> dict:
     """Riemann residuals at tau(y) images of chart-centered samples.
@@ -459,22 +441,17 @@ def flatness_report(
         tol = 1e-6 if precision == "double" else hp_tol(digits)
     sysr = op.system
     pts = flatness_sample_points(
-        sysr, points, seed=seed, beta=beta, spread=spread, precision=precision,
-        digits=digits,
+        sysr, points, seed=seed, beta=beta, precision=precision, digits=digits,
     )
     hp = precision == "hp"
     dps = digits if hp else mp.dps
-    metric = None
+    with mp.workdps(dps):
+        metric = _MetricPolys(op, hp)
 
     def point_row(pt) -> tuple:
         """(cond, riemann, bianchi) at the tau image of pt."""
-        nonlocal metric
         with mp.workdps(dps):
             tau = tau_numeric(sysr, pt)
-            # compiled at the first point, which _map_points runs before
-            # any fork, so every child inherits it
-            if metric is None:
-                metric = _MetricPolys(op, hp)
             r, b, frame = _curvature(op, tau, metric)
         return frame.cond, r, b
 

@@ -27,7 +27,15 @@ from functools import lru_cache
 import numpy as np
 from mpmath import mp, mpf
 
-from .exactpoly import MultiPoly, NuLinear, weighted_monomials
+from .exactpoly import (
+    ONE,
+    MultiPoly,
+    NuLinear,
+    compile_poly,
+    eval_compiled,
+    top_exponents,
+    weighted_monomials,
+)
 from .fixedpoint import complex_qr_solve, qr_solve, to_fixed
 from .operator import AlgebraicOperator, _entry_indices, build_operator
 from .rootsys import RootSystem, build_system, deformed_weyl_vector, weyl_orbit
@@ -288,6 +296,11 @@ def _root_mp(kind: str, dps: int) -> list:
         return [[mpf(c) for c in r] for r in _root_array(kind).tolist()]
 
 
+def _converter(hp: bool):
+    """Fraction -> float, or with hp -> mpf at the current precision."""
+    return (lambda q: mpf(q.numerator) / q.denominator) if hp else float
+
+
 @lru_cache(maxsize=None)
 def _metric_weights(kind: str, hp: bool) -> tuple:
     """The metric weights g_k of the y coordinates, as floats or as mpf.
@@ -296,8 +309,7 @@ def _metric_weights(kind: str, hp: bool) -> tuple:
     at every precision.
     """
     sysr = build_system(kind)
-    conv = (lambda q: mpf(q.numerator) / q.denominator) if hp else float
-    return tuple(conv(g) for g in sysr.metric_weights[: sysr.y_dim])
+    return tuple(map(_converter(hp), sysr.metric_weights[: sysr.y_dim]))
 
 
 @lru_cache(maxsize=None)
@@ -649,8 +661,7 @@ def ground_state_residual(sysr: RootSystem, point: SamplePoint):
         quad = float((np.array(gw) * grad * grad).sum())
     v_pot = nu * (nu - 1) * (beta**2 / 4) * inv_sin2
     lhs = -(d_log + quad) / 2 + v_pot
-    rho2 = _rho_sq(sysr.kind)
-    rho2 = mpf(rho2.numerator) / rho2.denominator if hp else float(rho2)
+    rho2 = _converter(hp)(_rho_sq(sysr.kind))
     e0 = beta**2 * nu**2 * rho2 / 8
     return abs(lhs - e0) / (abs(e0) + 1)
 
@@ -659,48 +670,14 @@ def ground_state_residual(sysr: RootSystem, point: SamplePoint):
 # table verification
 
 
-def _compile_poly(poly: MultiPoly, nu, hp: bool) -> tuple:
-    """poly at coupling nu as terms (c, ((k, e), ...)), in storage order.
+def _powers(tau, top) -> list[list]:
+    """powers[k][e] = tau[k] ** e for e <= top[k], for verify-tables and fit.
 
-    c = c0 + c1 nu is formed once, in floats or in mpf at the current
-    precision; the pairs list the nonzero exponents of the term.
+    These are `**` powers, not exactpoly.product_powers' repeated products:
+    the two round differently, and the reports of both commands carry these
+    bits.
     """
-    conv = (lambda q: mpf(q.numerator) / q.denominator) if hp else float
-    return tuple(
-        (
-            conv(coef.c0) + conv(coef.c1) * nu,
-            tuple((k, e) for k, e in enumerate(exp) if e),
-        )
-        for exp, coef in poly.terms.items()
-    )
-
-
-def _exponents(compiled, dim: int) -> list[tuple]:
-    """Per coordinate, the exponents that the compiled polys raise it to."""
-    used = [set() for _ in range(dim)]
-    for terms in compiled:
-        for _, pairs in terms:
-            for k, e in pairs:
-                used[k].add(e)
-    return [tuple(sorted(es)) for es in used]
-
-
-def _powers(tau, exponents) -> list[dict]:
-    """powers[k][e] = tau[k] ** e, shared by every poly evaluated at tau."""
-    return [{e: t**e for e in es} for t, es in zip(tau, exponents)]
-
-
-def _eval_compiled(terms, powers, tau):
-    """Sum of the compiled terms at tau, in whatever arithmetic tau carries."""
-    total = None
-    for c, pairs in terms:
-        m = c
-        for k, e in pairs:
-            m = m * powers[k][e]
-        total = m if total is None else total + m
-    if total is None:
-        return 0 * tau[0]
-    return total
+    return [[t**e for e in range(n + 1)] for t, n in zip(tau, top)]
 
 
 def distinct_nus(nu_list) -> list:
@@ -749,15 +726,16 @@ def verify_tables(
 
     with mp.workdps(digits):
         gw = _metric_weights(sysr.kind, hp)
+        conv = _converter(hp)
         nubs = [mpf(str(nu)) if hp else float(nu) for nu in nu_list]
         # A is nu-free and compiled at nu = 0; B once per nu of the list
         compiled = [
-            [_compile_poly(op.A[i][j], mpf(0) if hp else 0.0, hp)]
+            [compile_poly(op.A[i][j], conv, mpf(0) if hp else 0.0)]
             if j is not None
-            else [_compile_poly(op.B[i], nub, hp) for nub in nubs]
+            else [compile_poly(op.B[i], conv, nub) for nub in nubs]
             for _, i, j in ids
         ]
-        exps = _exponents([terms for row in compiled for terms in row], rank)
+        top = top_exponents([terms for row in compiled for terms in row], rank)
 
         for beta in beta_list:
             b2 = (mpf(str(beta)) if hp else float(beta)) ** 2
@@ -766,17 +744,17 @@ def verify_tables(
                 """(entry, residual) at pt in check order."""
                 frame = _geom(sysr, pt)
                 taus = frame[0]
-                pw = _powers(taus, exps)
+                pw = _powers(taus, top)
                 notes = []
                 for name, entry, row in zip(names, ids, compiled):
                     ref = _oracle_ab(frame, gw, b2, entry)
                     if entry[0] == "A":
-                        notes.append((name, rel(_eval_compiled(row[0], pw, taus), ref)))
+                        notes.append((name, rel(eval_compiled(row[0], pw, taus), ref)))
                         continue
                     base, slope = ref
                     for terms, nub in zip(row, nubs):
                         value = base + nub * slope
-                        notes.append((name, rel(_eval_compiled(terms, pw, taus), value)))
+                        notes.append((name, rel(eval_compiled(terms, pw, taus), value)))
                 return notes
 
             pts = sample_points(
@@ -818,19 +796,19 @@ def verify_tables(
 # its last HELD_OUT_FRAMES
 HELD_OUT_FRAMES = 4
 
-def _fit_plan(op: AlgebraicOperator, which: str, samples: int | None = None):
-    """(kind, i, j, basis, rows, frames) for refitting one entry.
+def _fit_plan(op: AlgebraicOperator, which: str):
+    """(kind, i, j, basis, frames) for refitting one entry.
 
     basis holds every monomial within the entry's weighted-degree bound.
-    `rows` (default 2 * len(basis) + 8) sizes the fit: A reads its values
-    at the first `rows` frames, B at the first `frames` = ceil(rows / 2),
-    because each B frame gives two values, the nu^0 and the nu^1 part.
+    The fit reads rows = 2 * len(basis) + 8 values: A one per frame at the
+    first `frames` = rows frames, B two per frame, the nu^0 and the nu^1
+    part, at the first `frames` = ceil(rows / 2).
     """
     kind_, i, j = _entry_indices(which, op.rank)
     bound = op.cv[i] + op.cv[j] if kind_ == "A" else op.cv[i]
     basis = weighted_monomials(op.cv, bound)
-    rows = samples or 2 * len(basis) + 8
-    return kind_, i, j, basis, rows, rows if kind_ == "A" else (rows + 1) // 2
+    rows = 2 * len(basis) + 8
+    return kind_, i, j, basis, rows if kind_ == "A" else (rows + 1) // 2
 
 
 class FramePool:
@@ -866,27 +844,17 @@ class FramePool:
         return mp.workdps(self.dps + 20)
 
 
-def fit_entry(
-    op: AlgebraicOperator,
-    which: str,
-    samples: int | None = None,
-    digits: int = hp_digits(),
-    seed: int = 23,
-    pool: FramePool | None = None,
-) -> FitResult:
+def fit_entry(op: AlgebraicOperator, which: str, pool: FramePool) -> FitResult:
     """Rebuild a table entry from the oracle by exact-targeted least squares.
 
     Fits over all monomials within the entry's weighted-degree bound (with
     independent nu^0/nu^1 coefficients for B, fitted as two right-hand
     sides of one qr_solve), reconstructs rationals with denominators <=
     MAX_DENOMINATOR, and reports the residual at held-out points.  The fit
-    works at the pool's precision; without a pool it builds one at
-    `digits` (see FramePool).
+    works at the pool's precision (see FramePool).
     """
     sysr = op.system
-    kind_, i, j, basis, needed, want_frames = _fit_plan(op, which, samples)
-    if pool is None:
-        pool = FramePool(sysr, needed + 8, seed=seed, digits=digits, fit_frames=want_frames)
+    kind_, i, j, basis, want_frames = _fit_plan(op, which)
     dps = pool.dps
 
     with pool.workdps():
@@ -900,24 +868,16 @@ def fit_entry(
         entry = (kind_, i, j)
         # B is checked at two nu values on the held-out frames
         held_nubs = [mpf(1) / 2, mpf(5) / 2]
-        basis_exps = [set(col) for col in zip(*basis)]
+        to_mpf = _converter(True)
+        monomials = [compile_poly(MultiPoly(sysr.rank, {p: ONE}), to_mpf, 0) for p in basis]
+        top = top_exponents(monomials, sysr.rank)
 
-        def monomial_row(taus):
-            pw = _powers(taus, basis_exps)
-            row = []
-            for p in basis:
-                m = mpf(1)
-                for k, e in enumerate(p):
-                    if e:
-                        m *= pw[k][e]
-                row.append(m)
-            return row
-
-        # one row per frame; the right-hand sides are A's value, or B's
-        # nu^0 part (base) and nu^1 part (slope)
+        # one row of basis monomials per frame; the right-hand sides are A's
+        # value, or B's nu^0 part (base) and nu^1 part (slope)
         rows, rhs = [], []
         for frame in pool.frames[:want_frames]:
-            rows.append(monomial_row(frame[0]))
+            pw = _powers(frame[0], top)
+            rows.append([eval_compiled(m, pw, frame[0]) for m in monomials])
             ref = _oracle_ab(frame, gw, b2, entry)
             rhs.append([ref] if kind_ == "A" else list(ref))
         # complex frames (A2) give complex systems
@@ -952,17 +912,17 @@ def fit_entry(
         worst = mpf(0)
         if reconstructed:
             held = [
-                (nub, _compile_poly(poly, nub, True))
+                (nub, compile_poly(poly, to_mpf, nub))
                 for nub in (held_nubs if kind_ == "B" else [mpf(0)])
             ]
-            exps = _exponents([terms for _, terms in held], sysr.rank)
+            top = top_exponents([terms for _, terms in held], sysr.rank)
             for frame in pool.frames[-HELD_OUT_FRAMES:]:
                 taus = frame[0]
-                pw = _powers(taus, exps)
+                pw = _powers(taus, top)
                 ref = _oracle_ab(frame, gw, b2, entry)
                 for nub, terms in held:
                     want = ref if kind_ == "A" else ref[0] + nub * ref[1]
-                    got = _eval_compiled(terms, pw, taus)
+                    got = eval_compiled(terms, pw, taus)
                     worst = max(worst, abs(got - want) / (1 + abs(want)))
         return FitResult(
             entry=which.upper(),

@@ -349,7 +349,7 @@ def _ref_metric_values(metric, tau):
     """_MetricPolys.values before it moved to the shared term loop: powers
     by repeated products up to each coordinate's top exponent, and every
     compiled polynomial summed from zero, term by term."""
-    one, zero = (mpf(1), mpf(0)) if metric.hp else (1.0, 0.0)
+    one, zero = (mpf(1), mpf(0)) if isinstance(tau[0], (mpf, mpc)) else (1.0, 0.0)
     top = [0] * len(tau)
     for terms in metric.terms:
         for _, pairs in terms:

@@ -11,7 +11,7 @@ from mpmath import qr_solve as mp_qr_solve
 
 from tauforge import oracle
 from tauforge.derive import derive_operator
-from tauforge.exactpoly import MultiPoly
+from tauforge.exactpoly import MultiPoly, compile_poly, eval_compiled, top_exponents
 from tauforge.geometry import sabotaged
 from tauforge.fixedpoint import complex_qr_solve, qr_solve, to_fixed
 from tauforge.operator import e7_operator
@@ -33,9 +33,7 @@ from tauforge.oracle import (
     verify_tables,
     with_entry,
     _build_hp_plan,
-    _compile_poly,
-    _eval_compiled,
-    _exponents,
+    _converter,
     _fit_plan,
     _geom_double,
     _powers,
@@ -463,7 +461,7 @@ def test_a2_refit_rejects_coefficients_with_an_imaginary_part():
     assert (miss["exp"], miss["nu_pow"], miss["part"]) == ([0, 1], 0, "imaginary")
     assert miss["value"].endswith(" + 2.0j)")
     assert miss["value"] == fit.raw_coefficients[1]
-    assert fit_entry(op, "A11").ok
+    assert fit_entry(op, "A11", pool=FramePool(a2, 24, seed=23)).ok
 
 
 def _ref_monomial_row(basis, taus):
@@ -494,7 +492,7 @@ def test_fit_design_rows_match_the_reference_bit_for_bit(monkeypatch, kind, whic
     solve, seen = getattr(oracle, name), []
     monkeypatch.setattr(oracle, name, lambda rows, rhs: seen.append(rows) or solve(rows, rhs))
     assert fit_entry(op, which, pool=pool).ok
-    _, _, _, basis, _, frames = _fit_plan(op, which)
+    basis, frames = _fit_plan(op, which)[3], _fit_plan(op, which)[-1]
     with pool.workdps():
         want = [_ref_monomial_row(basis, frame[0]) for frame in pool.frames[:frames]]
         (got,) = seen
@@ -619,20 +617,20 @@ def test_compiled_tables_match_the_per_term_reference_bit_for_bit(variant):
                 [mpf(0), mpf("0.5"), mpf("2.5")] if hp else [0.0, 0.5, 2.5, -0.0]
             )
             for nu in nus:
-                compiled = [_compile_poly(p, nu, hp) for p in polys]
-                exps = _exponents(compiled, op.rank)
+                compiled = [compile_poly(p, _converter(hp), nu) for p in polys]
+                top = top_exponents(compiled, op.rank)
                 for pt in sample_points(sysr, 2, seed=31, precision=precision):
                     taus = tau_numeric(sysr, pt)
-                    pw = _powers(taus, exps)
+                    pw = _powers(taus, top)
                     for poly, terms in zip(polys, compiled):
-                        got = _eval_compiled(terms, pw, taus)
+                        got = eval_compiled(terms, pw, taus)
                         want = _ref_eval_poly(poly, taus, nu)
                         assert got == want and type(got) is type(want)
 
 
 def test_zero_poly_evaluates_to_zero_in_the_frame_arithmetic():
     taus = (np.float64(0.5), np.float64(2.0))
-    got = _eval_compiled(_compile_poly(MultiPoly.zero(2), 0.0, False), [{}, {}], taus)
+    got = eval_compiled(compile_poly(MultiPoly.zero(2), float, 0.0), [[], []], taus)
     assert got == 0 and type(got) is np.float64
 
 
