@@ -800,9 +800,9 @@ def _fit_plan(op: AlgebraicOperator, which: str):
     """(kind, i, j, basis, frames) for refitting one entry.
 
     basis holds every monomial within the entry's weighted-degree bound.
-    The fit reads rows = 2 * len(basis) + 8 values: A one per frame at the
-    first `frames` = rows frames, B two per frame, the nu^0 and the nu^1
-    part, at the first `frames` = ceil(rows / 2).
+    The fit reads rows = 2 * len(basis) + 8 values from its first `frames`
+    frames: A one per frame, so frames = rows, and B two, its nu^0 and its
+    nu^1 part, so frames = ceil(rows / 2).
     """
     kind_, i, j = _entry_indices(which, op.rank)
     bound = op.cv[i] + op.cv[j] if kind_ == "A" else op.cv[i]

@@ -492,7 +492,8 @@ def test_fit_design_rows_match_the_reference_bit_for_bit(monkeypatch, kind, whic
     solve, seen = getattr(oracle, name), []
     monkeypatch.setattr(oracle, name, lambda rows, rhs: seen.append(rows) or solve(rows, rhs))
     assert fit_entry(op, which, pool=pool).ok
-    basis, frames = _fit_plan(op, which)[3], _fit_plan(op, which)[-1]
+    plan = _fit_plan(op, which)
+    basis, frames = plan[3], plan[-1]
     with pool.workdps():
         want = [_ref_monomial_row(basis, frame[0]) for frame in pool.frames[:frames]]
         (got,) = seen
