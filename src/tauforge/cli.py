@@ -366,10 +366,11 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _cmd_flatness(args) -> dict:
+    if args.system == "A1":
+        raise UsageError("every rank-1 metric is flat; flatness needs rank >= 2")
     beta = _one_beta(args)
     op = _operator_for(args.system, args.variant)
-    fault = bool(args.fault)
-    if fault:
+    if args.fault:
         op = geometry.sabotaged(op)
     rep = geometry.flatness_report(
         op,
@@ -380,7 +381,7 @@ def _cmd_flatness(args) -> dict:
         tol=args.tol,
         digits=args.precision_digits,
     )
-    if fault:
+    if args.fault:
         detected = rep["max_riemann_normalized"] > 1e-3
         rep["fault_detected"] = detected
         ok = detected

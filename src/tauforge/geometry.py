@@ -22,7 +22,7 @@ from .operator import AlgebraicOperator, build_operator
 from .oracle import (
     SamplePoint,
     _converter,
-    _map_points,
+    _map_sample_points,
     _rejection_sample,
     hp_digits,
     tau_numeric,
@@ -111,9 +111,10 @@ def with_coefficient(
 
 
 def sabotaged(op: AlgebraicOperator) -> AlgebraicOperator:
-    """The stock fault: A_11 tau_1^2 coefficient moved to -2."""
+    """The stock fault: A_11's tau_1^2 coefficient lowered by 1/2 (E7: -3/2 to -2)."""
     exp = tuple(2 if k == 0 else 0 for k in range(op.rank))
-    return with_coefficient(op, 1, 1, exp, Fraction(-2))
+    old = op.A[0][0].terms.get(exp)
+    return with_coefficient(op, 1, 1, exp, (old.c0 if old else 0) - Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -433,9 +434,9 @@ def flatness_report(
 ) -> dict:
     """Riemann residuals at tau(y) images of chart-centered samples.
 
-    hp points are rounded at `digits`, run at `digits` and run on every
-    CPU (see oracle._map_points).  The default tol is 1e-6 in double and
-    hp_tol(digits) at hp.
+    hp points are rounded at `digits` and run at `digits`, a large
+    system's on every CPU (see oracle._map_sample_points).  The default tol
+    is 1e-6 in double and hp_tol(digits) at hp.
     """
     if tol is None:
         tol = 1e-6 if precision == "double" else hp_tol(digits)
@@ -457,7 +458,7 @@ def flatness_report(
 
     rows = []
     worst = 0.0
-    per_point = _map_points(point_row, pts) if hp else map(point_row, pts)
+    per_point = _map_sample_points(point_row, sysr, pts)
     for idx, (cond, r, b) in enumerate(per_point):
         rows.append(
             {

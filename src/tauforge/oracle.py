@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -81,15 +80,12 @@ def hp_digits() -> int:
 # ---------------------------------------------------------------------------
 # independent points on every CPU
 
-# _map_points forks only when its first item took at least this long.  On
-# a 2-CPU x86-64 host a fork of a warm E7 process costs about 20-30 ms:
-# about 5 ms for the fork, the pipe and the reaping, and 10-20 ms of
-# copy-on-write faults in the child's first item.  The first item is the
-# cold one: a refit's first E7 frame at 70 digits takes 45-65 ms (a warm
-# one 40-55 ms) and the first E7 point of hp verify-tables or flatness
-# 0.2-0.9 s, so these fork, while the first hp point of a rank-2 system
-# takes 2-9 ms and stays in-process.
-FORK_MIN_ITEM_S = 0.02
+# hp points fork only when the system's Weyl orbits hold at least this many
+# rows in all.  On a 2-CPU x86-64 host a fork of a warm E7 process costs
+# 20-30 ms, copy-on-write faults included.  An E7 hp point (17,642 rows)
+# costs 40-55 ms as a refit frame at 70 digits and 0.2-0.9 s in hp
+# verify-tables or flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
+FORK_MIN_ORBIT_ROWS = 1_000
 
 
 def _cpus() -> int:
@@ -99,29 +95,34 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _map_sample_points(fn, sysr: RootSystem, points: list):
+    """fn over points, in order: on every CPU for hp points of a large system.
+
+    Any other points run lazily here, as map runs them; see FORK_MIN_ORBIT_ROWS.
+    """
+    if not (points and _is_hp(points[0])):
+        return map(fn, points)
+    rows = sum(map(len, _orbit_ints(sysr.kind)[1]))
+    return _map_points(fn, points) if rows >= FORK_MIN_ORBIT_ROWS else map(fn, points)
+
+
 def _map_points(fn, items) -> list:
     """[fn(x) for x in items], spread over one process per available CPU.
 
-    Item 0 runs here first: it warms every cache the children read and
-    prices one item.  When more than one CPU is available and the item
-    took at least FORK_MIN_ITEM_S, the other items are dealt out by stride
-    to forked children and, last share, to this process; each child sends
-    its results back pickled through a pipe.  The results are the serial
-    ones, in order, bit for bit; an error is the one of the lowest failing
-    index, as a serial run raises it.  A child never returns to the caller
-    and never touches stdio, and no child outlives the call.  Forking is
-    safe because a tauforge process starts no thread of its own; OpenBLAS
-    stops its worker threads around a fork.
+    With two CPUs and two items or more, the items are dealt out by stride
+    to a forked child per extra CPU and, last share, to this process; each
+    child sends its results back pickled through a pipe.  The results are
+    the serial ones, in order, bit for bit; an error is the one of the
+    lowest failing index, as a serial run raises it.  A child never returns
+    to the caller and never touches stdio, and no child outlives the call.
+    Forking is safe because a tauforge process starts no thread of its own;
+    OpenBLAS stops its worker threads around a fork.
     """
     items = list(items)
-    if not items:
-        return []
-    start = time.perf_counter()
-    first = fn(items[0])
-    workers = min(_cpus(), len(items) - 1)
-    if workers < 2 or time.perf_counter() - start < FORK_MIN_ITEM_S:
-        return [first] + [fn(x) for x in items[1:]]
-    shares = [range(1 + k, len(items), workers) for k in range(workers)]
+    workers = min(_cpus(), len(items))
+    if workers < 2:
+        return [fn(x) for x in items]
+    shares = [range(k, len(items), workers) for k in range(workers)]
     local = shares[-1:]
     children = {}  # pid -> read end of its pipe, None once being read
     try:
@@ -132,7 +133,7 @@ def _map_points(fn, items) -> list:
                 local.append(share)
                 continue
             children[pid] = rfd
-        results = {0: first}
+        results = {}
         failures = [_map_share(fn, items, share, results) for share in local]
         for pid in list(children):
             with os.fdopen(children[pid], "rb") as fh:
@@ -217,10 +218,6 @@ class SamplePoint:
     y: tuple
     beta: float = 1.0
     nu: float = 0.5
-
-    @property
-    def g(self):
-        return self.nu * (self.nu - 1)
 
 
 @dataclass(frozen=True)
@@ -708,8 +705,8 @@ def verify_tables(
 
     Returns a JSON-ready report; reproducible for a fixed seed.  B entries
     are checked at every nu in nu_list.  Raises ValueError if nu_list
-    repeats a value.  hp points are rounded at `digits`, run at `digits`
-    and run on every CPU (see _map_points).
+    repeats a value.  hp points are rounded at `digits` and run at
+    `digits`, a large system's on every CPU (see _map_sample_points).
     """
     sysr = op.system
     nu_list = distinct_nus(nu_list) if nu_list else [float(x) for x in DEFAULT_NU_LIST]
@@ -761,7 +758,7 @@ def verify_tables(
                 sysr, samples, seed=seed, beta=beta, nu=0.0, precision=precision,
                 digits=digits,
             )
-            per_point = _map_points(point_notes, pts) if hp else map(point_notes, pts)
+            per_point = _map_sample_points(point_notes, sysr, pts)
             for notes in per_point:
                 for name, r in notes:
                     if r > worst[name]:
@@ -818,8 +815,8 @@ class FramePool:
     = max(digits, 50) digits, and the frames carry 20 guard digits more
     (see workdps).  All `count` points are drawn, but frames are built only
     for the first `fit_frames` (default: all but the held-out ones) and the
-    last HELD_OUT_FRAMES, the only frames fit_entry reads.  The frames are
-    built on every CPU (see _map_points).
+    last HELD_OUT_FRAMES, the only frames fit_entry reads.  A large
+    system's frames are built on every CPU (see _map_sample_points).
     """
 
     def __init__(self, sysr: RootSystem, count: int, seed: int = 23, beta=1,
@@ -834,10 +831,10 @@ class FramePool:
                 digits=digits,
             )
             self.beta = mpf(beta)
-            self.frames = _map_points(
+            self.frames = list(_map_sample_points(
                 lambda p: _geom_hp(sysr, p.y, self.beta),
-                pts[: self.fit_frames] + pts[held:],
-            )
+                sysr, pts[: self.fit_frames] + pts[held:],
+            ))
 
     def workdps(self):
         """The precision context the frames are built and fitted in."""

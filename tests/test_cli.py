@@ -128,6 +128,18 @@ def test_flatness_fault_detection(capsys):
     assert rep["config"]["fault"] is True
 
 
+@pytest.mark.parametrize("precision", ["double", "hp"])
+def test_flatness_fault_changes_the_g2_tables(capsys, precision):
+    # G2's derived A11 holds -2 at tau_1^2, so the stock fault must shift
+    # that coefficient rather than set it to -2
+    code, rep = run_json(
+        capsys, "flatness", "--system", "G2", "--precision", precision,
+        "--points", "3", "--fault",
+    )
+    assert code == 0
+    assert rep["result"]["fault_detected"]
+
+
 @pytest.mark.parametrize("digits,tol", [("15", 1e-06), ("30", 1e-10)])
 def test_hp_flatness_tolerance_follows_the_working_precision(capsys, digits, tol):
     argv = ["flatness", "--precision", "hp", "--precision-digits", digits]
@@ -366,6 +378,10 @@ BAD_VALUES = [
      " (--matrix-n)"),
     (["invariance", "--system", "A2", "--n", "1", "--sets", "1"],
      "tauforge invariance: error: the weighted-projective lines exist only for E7"),
+    (["flatness", "--system", "A1"],
+     "tauforge flatness: error: every rank-1 metric is flat; flatness needs rank >= 2"),
+    (["flatness", "--system", "A1", "--fault"],
+     "tauforge flatness: error: every rank-1 metric is flat; flatness needs rank >= 2"),
 ]
 
 
@@ -419,8 +435,7 @@ def test_reports_do_not_depend_on_the_cpu_count(capsys, monkeypatch):
         ["verify-tables", "--variant", "canonical", "--precision", "hp", "--samples", "3"],
         ["fit", "--entries", "A11"],
     )
-    # every hp point loop forks at 3 CPUs, however fast its first point
-    monkeypatch.setattr("tauforge.oracle.FORK_MIN_ITEM_S", 0.0)
+    # the E7 hp point loops fork at 3 CPUs
     outputs = []
     for cpus in (1, 3):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)

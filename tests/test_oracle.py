@@ -10,6 +10,7 @@ from mpmath import matrix, mp, mpf
 from mpmath import qr_solve as mp_qr_solve
 
 from tauforge import oracle
+from tauforge.cli import SYSTEMS
 from tauforge.derive import derive_operator
 from tauforge.exactpoly import MultiPoly, compile_poly, eval_compiled, top_exponents
 from tauforge.geometry import sabotaged
@@ -18,6 +19,7 @@ from tauforge.operator import e7_operator
 from tauforge.oracle import (
     CancellationError,
     ClearanceError,
+    FORK_MIN_ORBIT_ROWS,
     HELD_OUT_FRAMES,
     FramePool,
     SamplePoint,
@@ -671,11 +673,8 @@ def test_the_rejection_bound_counts_draws_in_a_row(monkeypatch):
     assert len(draws) == 50
 
 
-def _pin_cpus(monkeypatch, cpus: int, free_fork: bool = True) -> list:
-    """Pretend `cpus` CPUs, and with free_fork that any item repays a fork.
-
-    Returns the list that collects the pid of every fork.
-    """
+def _pin_cpus(monkeypatch, cpus: int) -> list:
+    """Pretend `cpus` CPUs; returns the list that collects every fork's pid."""
     forks = []
     fork = os.fork
 
@@ -687,8 +686,6 @@ def _pin_cpus(monkeypatch, cpus: int, free_fork: bool = True) -> list:
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(os, "fork", counted)
-    if free_fork:
-        monkeypatch.setattr("tauforge.oracle.FORK_MIN_ITEM_S", 0.0)
     return forks
 
 
@@ -710,9 +707,8 @@ def test_map_points_returns_the_serial_list(monkeypatch, cpus, count):
     got = _map_points(fn, items)
     assert got == [fn(x) for x in items]
     assert [repr(v) for v in got] == [repr(fn(x)) for x in items]
-    # item 0 runs first in this process; the other items go to at most
-    # one process per CPU, this one included, so only 5 items fork
-    assert len(forks) == (cpus - 1 if count == 5 else 0)
+    # one process per CPU or per item, this one included
+    assert len(forks) == max(min(cpus, count) - 1, 0)
     _no_child_left()
 
 
@@ -724,8 +720,8 @@ class _TwoArgError(Exception):
 @pytest.mark.parametrize(
     "failing,want",
     [
-        ({4, 3}, (ValueError, "bad 3")),  # this process holds 3, a child 4
-        ({2, 3}, (ValueError, "bad 2")),  # a child holds 2
+        ({5, 3}, (ValueError, "bad 3")),  # this process holds 5, a child 3
+        ({2, 4}, (ValueError, "bad 2")),  # this process holds 2, a child 4
         ({5}, (SamplingError, "bad 5")),
         ({1}, (RuntimeError, "_TwoArgError: 1/x")),  # does not unpickle
     ],
@@ -743,7 +739,7 @@ def test_map_points_raises_the_error_of_the_lowest_failing_index(
             raise kind(f"bad {x}")
         return x
 
-    # three processes: children take 1, 4 and 2, 5; this process takes 3
+    # three processes: children take 0, 3 and 1, 4; this process takes 2, 5
     with pytest.raises(kind) as exc:
         _map_points(fn, range(6))
     assert type(exc.value) is kind
@@ -769,11 +765,11 @@ def test_map_points_runs_a_share_it_cannot_fork_itself(monkeypatch):
 def test_map_points_kills_its_children_on_an_interrupt(monkeypatch):
     forks = _pin_cpus(monkeypatch, 3)
 
+    # this process takes item 2 of 5 on 3 CPUs; the children sleep
     def fn(x):
-        if x == 3:
+        if x == 2:
             raise KeyboardInterrupt
-        if x:
-            time.sleep(60)
+        time.sleep(60)
         return x
 
     start = time.perf_counter()
@@ -784,14 +780,37 @@ def test_map_points_kills_its_children_on_an_interrupt(monkeypatch):
     _no_child_left()
 
 
-def test_cheap_points_stay_in_process(monkeypatch, capsys):
+def test_slow_rank_two_hp_points_stay_in_process(monkeypatch, capsys):
+    # whether points fork depends on the system, not on how long a point
+    # takes: even at 50 ms a point, a rank-2 hp loop runs in this process
     from tauforge.cli import main
 
-    forks = _pin_cpus(monkeypatch, 3, free_fork=False)
-    for system in ("A2", "G2"):
-        assert main(["derive", "--system", system]) == 0
+    forks = _pin_cpus(monkeypatch, 3)
+    geom_hp = oracle._geom_hp
+
+    def slow(*args):
+        time.sleep(0.05)
+        return geom_hp(*args)
+
+    monkeypatch.setattr(oracle, "_geom_hp", slow)
+    for argv in (
+        ["derive", "--system", "A2"],
+        ["derive", "--system", "G2"],
+        ["fit", "--system", "A2", "--entries", "A11"],
+        ["flatness", "--system", "G2", "--precision", "hp", "--points", "3"],
+    ):
+        assert main(argv) == 0
     capsys.readouterr()
     assert forks == []
+
+
+def test_the_fork_bound_is_far_from_every_system():
+    # every supported system's orbit-row total is 10x below the bound or
+    # 10x above it, so no system sits near the fork decision
+    rows = {kind: sum(map(len, _orbit_ints(kind)[1])) for kind in SYSTEMS}
+    assert rows == {"E7": 17_642, "A1": 2, "A2": 6, "G2": 12}
+    for n in rows.values():
+        assert n * 10 <= FORK_MIN_ORBIT_ROWS or n >= 10 * FORK_MIN_ORBIT_ROWS
 
 
 @pytest.mark.parametrize(
@@ -799,15 +818,13 @@ def test_cheap_points_stay_in_process(monkeypatch, capsys):
     [
         ["verify-tables", "--precision", "hp", "--samples", "3"],
         ["flatness", "--precision", "hp", "--points", "3"],
+        ["fit", "--entries", "A11"],
     ],
 )
 def test_e7_hp_points_fork_once_on_two_cpus(monkeypatch, capsys, argv):
-    # item 0, the one _map_points times, must still cost what an E7 hp
-    # point costs once one-off set-up such as compiling the metric has
-    # moved out of it
     from tauforge.cli import main
 
-    forks = _pin_cpus(monkeypatch, 2, free_fork=False)
+    forks = _pin_cpus(monkeypatch, 2)
     main(argv)
     capsys.readouterr()
     assert len(forks) == 1
