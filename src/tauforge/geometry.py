@@ -112,9 +112,8 @@ def with_coefficient(
 
 def sabotaged(op: AlgebraicOperator) -> AlgebraicOperator:
     """The stock fault: A_11's tau_1^2 coefficient lowered by 1/2 (E7: -3/2 to -2)."""
-    exp = tuple(2 if k == 0 else 0 for k in range(op.rank))
-    old = op.A[0][0].terms.get(exp)
-    return with_coefficient(op, 1, 1, exp, (old.c0 if old else 0) - Fraction(1, 2))
+    fault = op.A[0][0] + (MultiPoly.variable(op.rank, 1) ** 2).scale(Fraction(-1, 2))
+    return build_operator(op.system, {"A11": fault}, op.variant + "+fault", base=op)
 
 
 @dataclass(frozen=True)

@@ -100,10 +100,11 @@ def _map_sample_points(fn, sysr: RootSystem, points: list):
 
     Any other points run lazily here, as map runs them; see FORK_MIN_ORBIT_ROWS.
     """
-    if not (points and _is_hp(points[0])):
+    hp = bool(points) and _is_hp(points[0])
+    if not hp or sum(map(len, _orbit_ints(sysr.kind)[1])) < FORK_MIN_ORBIT_ROWS:
         return map(fn, points)
-    rows = sum(map(len, _orbit_ints(sysr.kind)[1]))
-    return _map_points(fn, points) if rows >= FORK_MIN_ORBIT_ROWS else map(fn, points)
+    _hp_plan(sysr.kind)  # built once here, for every child to inherit
+    return _map_points(fn, points)
 
 
 def _map_points(fn, items) -> list:

@@ -722,7 +722,7 @@ class _TwoArgError(Exception):
     [
         ({5, 3}, (ValueError, "bad 3")),  # this process holds 5, a child 3
         ({2, 4}, (ValueError, "bad 2")),  # this process holds 2, a child 4
-        ({5}, (SamplingError, "bad 5")),
+        ({4}, (SamplingError, "bad 4")),  # a child's, and not a builtin
         ({1}, (RuntimeError, "_TwoArgError: 1/x")),  # does not unpickle
     ],
 )
