@@ -574,6 +574,11 @@ GOLDEN_REPORTS = [
      "47048ecbaf38d2db50ea737d40e12938c26772d89c0607708ca68ee0a277d0fe"),
     (["invariance", "--n", "4"],
      "ff57204844ca604477657238347dccf1f2fe490cb52e4d8fb513132b7ecab651"),
+    # recorded before the determinant moved to integer Bareiss on grade blocks
+    (["invariance", "--n", "6", "--sets", "3"],
+     "7c79e6416e4a27a81dbe438e3b88d7d7b995e8c9f1f2f465666f1b31f019f0c1"),
+    (["invariance", "--n", "6", "--sets", "2", "--mode", "simultaneous", "--seed", "3"],
+     "4fbddc80ccbd37b02616f14c615845e187c715b81b98a6ec1b9976f1cedd2454"),
     # hp curvature, recorded before its assembly moved from numpy object
     # arrays to libmp values; these points pass through chart_center's
     # np.linalg.lstsq, so a LAPACK that rounds that solve differently
