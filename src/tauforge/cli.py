@@ -21,6 +21,7 @@ from mpmath import mp
 from . import geometry, oracle
 from .derive import derive_operator
 from .operator import (
+    E7_CV,
     WP_PARAM_NAMES,
     _flag_images,
     e7_operator,
@@ -395,15 +396,15 @@ def _cmd_invariance(args) -> dict:
 
     if args.system != "E7":
         raise UsageError("the weighted-projective lines exist only for E7")
+    if args.n < max(E7_CV):
+        raise UsageError(f"--n must be >= {max(E7_CV)}, where every line acts on P_n; got {args.n}")
     rng = np.random.default_rng(args.seed)
     sets = []
-    ok = True
     for k in range(args.sets):
-        params = {}
-        for name in WP_PARAM_NAMES:
-            num = int(rng.integers(-3, 4))
-            den = int(rng.integers(1, 5))
-            params[name] = Fraction(num, den)
+        params = {
+            name: Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
+            for name in WP_PARAM_NAMES
+        }
         rep = weighted_projective_check(params, args.n, mode=args.mode)
         sets.append(
             {
@@ -416,7 +417,7 @@ def _cmd_invariance(args) -> dict:
                 "ok": rep["ok"],
             }
         )
-        ok = ok and rep["ok"]
+    ok = all(entry["ok"] for entry in sets)
     return {"ok": ok, "result": {"mode": args.mode, "n": args.n, "sets": sets}}
 
 

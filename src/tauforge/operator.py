@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import groupby
+from math import lcm, prod
 from typing import Mapping
 
 from .exactpoly import ONE, ZERO, MultiPoly, NuLinear, weighted_monomials
@@ -382,6 +384,18 @@ def _dense(columns: list[dict[int, NuLinear]], value) -> list[list[Fraction]]:
     return mat
 
 
+def _check_grades(basis: FlagBasis, columns: list[dict[int, NuLinear]], value) -> None:
+    """Raise on the first entry (lowest column, then row) above its column's grade."""
+    for col, column in enumerate(columns):
+        g = basis.grades[col]
+        high = [r for r, coef in column.items() if basis.grades[r] > g and value(coef)]
+        if high:
+            raise ValueError(
+                f"grade block violated at row {basis.monomials[min(high)]}, "
+                f"column {basis.monomials[col]}"
+            )
+
+
 def flag_matrix(op: AlgebraicOperator, n: int, nu) -> list[list[Fraction]]:
     """Exact matrix of the operator on FlagBasis(n) at rational nu.
 
@@ -391,13 +405,7 @@ def flag_matrix(op: AlgebraicOperator, n: int, nu) -> list[list[Fraction]]:
     nu = Fraction(nu)
     basis = enumerate_flag_basis(op.system.kind, n)
     columns = _flag_columns(basis, _flag_images(op, basis))
-    for col, column in enumerate(columns):
-        for row, coef in column.items():
-            if basis.grades[row] > basis.grades[col] and coef.eval(nu):
-                raise ValueError(
-                    f"grade block violated at row {basis.monomials[row]}, "
-                    f"column {basis.monomials[col]}"
-                )
+    _check_grades(basis, columns, lambda coef: coef.eval(nu))
     return _dense(columns, lambda coef: coef.eval(nu))
 
 
@@ -494,39 +502,55 @@ def _wp_lines(params: dict[str, Fraction]) -> list[tuple[int, MultiPoly]]:
     return lines
 
 
-def _substitution_images(line: tuple[int, MultiPoly]) -> list[MultiPoly]:
-    a, g = line
-    imgs = [MultiPoly.variable(7, k) for k in range(1, 8)]
-    imgs[a - 1] = imgs[a - 1] + g
-    return imgs
-
-
 def _line_matrix(basis: FlagBasis, images: list[MultiPoly]) -> list[dict[int, NuLinear]]:
-    """The substitution tau_k -> images[k-1] on P_n, as sparse columns."""
-    return _flag_columns(
-        basis, [MultiPoly(7, {p: ONE}).substitute(images) for p in basis.monomials]
-    )
+    """The substitution tau_k -> images[k-1] on P_n, as sparse columns.
+
+    The image of p is the image of p / tau_k times images[k-1], tau_k the
+    last variable in p: p / tau_k is in P_n and of lower grade, so it comes
+    earlier in the basis.  Raises if an image leaves P_n.
+    """
+    one, *rest = basis.monomials
+    image = {one: MultiPoly.constant(len(one), 1)}
+    for p in rest:
+        k = max(i for i, e in enumerate(p) if e)
+        image[p] = image[p[:k] + (p[k] - 1,) + p[k + 1:]] * images[k]
+    return _flag_columns(basis, list(image.values()))
 
 
 def exact_det(mat: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction Gaussian elimination with partial pivoting."""
-    m = [row[:] for row in mat]
-    dim = len(m)
-    det = Fraction(1)
-    for col in range(dim):
-        piv = next((r for r in range(col, dim) if m[r][col] != 0), None)
+    """Determinant by Bareiss' fraction-free elimination in integers.
+
+    Each row is scaled by the lcm of its denominators, every division by the
+    previous pivot is exact, and the last pivot over those lcms is the result.
+    """
+    dens = [lcm(*(v.denominator for v in row)) for row in mat]
+    m = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(mat, dens)]
+    sign, prev = 1, 1
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col]), None)
         if piv is None:
             return Fraction(0)
         if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, dim):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+            m[col], m[piv], sign = m[piv], m[col], -sign
+        last, prev = prev, m[col][col]
+        for r in range(col + 1, len(m)):
+            m[r] = [(prev * a - m[r][col] * b) // last for a, b in zip(m[r], m[col])]
+    return Fraction(sign * prev, prod(dens))
+
+
+def _graded_det(basis: FlagBasis, columns: list[dict[int, NuLinear]]) -> Fraction:
+    """Determinant of a nu-free map of P_n that keeps the grade flag.
+
+    The map is block upper triangular by grade, so its determinant is the
+    product of exact_det over the diagonal grade blocks.  Raises on an
+    entry that raises the grade: the map does not keep the flag.
+    """
+    _check_grades(basis, columns, lambda coef: coef.c0)
+    det = Fraction(1)
+    for g, members in groupby(range(basis.dim), key=basis.grades.__getitem__):
+        lo = basis.grades.index(g)
+        block = [{r - lo: c for r, c in columns[k].items() if basis.grades[r] == g} for k in members]
+        det *= exact_det(_dense(block, lambda coef: coef.c0))
     return det
 
 
@@ -576,18 +600,12 @@ def weighted_projective_check(params, n: int, mode: str = "sequential") -> dict:
     imgs = [MultiPoly.variable(7, k) for k in range(1, 8)]
     if mode == "sequential":
         per_line = []
-        for line in lines:
-            a, _ = line
-            step = _substitution_images(line)
+        for a, g in lines:
+            step = [MultiPoly.variable(7, k) for k in range(1, 8)]
+            step[a - 1] = step[a - 1] + g
             order = sorted(range(basis.dim), key=lambda k: (basis.monomials[k][a - 1], basis.monomials[k]))
-            per_line.append(
-                {
-                    "line": a,
-                    "unit_triangular": _unit_triangular_in_order(
-                        _line_matrix(basis, step), order
-                    ),
-                }
-            )
+            unit = _unit_triangular_in_order(_line_matrix(basis, step), order)
+            per_line.append({"line": a, "unit_triangular": unit})
             imgs = [c.substitute(step) for c in imgs]
         report["per_line"] = per_line
         report["unit_triangular_lines"] = all(x["unit_triangular"] for x in per_line)
@@ -596,8 +614,9 @@ def weighted_projective_check(params, n: int, mode: str = "sequential") -> dict:
             imgs[a - 1] = imgs[a - 1] + g
         # the lines are not applied one by one, so none is tested alone
         report["unit_triangular_lines"] = None
-    det = exact_det(_dense(_line_matrix(basis, imgs), lambda coef: coef.c0))
+    det = _graded_det(basis, _line_matrix(basis, imgs))
     report["det"] = str(det)
+    # _line_matrix and _graded_det raise unless the map preserves the flag
     report["containment_ok"] = True
     report["invertible"] = det != 0
     report["ok"] = (

@@ -378,6 +378,11 @@ BAD_VALUES = [
      " (--matrix-n)"),
     (["invariance", "--system", "A2", "--n", "1", "--sets", "1"],
      "tauforge invariance: error: the weighted-projective lines exist only for E7"),
+    # line a acts on P_n only from n = cv_a, so below 4 some line goes untested
+    (["invariance", "--n", "0"],
+     "tauforge invariance: error: --n must be >= 4, where every line acts on P_n; got 0"),
+    (["invariance", "--n", "3", "--sets", "1"],
+     "tauforge invariance: error: --n must be >= 4, where every line acts on P_n; got 3"),
     (["flatness", "--system", "A1"],
      "tauforge flatness: error: every rank-1 metric is flat; flatness needs rank >= 2"),
     (["flatness", "--system", "A1", "--fault"],
@@ -684,7 +689,7 @@ FUZZ_CALLS = {
     "flag-check": st.sampled_from([["--n", "0"], ["--n", "1"]]),
     "spectrum": st.sampled_from([["--n", "0"], ["--n", "1"]]),
     "export": st.sampled_from([[], ["--matrix-n", "0"], ["--matrix-n", "1"]]),
-    "invariance": st.sampled_from([["--n", "0", "--sets", "1"], ["--n", "1", "--sets", "1"]]),
+    "invariance": st.just(["--n", "4", "--sets", "1"]),
     "tau-eval": st.just(["--samples", "1"]),
     "verify-ground-state": st.just(["--samples", "1"]),
     "derive": st.sampled_from([["--system", "A1"], ["--system", "E7"]]),

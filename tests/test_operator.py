@@ -1,13 +1,21 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tauforge.exactpoly import MultiPoly, NuLinear
+from tauforge import operator
+from tauforge.cli import main
+from tauforge.exactpoly import ONE, MultiPoly, NuLinear, weighted_monomials
 from tauforge.operator import (
     E7_CV,
     WP_PARAM_NAMES,
+    _dense,
+    _flag_columns,
+    _graded_det,
     _line_matrix,
     _unit_triangular_in_order,
     apply,
@@ -283,6 +291,133 @@ def test_wp_rejects_bad_input():
 def test_exact_det():
     assert exact_det([[Fraction(2), Fraction(1)], [Fraction(4), Fraction(3)]]) == 2
     assert exact_det([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 0
+
+
+def _fraction_det(mat):
+    """Reference for exact_det: Fraction Gaussian elimination with partial
+    pivoting, the elimination exact_det ran before it moved to integers."""
+    m = [row[:] for row in mat]
+    dim = len(m)
+    det = Fraction(1)
+    for col in range(dim):
+        piv = next((r for r in range(col, dim) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, dim):
+            if m[r][col] == 0:
+                continue
+            factor = m[r][col] * inv
+            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+_small = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def _rational_matrices(draw):
+    dim = draw(st.integers(0, 6))
+    rows = [draw(st.lists(_small, min_size=dim, max_size=dim)) for _ in range(dim)]
+    if dim > 1 and draw(st.booleans()):
+        # a row that is a multiple of another makes the matrix singular
+        i, j = draw(st.permutations(range(dim)))[:2]
+        rows[i] = [draw(_small) * v for v in rows[j]]
+    return rows
+
+
+F = Fraction
+
+
+@given(_rational_matrices())
+@example([])
+@example([[F(0), F(1)], [F(1), F(0)]])  # zero leading pivot: one swap
+@example([[F(0), F(2, 3), F(1)], [F(0), F(1, 2), F(5)], [F(3, 4), F(1), F(-1, 5)]])
+@example([[F(1, 2), F(1, 3)], [F(3, 2), F(1)]])  # singular
+@example([[F(0), F(1)], [F(0), F(1, 7)]])  # a zero column
+@settings(max_examples=200, deadline=None)
+def test_exact_det_matches_fraction_elimination(mat):
+    assert exact_det(mat) == _fraction_det(mat)
+
+
+def _images(draw, n, leave):
+    """Nu-free images of tau_1..tau_7, each inside its grade (not always
+    homogeneous); with leave, one image gains a term above its grade."""
+    images = []
+    for k, c in enumerate(E7_CV):
+        terms = draw(st.dictionaries(
+            st.sampled_from(weighted_monomials(E7_CV, c)), _small, max_size=3))
+        images.append(MultiPoly(7, {e: NuLinear(v) for e, v in terms.items()}))
+    if leave:
+        k = draw(st.integers(0, 6))
+        over = [e for e in weighted_monomials(E7_CV, E7_CV[k] + 2)
+                if sum(a * b for a, b in zip(E7_CV, e)) > E7_CV[k]]
+        images[k] = images[k] + MultiPoly(7, {draw(st.sampled_from(over)): ONE})
+    return images
+
+
+@given(st.data(), st.integers(0, 4), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_line_matrix_matches_per_monomial_substitution(data, n, leave):
+    basis = enumerate_flag_basis("E7", n)
+    images = _images(data.draw, n, leave)
+    reference = [MultiPoly(7, {p: ONE}).substitute(images) for p in basis.monomials]
+    outside = next(
+        ([e for e in img.terms if e not in basis.monomials] for img in reference
+         if any(e not in basis.monomials for e in img.terms)),
+        None,
+    )
+    if outside is None:
+        assert _line_matrix(basis, images) == _flag_columns(basis, reference)
+        return
+    # both raise on the first image that leaves P_n, naming one of its terms
+    with pytest.raises(ValueError) as want:
+        _flag_columns(basis, reference)
+    with pytest.raises(ValueError) as got:
+        _line_matrix(basis, images)
+    messages = {f"image term {e} leaves P_{n}" for e in outside}
+    assert str(want.value) in messages and str(got.value) in messages
+
+
+@pytest.mark.parametrize("mode", ["sequential", "simultaneous"])
+@pytest.mark.parametrize("seed", [5, 9])
+def test_graded_det_matches_the_whole_matrix(capsys, monkeypatch, mode, seed):
+    dets = []
+
+    def whole(basis, columns):
+        det = _graded_det(basis, columns)
+        assert det == exact_det(_dense(columns, lambda coef: coef.c0))
+        dets.append(det)
+        return det
+
+    monkeypatch.setattr(operator, "_graded_det", whole)
+    argv = ["invariance", "--n", "6", "--sets", "2", "--seed", str(seed), "--mode", mode]
+    assert main(argv) in (0, 1)
+    assert len(dets) == 2
+    sets = json.loads(capsys.readouterr().out)["result"]["sets"]
+    assert [entry["det"] for entry in sets] == [str(det) for det in dets]
+
+
+def test_a_grade_raising_entry_is_named():
+    basis = enumerate_flag_basis("E7", 4)
+    columns = [{k: ONE} for k in range(basis.dim)]
+    pos = {p: k for k, p in enumerate(basis.monomials)}
+    t1, t2, t3, t7 = _unit(0), _unit(1), _unit(2), _unit(6)
+    # tau_1 -> tau_1 + 2 tau_3 + tau_7 raises tau_1's grade 1 to 2 and 4;
+    # tau_2 -> tau_2 + tau_7 raises grade 2 to 4 in a later column
+    columns[pos[t1]] |= {pos[t7]: ONE, pos[t3]: NuLinear.of(2)}
+    columns[pos[t2]] |= {pos[t7]: ONE}
+    with pytest.raises(ValueError) as exc:
+        _graded_det(basis, columns)
+    assert str(exc.value) == f"grade block violated at row {t3}, column {t1}"
+    # within its grade the same map has determinant 1
+    columns[pos[t1]] = {pos[t1]: ONE}
+    columns[pos[t2]] = {pos[t2]: ONE, pos[t3]: NuLinear.of(Fraction(-1, 2))}
+    assert _graded_det(basis, columns) == 1
 
 
 def test_operator_json_round_trip():
