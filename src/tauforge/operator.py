@@ -385,15 +385,13 @@ def _dense(columns: list[dict[int, NuLinear]], value) -> list[list[Fraction]]:
 
 
 def _check_grades(basis: FlagBasis, columns: list[dict[int, NuLinear]], value) -> None:
-    """Raise on the first entry (lowest column, then row) above its column's grade."""
+    """Raise on the first nonzero value(coef) above its column's grade, by column then row."""
     for col, column in enumerate(columns):
         g = basis.grades[col]
         high = [r for r, coef in column.items() if basis.grades[r] > g and value(coef)]
         if high:
-            raise ValueError(
-                f"grade block violated at row {basis.monomials[min(high)]}, "
-                f"column {basis.monomials[col]}"
-            )
+            mono = basis.monomials
+            raise ValueError(f"grade block violated at row {mono[min(high)]}, column {mono[col]}")
 
 
 def flag_matrix(op: AlgebraicOperator, n: int, nu) -> list[list[Fraction]]:
@@ -574,7 +572,9 @@ def weighted_projective_check(params, n: int, mode: str = "sequential") -> dict:
     mode "sequential" composes the seven displayed lines one after another
     (each line is unit triangular, so the composite has determinant 1);
     mode "simultaneous" applies the whole display as a single substitution,
-    which still preserves the flag but need not have determinant 1.
+    which still preserves the flag but need not have determinant 1.  The
+    determinant is taken per grade block, after checking that no entry
+    raises the grade; that check backs containment_ok.
     """
     if isinstance(params, dict):
         pd = {k: Fraction(v) for k, v in params.items()}
@@ -616,7 +616,6 @@ def weighted_projective_check(params, n: int, mode: str = "sequential") -> dict:
         report["unit_triangular_lines"] = None
     det = _graded_det(basis, _line_matrix(basis, imgs))
     report["det"] = str(det)
-    # _line_matrix and _graded_det raise unless the map preserves the flag
     report["containment_ok"] = True
     report["invertible"] = det != 0
     report["ok"] = (
