@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -28,6 +29,27 @@ E7_LENGTHS = (
 def test_e7_orbit_sizes():
     sysr = build_system("E7")
     assert tuple(weyl_orbit(sysr, a + 1).size for a in range(7)) == E7_SIZES
+
+
+# sha256 of each E7 orbit's little-endian int64 rows: the double and hp orbit
+# sums add the rows in this order, so a reordered walk moves report bits
+E7_ORBIT_DIGESTS = (
+    "c072d515360fd147b3ce693be7a18243da3b98fda201052592e261a50200c727",
+    "01e250343ddf7c33e9323e0acd2c64d6a90959c8fa3eda0b5da4e51ac59c5506",
+    "1d674b1d36693e3899da9acef57f8cf18a68f504781a74cc5c19550c919cb8aa",
+    "bfc009a221cf4b03355bf2474b85f904efa05a6694d2a35c0a2025d7cbe29a1a",
+    "c2aea40c287178b356ffc2f8933920ea561a2af8cd7f6118998dabcf468202d7",
+    "72f04764cf393c2e1d8ed9c02cf847f28aba3b8c324f7fc87d6e11d32469127d",
+    "c44856cfa99b4fa1482f3a279e035029a8ab07d6cad606a52738b3101319bc59",
+)
+
+
+def test_e7_orbit_rows_match_their_golden_digests():
+    sysr = build_system("E7")
+    for a, (size, digest) in enumerate(zip(E7_SIZES, E7_ORBIT_DIGESTS)):
+        orbit = weyl_orbit(sysr, a + 1)
+        assert orbit.ints.shape == (size, 7) and orbit.scale == 2
+        assert hashlib.sha256(orbit.ints.astype("<i8").tobytes()).hexdigest() == digest
 
 
 def test_e7_weight_lengths():
