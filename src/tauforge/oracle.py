@@ -37,7 +37,7 @@ from .exactpoly import (
 )
 from .fixedpoint import complex_qr_solve, qr_solve, to_fixed
 from .operator import AlgebraicOperator, _entry_indices, build_operator
-from .rootsys import RootSystem, build_system, deformed_weyl_vector, weyl_orbit
+from .rootsys import RootSystem, _read_only, build_system, deformed_weyl_vector, weyl_orbit
 
 DEFAULT_NU_LIST = (Fraction(0), Fraction(1, 2), Fraction(5, 2))
 DEFAULT_BETA_LIST = (1.0,)
@@ -269,22 +269,22 @@ def _orbit_ints(kind: str) -> tuple[int, tuple]:
 
 
 @lru_cache(maxsize=None)
-def _orbit_arrays(kind: str) -> list[np.ndarray]:
+def _orbit_arrays(kind: str) -> tuple[np.ndarray, ...]:
     scale, ints = _orbit_ints(kind)
-    return [m / scale for m in ints]
+    return tuple(_read_only(m / scale) for m in ints)
 
 
 @lru_cache(maxsize=None)
-def _orbit_w2(kind: str) -> list[np.ndarray]:
+def _orbit_w2(kind: str) -> tuple[np.ndarray, ...]:
     """Per orbit, sum_k g_k u_k^2 for each element u, in double precision."""
     gw = np.array(_metric_weights(kind, False))
-    return [(M * M * gw).sum(axis=1) for M in _orbit_arrays(kind)]
+    return tuple(_read_only((M * M * gw).sum(axis=1)) for M in _orbit_arrays(kind))
 
 
 @lru_cache(maxsize=None)
 def _root_array(kind: str) -> np.ndarray:
     sysr = build_system(kind)
-    return np.array([sysr.y_rep(r) for r in sysr.positive_roots], dtype=float)
+    return _read_only(np.array([sysr.y_rep(r) for r in sysr.positive_roots], dtype=float))
 
 
 @lru_cache(maxsize=None)

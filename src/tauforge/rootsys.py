@@ -3,8 +3,9 @@
 E7 is realized in 8 coordinates on the hyperplane x7 = -x8; the small
 systems A1, A2, G2 live in their usual 2- and 3-coordinate ambient
 spaces.  Roots and weights are exact (tuples of Fraction), so dominance
-tests need no tolerances.  Weyl orbits are walked in integer Dynkin
-labels and kept as one integer array per orbit.
+tests need no tolerances.  All of a system's Weyl orbits are walked at
+once in int64 layers of Dynkin labels, and each is kept as one read-only
+integer array.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def vcombo(coeffs, vecs: tuple[Vec, ...]) -> Vec:
     """sum_i coeffs[i] vecs[i], exact."""
     return tuple(sum((c * v[k] for c, v in zip(coeffs, vecs)), Fraction(0))
                  for k in range(len(vecs[0])))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: cached arrays are shared by every later caller."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +102,7 @@ class RootSystem:
 
         Small integers, so these doubles are exact at any precision.
         """
-        return np.array([float(vdot(r, r) / 2) for r in self.positive_roots])
+        return _read_only(np.array([float(vdot(r, r) / 2) for r in self.positive_roots]))
 
     def y_rep(self, v: Vec) -> Vec:
         """Coordinates of a hyperplane vector in the reduced y variables.
@@ -276,50 +283,65 @@ def _labels(v: Vec, simple: tuple[Vec, ...]) -> list[Fraction]:
     return [2 * vdot(v, s) / vdot(s, s) for s in simple]
 
 
-def _orbit_walk(weight: Vec, simple: tuple[Vec, ...], rep) -> tuple[int, list]:
-    """(scale, rows): row r is scale * rep(element r) of the Weyl orbit, sorted.
+def _orbit_walk(weights, simple: tuple[Vec, ...], rep) -> tuple[int, list]:
+    """(scale, per weight its orbit's rows): row r is scale * rep(element r), sorted.
 
-    scale is the lcm of the denominators of rep(weight) and rep(alpha_i).
-    Each row carries the element's Dynkin labels l in front, and s_i
-    subtracts l_i times (the labels of alpha_i, scale * rep(alpha_i)).  From
-    the dominant element the walk applies s_i only where l_i > 0, which
-    lowers the element, so each layer needs deduplicating only within itself.
+    scale is the lcm of the denominators of every rep(weight) and rep(alpha_i).
+    All orbits walk together, a layer at a time, as int64 rows (orbit, Dynkin
+    labels l, scale * rep(element)); s_i subtracts l_i times (0, the labels of
+    alpha_i, scale * rep(alpha_i)).  From the dominant element the walk applies
+    s_i only where l_i > 0, which lowers it, so a layer needs deduplicating only
+    within itself; exact mixed-radix codes of (orbit, coordinates) do that, and
+    at the end put each orbit's rows in lexicographic order.
     """
-    vecs = [rep(weight)] + [rep(s) for s in simple]
+    vecs = [rep(w) for w in weights] + [rep(s) for s in simple]
     scale = math.lcm(*(c.denominator for v in vecs for c in v))
-    coords = [[int(c * scale) for c in v] for v in vecs]
-    labels = _labels(weight, simple)
-    assert all(c.denominator == 1 for c in labels), "weight not in the weight lattice"
-    steps = [[int(c) for c in _labels(a, simple)] + v for a, v in zip(simple, coords[1:])]
     rank = len(simple)
-    row = tuple(int(c) for c in labels) + tuple(coords[0])
-    while neg := [i for i in range(rank) if row[i] < 0]:
-        row = tuple([x - row[neg[0]] * s for x, s in zip(row, steps[neg[0]])])
-    rows, layer = [row], {row}
-    while layer:
-        layer = {
-            tuple([x - r[i] * s for x, s in zip(r, steps[i])])
-            for r in layer
-            for i in range(rank)
-            if r[i] > 0
-        }
-        rows.extend(layer)
-    return scale, sorted(r[rank:] for r in rows)
+    steps = [[int(c) for c in _labels(a, simple)] + [int(c * scale) for c in rep(a)]
+             for a in simple]
+    starts = []
+    for k, weight in enumerate(weights):
+        labels = _labels(weight, simple)
+        assert all(c.denominator == 1 for c in labels), "weight not in the weight lattice"
+        row = tuple(int(c) for c in labels) + tuple(int(c * scale) for c in rep(weight))
+        while neg := [i for i in range(rank) if row[i] < 0]:
+            row = tuple([x - row[neg[0]] * s for x, s in zip(row, steps[neg[0]])])
+        starts.append((k,) + row)
+    step = np.array([[0] + s for s in steps], dtype=np.int64)
+    layer, layers = np.array(starts, dtype=np.int64), []
+    while len(layer):
+        layers.append(layer := layer[_sorted_firsts(layer, rank)])
+        live = [(i, layer[layer[:, i + 1] > 0]) for i in range(rank)]
+        layer = np.concatenate([m - m[:, [i + 1]] * step[i] for i, m in live])
+    rows = np.concatenate(layers)
+    sizes = np.bincount(rows[:, 0], minlength=len(weights))
+    return scale, np.split(rows[_sorted_firsts(rows, rank), rank + 1:], np.cumsum(sizes)[:-1])
+
+
+def _sorted_firsts(rows: np.ndarray, rank: int) -> np.ndarray:
+    """Index of each distinct (orbit, coordinates) row, in lexicographic order."""
+    coords = rows[:, rank + 1:]
+    bound = int(np.abs(coords).max())
+    radix, dim = 2 * bound + 1, coords.shape[1]
+    if (int(rows[:, 0].max()) + 1) * radix**dim >= 2**63:
+        raise ValueError("orbit rows too large for int64 codes")
+    code = rows[:, 0] * radix**dim + (bound + coords) @ radix ** np.arange(dim - 1, -1, -1)
+    return np.unique(code, return_index=True)[1]
 
 
 @lru_cache(maxsize=None)
-def _orbit_cached(kind: str, weight_index: int) -> WeylOrbit:
+def _orbits(kind: str) -> tuple[WeylOrbit, ...]:
     sys = build_system(kind)
-    w = sys.fundamental_weights[weight_index - 1]
-    scale, rows = _orbit_walk(w, sys.simple_roots, sys.y_rep)
-    return WeylOrbit(w, scale, np.array(rows, dtype=np.int64))
+    weights = sys.fundamental_weights
+    scale, rows = _orbit_walk(weights, sys.simple_roots, sys.y_rep)
+    return tuple(WeylOrbit(w, scale, _read_only(m)) for w, m in zip(weights, rows))
 
 
 def weyl_orbit(sys: RootSystem, weight_index: int) -> WeylOrbit:
     """Weyl orbit of the weight_index-th fundamental weight (1-based)."""
     if not 1 <= weight_index <= sys.rank:
         raise ValueError(f"weight index {weight_index} out of range 1..{sys.rank}")
-    return _orbit_cached(sys.kind, weight_index)
+    return _orbits(sys.kind)[weight_index - 1]
 
 
 def deformed_weyl_vector(sys: RootSystem) -> DeformedWeylVector:
@@ -387,6 +409,7 @@ def highest_root(sys: RootSystem) -> Vec:
     return top
 
 
+@lru_cache(maxsize=None)
 def characteristic_vector(sys: RootSystem) -> tuple[int, ...]:
     """Pairings of the fundamental weights with the highest coroot."""
     theta = highest_root(sys)

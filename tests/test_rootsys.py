@@ -2,10 +2,13 @@ import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from tauforge import oracle
 from tauforge.rootsys import (
     _orbit_walk,
+    _orbits,
     build_system,
     characteristic_vector,
     deformed_weyl_vector,
@@ -191,5 +194,65 @@ def test_orbit_walk_matches_the_fraction_closure_off_the_fundamentals(
         # s_1 lam = lam - 2 alpha_1 for coords (2, 1): a start that is not dominant
         lam = tuple(c - 2 * a for c, a in zip(lam, sysr.simple_roots[0]))
     ref = _reference_orbit_elements(lam, sysr.simple_roots)
-    scale, rows = _orbit_walk(lam, sysr.simple_roots, sysr.y_rep)
+    scale, (rows,) = _orbit_walk((lam,), sysr.simple_roots, sysr.y_rep)
     assert [tuple(Fraction(c, scale) for c in u) for u in rows] == ref
+
+
+@pytest.mark.parametrize(
+    "kind,starts",
+    [
+        ("A2", [((2, 1), False), ((1, 0), False)]),
+        ("G2", [((2, 1), True), ((1, 1), False), ((2, 1), False), ((0, 1), False)]),
+    ],
+)
+def test_one_walk_of_several_weights_equals_separate_walks(kind, starts):
+    sysr = build_system(kind)
+    lams = []
+    for coords, flip in starts:
+        lam = _weight(sysr, coords)
+        if flip:
+            lam = tuple(c - 2 * a for c, a in zip(lam, sysr.simple_roots[0]))
+        lams.append(lam)
+    scale, rows = _orbit_walk(tuple(lams), sysr.simple_roots, sysr.y_rep)
+    assert len(rows) == len(lams)
+    for lam, got in zip(lams, rows):
+        alone_scale, (alone,) = _orbit_walk((lam,), sysr.simple_roots, sysr.y_rep)
+        assert alone_scale == scale
+        assert got.dtype == np.int64 and np.array_equal(got, alone)
+
+
+def test_orbit_walk_rejects_rows_too_large_for_int64_codes():
+    sysr = build_system("E7")
+    lam = tuple(10**5 * c for c in sysr.fundamental_weights[0])
+    with pytest.raises(ValueError, match="int64"):
+        _orbit_walk((lam,), sysr.simple_roots, sysr.y_rep)
+
+
+def test_one_orbit_walk_per_system():
+    _orbits.cache_clear()
+    oracle._orbit_ints.cache_clear()
+    kinds = ("E7", "A1", "A2", "G2")
+    for kind in kinds:
+        oracle._orbit_ints(kind)
+        oracle._orbit_ints(kind)
+    info = _orbits.cache_info()
+    assert info.misses == len(kinds) and info.currsize == len(kinds)
+
+
+def test_characteristic_vector_is_computed_once_per_system():
+    sysr = build_system("E7")
+    first = characteristic_vector(sysr)
+    hits = characteristic_vector.cache_info().hits
+    assert characteristic_vector(sysr) == first
+    assert characteristic_vector.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("kind", ["E7", "A1", "A2", "G2"])
+def test_cached_arrays_are_read_only(kind):
+    sysr = build_system(kind)
+    cached = [weyl_orbit(sysr, a + 1).ints for a in range(sysr.rank)]
+    cached += list(oracle._orbit_arrays(kind)) + list(oracle._orbit_w2(kind))
+    cached += [oracle._root_array(kind), sysr.root_halves]
+    for arr in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] += 1
