@@ -283,7 +283,7 @@ def _labels(v: Vec, simple: tuple[Vec, ...]) -> list[Fraction]:
     return [2 * vdot(v, s) / vdot(s, s) for s in simple]
 
 
-def _orbit_walk(weights, simple: tuple[Vec, ...], rep) -> tuple[int, list]:
+def _orbit_walk(weights: tuple[Vec, ...], simple: tuple[Vec, ...], rep) -> tuple[int, list]:
     """(scale, per weight its orbit's rows): row r is scale * rep(element r), sorted.
 
     scale is the lcm of the denominators of every rep(weight) and rep(alpha_i).
@@ -310,22 +310,25 @@ def _orbit_walk(weights, simple: tuple[Vec, ...], rep) -> tuple[int, list]:
     step = np.array([[0] + s for s in steps], dtype=np.int64)
     layer, layers = np.array(starts, dtype=np.int64), []
     while len(layer):
-        layers.append(layer := layer[_sorted_firsts(layer, rank)])
+        layers.append(layer := layer[_sorted_firsts(layer[:, rank + 1:], layer[:, 0])])
         live = [(i, layer[layer[:, i + 1] > 0]) for i in range(rank)]
         layer = np.concatenate([m - m[:, [i + 1]] * step[i] for i, m in live])
-    rows = np.concatenate(layers)
-    sizes = np.bincount(rows[:, 0], minlength=len(weights))
-    return scale, np.split(rows[_sorted_firsts(rows, rank), rank + 1:], np.cumsum(sizes)[:-1])
+    # sorted one orbit at a time: freeing one array of every row would raise
+    # glibc's mmap threshold above any later temporary and the process peak
+    orbits = []
+    for k in range(len(weights)):
+        rows = np.concatenate([m[m[:, 0] == k, rank + 1:] for m in layers])
+        orbits.append(rows[_sorted_firsts(rows)])
+    return scale, orbits
 
 
-def _sorted_firsts(rows: np.ndarray, rank: int) -> np.ndarray:
+def _sorted_firsts(coords: np.ndarray, orbit=0) -> np.ndarray:
     """Index of each distinct (orbit, coordinates) row, in lexicographic order."""
-    coords = rows[:, rank + 1:]
     bound = int(np.abs(coords).max())
     radix, dim = 2 * bound + 1, coords.shape[1]
-    if (int(rows[:, 0].max()) + 1) * radix**dim >= 2**63:
+    if (int(np.max(orbit)) + 1) * radix**dim >= 2**63:
         raise ValueError("orbit rows too large for int64 codes")
-    code = rows[:, 0] * radix**dim + (bound + coords) @ radix ** np.arange(dim - 1, -1, -1)
+    code = orbit * radix**dim + (bound + coords) @ radix ** np.arange(dim - 1, -1, -1)
     return np.unique(code, return_index=True)[1]
 
 
