@@ -594,6 +594,13 @@ GOLDEN_REPORTS = [
      "ce97e33b392fa6f6bff71c05fe3acfec2ef4c32272f686d5617fe509955ad961"),
     (["flatness", "--system", "G2", "--precision", "hp", "--points", "3"],
      "af296b6350ad1e2f7b1b9ed4ff822a33cc2136453ad5ac64bae0e457e0f91c19"),
+    # the two commands of acceptance criterion 3, recorded before the hp
+    # trie took three integer products per node and grouped its gradient sums
+    (["fit", "--variant", "raw", "--entries", "discrepant"],
+     "afbcd32852252ef47496b900d4b8ef7ee5461c5921f040fa555cc2b0d95b816b"),
+    (["verify-tables", "--variant", "canonical", "--precision", "hp", "--samples", "10",
+      "--tol", "1e-30"],
+     "48f551963576a27e2d7c5173701bdabdd24cedf60337c2f7171f13cd495b699f"),
 ]
 
 
