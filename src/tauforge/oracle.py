@@ -82,9 +82,10 @@ def hp_digits() -> int:
 
 # hp points fork only when the system's Weyl orbits hold at least this many
 # rows in all.  On a 2-CPU x86-64 host a fork of a warm E7 process costs
-# 20-30 ms, copy-on-write faults included.  An E7 hp point (17,642 rows)
-# costs 40-55 ms as a refit frame at 70 digits and 0.2-0.9 s in hp
-# verify-tables or flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
+# 20-30 ms, copy-on-write faults included.  Timed in one process on one CPU
+# of that host, an E7 hp point (17,642 rows) costs 25-30 ms as a refit
+# frame at 70 digits, 27-33 ms in hp verify-tables and 0.35-0.42 s in hp
+# flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
 FORK_MIN_ORBIT_ROWS = 1_000
 
 
@@ -432,10 +433,16 @@ class _HpPlan:
     Rows u are the orbit vectors times `scale`; a row's path is its nonzero
     (k, u_k) list.  Node 0 is the root, 1; node i > 0 is node parent[i] times
     the factor keys[key[i]] = (k, u); `levels` holds each depth's (lo, hi).
-    `orbits` holds per orbit (ends, U, w2): each row's last node, the rows
-    as an object matrix, and the orbit's one sum_k g_k u_k^2.  When `paired`,
-    only rows whose first nonzero u_k is positive are kept: each stands for
-    itself and its negative.
+    `orbits` holds per orbit (ends, w2): each row's last node and the orbit's
+    one sum_k g_k u_k^2.  When `paired`, only rows whose first nonzero u_k is
+    positive are kept: each stands for itself and its negative.
+
+    `grads` groups the gradient sums sum_u u_k f(u): per coordinate k, the
+    kept rows with u_k != 0 grouped by (orbit, u_k), in that order, as
+    (nodes, starts, values, orbits, orbit_starts): the rows' last nodes
+    group by group, where each group starts in nodes, its u_k, the orbits
+    that hold a group and where each one's groups start.  Every array is
+    read-only.
     """
 
     scale: int
@@ -445,6 +452,7 @@ class _HpPlan:
     key: np.ndarray
     levels: tuple
     orbits: tuple
+    grads: tuple
 
 
 def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
@@ -472,14 +480,14 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
         kept.append((m, int(w2[0])))
     sizes = [len(m) for m, _ in kept]
     rows = np.concatenate([m for m, _ in kept])
-    orbit = np.repeat(np.arange(len(kept)), sizes) * radix**dim
+    orbit = np.repeat(np.arange(len(kept)), sizes)
     count = (rows != 0) @ np.tri(dim, dtype=np.int64).T  # nonzeros up to k
     node = np.zeros(len(rows), dtype=np.int64)
     parent, key, levels = [[0]], [], []
     for d in range(1, count[:, -1].max() + 1):
         live = np.flatnonzero(count[:, -1] >= d)
         prefix = np.where(count[live] <= d, rows[live], 0)
-        code = orbit[live] + (bound + prefix) @ place
+        code = orbit[live] * radix**dim + (bound + prefix) @ place
         _, first, inv = np.unique(code, return_index=True, return_inverse=True)
         at = live[first]
         k = (count[at] == d).argmax(axis=1)  # where the d-th nonzero sits
@@ -491,9 +499,28 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
     codes, _, key = np.unique(np.concatenate(key), True, True)
     keys = tuple((int(c) // radix, int(c) % radix - bound) for c in codes)
     ends = np.split(node, np.cumsum(sizes)[:-1])
-    orbits = tuple((e, m.astype(object), w2) for e, (m, w2) in zip(ends, kept))
-    key, levels = np.append(0, key), tuple(levels)
-    return _HpPlan(scale, paired, keys, np.concatenate(parent), key, levels, orbits)
+    grads = []
+    for k in range(dim):  # one k at a time keeps the temporaries small
+        row = np.flatnonzero(rows[:, k])
+        code = orbit[row] * radix + bound + rows[row, k]
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        starts = np.flatnonzero(np.diff(code, prepend=-1))
+        orbit_of = code[starts] // radix
+        orbit_starts = np.flatnonzero(np.diff(orbit_of, prepend=-1))
+        values = (code[starts] % radix - bound).astype(object)
+        group = node[row[order]], starts, values, orbit_of[orbit_starts], orbit_starts
+        grads.append(tuple(map(_read_only, group)))
+    return _HpPlan(
+        scale,
+        paired,
+        keys,
+        _read_only(np.concatenate(parent)),
+        _read_only(np.append(0, key)),
+        tuple(levels),
+        tuple((_read_only(e), w2) for e, (_, w2) in zip(ends, kept)),
+        tuple(grads),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -503,6 +530,34 @@ def _hp_plan(kind: str) -> _HpPlan:
     return _build_hp_plan(*_orbit_ints(kind), gws, sysr.has_minus_one)
 
 
+def _trie_step(pc, ps, c, c_plus_s, s_minus_c, shift: int):
+    """(re, im) of (pc + i ps)(c + i s) / 2^shift, each rounded half up.
+
+    Three integer products per element instead of four: with t = c (pc +
+    ps), pc c - ps s is t - ps (c + s) and pc s + ps c is t + pc (s - c),
+    the same integers.  The object arrays pc and ps are overwritten with
+    the results, so no level holds more than one spare array.
+    """
+    t = (pc + ps) * c
+    t += 1 << (shift - 1)
+    re = np.multiply(ps, c_plus_s, out=ps)
+    im = np.multiply(pc, s_minus_c, out=pc)
+    np.subtract(t, re, out=re)
+    np.add(t, im, out=im)
+    re >>= shift
+    im >>= shift
+    return re, im
+
+
+def _grouped_sums(plan: _HpPlan, f: np.ndarray) -> np.ndarray:
+    """The exact sums sum_u u_k f[end of u], an orbits x k object matrix."""
+    sums = np.zeros((len(plan.orbits), len(plan.grads)), dtype=object)
+    for k, (nodes, starts, values, orbits, orbit_starts) in enumerate(plan.grads):
+        by_value = np.add.reduceat(f[nodes], starts) * values
+        sums[orbits, k] = np.add.reduceat(by_value, orbit_starts)
+    return sums
+
+
 def _geom_hp(sysr: RootSystem, y, beta):
     """Fixed-point evaluation of the orbit sums at the current mp precision.
 
@@ -510,41 +565,47 @@ def _geom_hp(sysr: RootSystem, y, beta):
     e^{i beta y_k / M} raised to small integer powers, computed in integer
     arithmetic with 64 guard bits and accumulated exactly over the orbit.
     The products follow _hp_plan's trie one depth at a time on numpy object
-    arrays, each node rounded once from its parent; tau, J = f @ U and the
-    Laplacian w2 tau are exact integer sums.  For systems containing -1 the
-    row of -u is the conjugate of the row of u, so half-orbit sums double.
+    arrays, each node rounded once from its parent in three integer products
+    (_trie_step, on the tables c, s, c + s and s - c).  tau, the Laplacian
+    w2 tau and J = sum_u u_k f(u), grouped by (orbit, k, u_k), are exact
+    integer sums.  For systems containing -1 the row of -u is the conjugate
+    of the row of u, so half-orbit sums double.
     """
     dim = sysr.y_dim
     plan = _hp_plan(sysr.kind)
     scale = plan.scale
     shift = mp.prec + 64
-    half = 1 << (shift - 1)
     with mp.workprec(shift + 16):
         theta = [beta * yk / scale for yk in y]
         table = [mp.cos_sin(u * theta[k]) for k, u in plan.keys]
     fixed = [[_mpz(to_fixed(v, shift)) for v in cs] for cs in table]
     tab_c, tab_s = np.array(fixed, dtype=object).T
+    tab_p, tab_m = tab_c + tab_s, tab_s - tab_c
     fc, fs = np.empty((2, len(plan.parent)), dtype=object)
     fc[0], fs[0] = _mpz(1 << shift), _mpz(0)
     for lo, hi in plan.levels:
-        pc, ps = fc[plan.parent[lo:hi]], fs[plan.parent[lo:hi]]
-        c, s = tab_c[plan.key[lo:hi]], tab_s[plan.key[lo:hi]]
-        fc[lo:hi] = (pc * c - ps * s + half) >> shift
-        fs[lo:hi] = (pc * s + ps * c + half) >> shift
+        par, key = plan.parent[lo:hi], plan.key[lo:hi]
+        fc[lo:hi], fs[lo:hi] = _trie_step(
+            fc[par], fs[par], tab_c[key], tab_p[key], tab_m[key], shift
+        )
     to_mpf = lambda acc, down: mp.ldexp(mpf(int(acc)), -shift) / down
     cplx = lambda re, im, down: to_mpf(re, down) + 1j * to_mpf(im, down)
     taus, jacs, laps = [], [], []
-    for ends, U, w2 in plan.orbits:
-        tau_c, jac_s = fc[ends].sum(), fs[ends] @ U
+    jac_s = _grouped_sums(plan, fs)
+    jac_c = jac_s if plan.paired else _grouped_sums(plan, fc)
+    for (ends, w2), js, jc in zip(plan.orbits, jac_s, jac_c):
+        tau_c = fc[ends].sum()
         if plan.paired:
             taus.append(to_mpf(2 * tau_c, 1))
-            jacs.append([-beta * to_mpf(2 * j, scale) for j in jac_s])
+            jacs.append([-beta * to_mpf(2 * j, scale) for j in js])
             laps.append(-(beta**2) * to_mpf(2 * w2 * tau_c, scale**2))
         else:
             tau_s = fs[ends].sum()
-            jac_c = [1j * beta * to_mpf(j, scale) for j in fc[ends] @ U]
             taus.append(cplx(tau_c, tau_s, 1))
-            jacs.append([-beta * to_mpf(j, scale) + c for j, c in zip(jac_s, jac_c)])
+            jacs.append([
+                -beta * to_mpf(s, scale) + 1j * beta * to_mpf(c, scale)
+                for s, c in zip(js, jc)
+            ])
             laps.append(-(beta**2) * cplx(w2 * tau_c, w2 * tau_s, scale**2))
     cotg = [mpf(0)] * dim
     for r in _root_mp(sysr.kind, mp.dps):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import matrix, mp, mpf
 from mpmath import qr_solve as mp_qr_solve
 
@@ -41,10 +43,12 @@ from tauforge.oracle import (
     _powers,
     _rho_sq,
     _geom_hp,
+    _grouped_sums,
     _hp_plan,
     _orbit_ints,
     _root_mp,
     _map_points,
+    _trie_step,
 )
 from tauforge.rootsys import build_system, deformed_weyl_vector
 
@@ -295,13 +299,13 @@ def test_hp_plan_rejects_an_orbit_not_closed_under_negation():
     closed = np.array([[2, 0], [-2, 0]])
     lopsided = np.array([[1, 2], [-2, 1]])
     plan = _build_hp_plan(2, (closed,), [1, 1], paired=True)
-    assert [len(ends) for ends, _, _ in plan.orbits] == [1]
+    assert [len(ends) for ends, _ in plan.orbits] == [1]
     with pytest.raises(CancellationError):
         _build_hp_plan(2, (closed, lopsided), [1, 1], paired=True)
     plan = _build_hp_plan(2, (closed, lopsided), [1, 1], paired=False)
     assert plan.scale == 2
-    assert [len(ends) for ends, _, _ in plan.orbits] == [2, 2]
-    assert [w2 for _, _, w2 in plan.orbits] == [4, 5]
+    assert [len(ends) for ends, _ in plan.orbits] == [2, 2]
+    assert [w2 for _, w2 in plan.orbits] == [4, 5]
 
 
 def test_hp_plan_rejects_an_orbit_whose_weighted_norm_varies():
@@ -309,7 +313,7 @@ def test_hp_plan_rejects_an_orbit_whose_weighted_norm_varies():
     # weights and two under g = (1, 2)
     square = np.array([[2, 0], [-2, 0], [0, 2], [0, -2]])
     plan = _build_hp_plan(2, (square,), [1, 1], paired=True)
-    assert [w2 for _, _, w2 in plan.orbits] == [4]
+    assert [w2 for _, w2 in plan.orbits] == [4]
     with pytest.raises(ValueError, match="not constant"):
         _build_hp_plan(2, (square,), [1, 2], paired=True)
 
@@ -323,11 +327,19 @@ def _trie_path(plan, node):
     return path[::-1]
 
 
+def _trie_row(plan, node, dim):
+    """The row u whose nonzero (k, u_k) list is the path to `node`."""
+    u = [0] * dim
+    for k, x in _trie_path(plan, node):
+        u[k] = x
+    return u
+
+
 def test_e7_hp_plan_has_one_node_per_distinct_row_prefix():
     plan = _hp_plan("E7")
     assert plan.paired and plan.scale == 2
     assert len(plan.parent) - 1 == 16_518
-    sizes = [len(ends) for ends, _, _ in plan.orbits]
+    sizes = [len(ends) for ends, _ in plan.orbits]
     assert sizes == [28, 63, 288, 378, 1008, 2016, 5040]
     assert sum(sizes) == 8_821
     # levels tile the nodes in depth order, and a level reads only below it
@@ -339,13 +351,81 @@ def test_e7_hp_plan_has_one_node_per_distinct_row_prefix():
     # each kept row ends at the node whose path is its nonzero (k, u_k) list
     _, ints = _orbit_ints("E7")
     gws = [int(g) for g in E7.metric_weights[: E7.y_dim]]
-    for (ends, U, w2), m in zip(plan.orbits, ints):
-        assert {tuple(u) for u in U.tolist()} == {
+    for (ends, w2), m in zip(plan.orbits, ints):
+        assert len(set(ends.tolist())) == len(ends)
+        U = [_trie_row(plan, node, E7.y_dim) for node in ends.tolist()]
+        assert {tuple(u) for u in U} == {
             tuple(u) for u in m.tolist() if next(x for x in u if x) > 0
         }
-        for node, u in zip(ends.tolist(), U.tolist()):
+        for node, u in zip(ends.tolist(), U):
             assert _trie_path(plan, node) == [(k, x) for k, x in enumerate(u) if x]
         assert {sum(g * x * x for g, x in zip(gws, u)) for u in m.tolist()} == {w2}
+
+
+
+_SIGNED_400 = st.integers(-(1 << 400) + 1, (1 << 400) - 1)
+
+
+@given(_SIGNED_400, _SIGNED_400, _SIGNED_400, _SIGNED_400, st.integers(1, 400))
+@example(0, 0, 0, 0, 1)
+@example(-1, -1, -1, -1, 1)
+@example(-(1 << 399), 1 << 399, (1 << 400) - 1, -(1 << 400) + 1, 400)
+@settings(max_examples=300, deadline=None)
+def test_the_three_product_trie_step_is_the_four_product_one(pc, ps, c, s, shift):
+    half = 1 << (shift - 1)
+    want = ((pc * c - ps * s + half) >> shift, (pc * s + ps * c + half) >> shift)
+    arr = lambda v: np.array([v], dtype=object)
+    got = _trie_step(arr(pc), arr(ps), arr(c), arr(c + s), arr(s - c), shift)
+    assert (got[0][0], got[1][0]) == want
+    assert all(type(v[0]) is int for v in got)
+
+
+def _kept_rows(plan, dim):
+    """Per orbit, (ends, the kept rows u read from their trie paths)."""
+    return [
+        (ends, [_trie_row(plan, node, dim) for node in ends.tolist()])
+        for ends, _ in plan.orbits
+    ]
+
+
+@pytest.mark.parametrize("kind", ["E7", "A1", "A2", "G2"])
+def test_each_nonzero_gradient_entry_falls_in_exactly_one_group(kind):
+    plan, dim = _hp_plan(kind), build_system(kind).y_dim
+    want = {
+        (a, node, k): x
+        for a, (ends, U) in enumerate(_kept_rows(plan, dim))
+        for node, u in zip(ends.tolist(), U)
+        for k, x in enumerate(u)
+        if x
+    }
+    assert len(plan.grads) == dim
+    got = []
+    for k, (nodes, starts, values, orbits, orbit_starts) in enumerate(plan.grads):
+        group_ends = np.append(starts[1:], len(nodes))
+        orbit_of = np.repeat(orbits, np.diff(np.append(orbit_starts, len(starts))))
+        for lo, hi, value, a in zip(starts, group_ends, values, orbit_of):
+            assert lo < hi and value != 0
+            got += [((int(a), node, k), value) for node in nodes[lo:hi].tolist()]
+    assert len(got) == len(want) == len(dict(got))
+    assert dict(got) == want
+
+
+@pytest.mark.parametrize("kind", ["E7", "A1", "A2", "G2"])
+def test_grouped_gradient_sums_equal_the_row_matmul(kind):
+    # fs on every system, and fc as on A2's complex path
+    plan, dim = _hp_plan(kind), build_system(kind).y_dim
+    rng = np.random.default_rng(19)
+    for _ in range(2):
+        bits = rng.integers(0, 320, size=len(plan.parent)).tolist()
+        f = np.array(
+            [int(rng.integers(-3, 4)) * (1 << b) + int(rng.integers(-1000, 1000)) for b in bits],
+            dtype=object,
+        )
+        got = _grouped_sums(plan, f)
+        assert got.shape == (len(plan.orbits), dim)
+        for (ends, U), row in zip(_kept_rows(plan, dim), got):
+            want = f[ends] @ np.array(U, dtype=object)
+            assert row.tolist() == want.tolist()
 
 
 # sha256 of repr(_geom_double(sysr, y, beta)) at the first sample point of

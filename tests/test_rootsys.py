@@ -253,6 +253,9 @@ def test_cached_arrays_are_read_only(kind):
     cached = [weyl_orbit(sysr, a + 1).ints for a in range(sysr.rank)]
     cached += list(oracle._orbit_arrays(kind)) + list(oracle._orbit_w2(kind))
     cached += [oracle._root_array(kind), sysr.root_halves]
+    plan = oracle._hp_plan(kind)
+    cached += [plan.parent, plan.key] + [ends for ends, _ in plan.orbits]
+    cached += [arr for group in plan.grads for arr in group]
     for arr in cached:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] += 1
