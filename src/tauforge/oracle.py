@@ -511,16 +511,9 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
         values = (code[starts] % radix - bound).astype(object)
         group = node[row[order]], starts, values, orbit_of[orbit_starts], orbit_starts
         grads.append(tuple(map(_read_only, group)))
-    return _HpPlan(
-        scale,
-        paired,
-        keys,
-        _read_only(np.concatenate(parent)),
-        _read_only(np.append(0, key)),
-        tuple(levels),
-        tuple((_read_only(e), w2) for e, (_, w2) in zip(ends, kept)),
-        tuple(grads),
-    )
+    parent, key = _read_only(np.concatenate(parent)), _read_only(np.append(0, key))
+    orbits = tuple((_read_only(e), w2) for e, (_, w2) in zip(ends, kept))
+    return _HpPlan(scale, paired, keys, parent, key, tuple(levels), orbits, tuple(grads))
 
 
 @lru_cache(maxsize=None)
@@ -591,21 +584,19 @@ def _geom_hp(sysr: RootSystem, y, beta):
     to_mpf = lambda acc, down: mp.ldexp(mpf(int(acc)), -shift) / down
     cplx = lambda re, im, down: to_mpf(re, down) + 1j * to_mpf(im, down)
     taus, jacs, laps = [], [], []
-    jac_s = _grouped_sums(plan, fs)
-    jac_c = jac_s if plan.paired else _grouped_sums(plan, fc)
-    for (ends, w2), js, jc in zip(plan.orbits, jac_s, jac_c):
+    grad_s = _grouped_sums(plan, fs)
+    grad_c = grad_s if plan.paired else _grouped_sums(plan, fc)
+    for (ends, w2), jac_s, jac_fc in zip(plan.orbits, grad_s, grad_c):
         tau_c = fc[ends].sum()
         if plan.paired:
             taus.append(to_mpf(2 * tau_c, 1))
-            jacs.append([-beta * to_mpf(2 * j, scale) for j in js])
+            jacs.append([-beta * to_mpf(2 * j, scale) for j in jac_s])
             laps.append(-(beta**2) * to_mpf(2 * w2 * tau_c, scale**2))
         else:
             tau_s = fs[ends].sum()
+            jac_c = [1j * beta * to_mpf(j, scale) for j in jac_fc]
             taus.append(cplx(tau_c, tau_s, 1))
-            jacs.append([
-                -beta * to_mpf(s, scale) + 1j * beta * to_mpf(c, scale)
-                for s, c in zip(js, jc)
-            ])
+            jacs.append([-beta * to_mpf(j, scale) + c for j, c in zip(jac_s, jac_c)])
             laps.append(-(beta**2) * cplx(w2 * tau_c, w2 * tau_s, scale**2))
     cotg = [mpf(0)] * dim
     for r in _root_mp(sysr.kind, mp.dps):
