@@ -83,8 +83,8 @@ def hp_digits() -> int:
 # hp points fork only when the system's Weyl orbits hold at least this many
 # rows in all.  On a 2-CPU x86-64 host a fork of a warm E7 process costs
 # 20-30 ms, copy-on-write faults included.  Timed in one process on one CPU
-# of that host, an E7 hp point (17,642 rows) costs 25-30 ms as a refit
-# frame at 70 digits, 27-33 ms in hp verify-tables and 0.35-0.42 s in hp
+# of that host, an E7 hp point (17,642 rows) costs 20-37 ms as a refit
+# frame at 70 digits, 24-33 ms in hp verify-tables and 0.34-0.43 s in hp
 # flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
 FORK_MIN_ORBIT_ROWS = 1_000
 

@@ -362,7 +362,6 @@ def test_e7_hp_plan_has_one_node_per_distinct_row_prefix():
         assert {sum(g * x * x for g, x in zip(gws, u)) for u in m.tolist()} == {w2}
 
 
-
 _SIGNED_400 = st.integers(-(1 << 400) + 1, (1 << 400) - 1)
 
 
@@ -377,7 +376,6 @@ def test_the_three_product_trie_step_is_the_four_product_one(pc, ps, c, s, shift
     arr = lambda v: np.array([v], dtype=object)
     got = _trie_step(arr(pc), arr(ps), arr(c), arr(c + s), arr(s - c), shift)
     assert (got[0][0], got[1][0]) == want
-    assert all(type(v[0]) is int for v in got)
 
 
 def _kept_rows(plan, dim):
