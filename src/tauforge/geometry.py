@@ -309,21 +309,29 @@ def _curvature_mp(metric: _MetricPolys, vals: list, frame: MetricFrame) -> tuple
             else mul(u, v, prec, rnd) for x, y, u, v in zip(dAli, brj[k], Ai, dbrj[k])
         ), -1) for k in R] for brj, dbrj in zip(br, dbr)] for dAli, Ai in zip(dA[l], A)])
 
+    # R^i_{jkl} is computed for k < l only: swapping k and l negates every
+    # rounded term of its formula (rounding to nearest is symmetric), so
+    # R^i_{jlk} is exactly neg(R^i_{jkl}) and R^i_{jkk} exactly zero
+    pairs = list(combinations(R, 2))
     riemann, bianchi = [], []
     for i, Gi in enumerate(gamma):
         Ri = []
         for j in R:
             # P[k][l][m] = Gamma^i_{km} Gamma^m_{lj}; the second product of
             # the quadratic term, Gamma^i_{lm} Gamma^m_{kj}, is P[l][k][m]
-            P = [[[mul(x, gamma[m][l][j], prec, rnd) for m, x in enumerate(Gik)] for l in R]
-                 for Gik in Gi]
-            Ri.append([[add(sub(dgamma[k][i][l][j], dgamma[l][i][k][j], prec, rnd),
-                            total(map(sub, P[k][l], P[l][k], repeat(prec), repeat(rnd))), prec, rnd)
-                        for l in R] for k in R])
-        riemann.extend(chain.from_iterable(Ri))
+            P = [[[mul(x, gamma[m][l][j], prec, rnd) for m, x in enumerate(Gik)]
+                  if l != k else None for l in R] for k, Gik in enumerate(Gi)]
+            Rij = [[zero] * len(R) for _ in R]
+            for k, l in pairs:
+                Rij[k][l] = add(sub(dgamma[k][i][l][j], dgamma[l][i][k][j], prec, rnd),
+                                total(map(sub, P[k][l], P[l][k], repeat(prec), repeat(rnd))),
+                                prec, rnd)
+                Rij[l][k] = neg(Rij[k][l])
+                riemann.append(Rij[k][l])
+            Ri.append(Rij)
         bianchi.extend(add(add(Ri[j][k][l], Ri[k][l][j], prec, rnd), Ri[l][j][k], prec, rnd)
                        for j, k, l in combinations(R, 3))
-    riemann_max, bianchi_max = largest(chain.from_iterable(riemann)), largest(bianchi)
+    riemann_max, bianchi_max = largest(riemann), largest(bianchi)
     frame = replace(frame, christoffel=tuple(tuple(tuple(map(wrap, r)) for r in p) for p in gamma))
     return float(riemann_max / norm), float(bianchi_max / norm), frame
 
@@ -433,9 +441,11 @@ def flatness_report(
 ) -> dict:
     """Riemann residuals at tau(y) images of chart-centered samples.
 
-    hp points are rounded at `digits` and run at `digits`, a large
-    system's on every CPU (see oracle._map_sample_points).  The default tol
-    is 1e-6 in double and hp_tol(digits) at hp.
+    hp points are rounded at `digits` and run at `digits`.  A large
+    system's hp points, and its double points from
+    oracle.FORK_MIN_DOUBLE_POINTS points on, run on every CPU (see
+    oracle._map_sample_points).  The default tol is 1e-6 in double and
+    hp_tol(digits) at hp.
     """
     if tol is None:
         tol = 1e-6 if precision == "double" else hp_tol(digits)

@@ -80,13 +80,19 @@ def hp_digits() -> int:
 # ---------------------------------------------------------------------------
 # independent points on every CPU
 
-# hp points fork only when the system's Weyl orbits hold at least this many
-# rows in all.  On a 2-CPU x86-64 host a fork of a warm E7 process costs
-# 20-30 ms, copy-on-write faults included.  Timed in one process on one CPU
-# of that host, an E7 hp point (17,642 rows) costs 20-37 ms as a refit
-# frame at 70 digits, 24-33 ms in hp verify-tables and 0.34-0.43 s in hp
-# flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
+# A system's sample points fork only when its Weyl orbits hold at least
+# FORK_MIN_ORBIT_ROWS rows in all: every hp list, and a double list of at
+# least FORK_MIN_DOUBLE_POINTS points.  On a 2-CPU x86-64 host a fork of a
+# warm E7 process costs 20-30 ms, copy-on-write faults included.  Timed in
+# one process on one CPU of that host, an E7 hp point (17,642 rows) costs
+# 20-37 ms as a refit frame at 70 digits, 24-33 ms in hp verify-tables and
+# 0.34-0.43 s in hp flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
+# An E7 double point costs 0.8-1.5 ms in verify-tables and 2.6-3.5 ms in
+# flatness, so fit's 20-point screen and the default 10-point flatness
+# gain less than a fork costs; a ground-state residual costs 0.02-0.03 ms,
+# so verify-ground-state never forks.
 FORK_MIN_ORBIT_ROWS = 1_000
+FORK_MIN_DOUBLE_POINTS = 50
 
 
 def _cpus() -> int:
@@ -97,14 +103,18 @@ def _cpus() -> int:
 
 
 def _map_sample_points(fn, sysr: RootSystem, points: list):
-    """fn over points, in order: on every CPU for hp points of a large system.
+    """fn over points, in order: on every CPU for a large system's long lists.
 
-    Any other points run lazily here, as map runs them; see FORK_MIN_ORBIT_ROWS.
+    A large system has at least FORK_MIN_ORBIT_ROWS orbit rows; a long list
+    is every hp list and every double one of at least FORK_MIN_DOUBLE_POINTS
+    points.  Any other points run lazily here, as map runs them.
     """
     hp = bool(points) and _is_hp(points[0])
-    if not hp or sum(map(len, _orbit_ints(sysr.kind)[1])) < FORK_MIN_ORBIT_ROWS:
+    if (not (hp or len(points) >= FORK_MIN_DOUBLE_POINTS)
+            or sum(map(len, _orbit_ints(sysr.kind)[1])) < FORK_MIN_ORBIT_ROWS):
         return map(fn, points)
-    _hp_plan(sysr.kind)  # built once here, for every child to inherit
+    if hp:
+        _hp_plan(sysr.kind)  # built once here, for every child to inherit
     return _map_points(fn, points)
 
 
@@ -759,7 +769,9 @@ def verify_tables(
     Returns a JSON-ready report; reproducible for a fixed seed.  B entries
     are checked at every nu in nu_list.  Raises ValueError if nu_list
     repeats a value.  hp points are rounded at `digits` and run at
-    `digits`, a large system's on every CPU (see _map_sample_points).
+    `digits`.  A large system's hp points, and its double points from
+    FORK_MIN_DOUBLE_POINTS samples on, run on every CPU (see
+    _map_sample_points).
     """
     sysr = op.system
     nu_list = distinct_nus(nu_list) if nu_list else [float(x) for x in DEFAULT_NU_LIST]
@@ -786,25 +798,31 @@ def verify_tables(
             for _, i, j in ids
         ]
         top = top_exponents([terms for row in compiled for terms in row], rank)
+        # the entry of each residual point_notes returns: A once, B once per nu
+        checked = [name for name, row in zip(names, compiled) for _ in row]
 
         for beta in beta_list:
             b2 = (mpf(str(beta)) if hp else float(beta)) ** 2
 
             def point_notes(pt) -> list:
-                """(entry, residual) at pt in check order."""
+                """The residuals at pt in check order, one per name of checked.
+
+                Plain floats: a forked point list sends every point's list back
+                at once, and (name, residual) pairs raised the peak RSS of a
+                1000-point E7 run by about 3 MiB.
+                """
                 frame = _geom(sysr, pt)
                 taus = frame[0]
                 pw = _powers(taus, top)
                 notes = []
-                for name, entry, row in zip(names, ids, compiled):
+                for entry, row in zip(ids, compiled):
                     ref = _oracle_ab(frame, gw, b2, entry)
                     if entry[0] == "A":
-                        notes.append((name, rel(eval_compiled(row[0], pw, taus), ref)))
+                        notes.append(rel(eval_compiled(row[0], pw, taus), ref))
                         continue
                     base, slope = ref
                     for terms, nub in zip(row, nubs):
-                        value = base + nub * slope
-                        notes.append((name, rel(eval_compiled(terms, pw, taus), value)))
+                        notes.append(rel(eval_compiled(terms, pw, taus), base + nub * slope))
                 return notes
 
             pts = sample_points(
@@ -813,7 +831,7 @@ def verify_tables(
             )
             per_point = _map_sample_points(point_notes, sysr, pts)
             for notes in per_point:
-                for name, r in notes:
+                for name, r in zip(checked, notes):
                     if r > worst[name]:
                         worst[name] = r
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import tauforge
 from tauforge.cli import build_parser, main
+from tauforge.oracle import FORK_MIN_DOUBLE_POINTS
 
 SRC = str(Path(tauforge.__file__).resolve().parent.parent)
 
@@ -433,22 +434,26 @@ def test_hp_ground_state_runs_at_the_working_precision(capsys):
 
 
 def test_reports_do_not_depend_on_the_cpu_count(capsys, monkeypatch):
+    bound = str(FORK_MIN_DOUBLE_POINTS)
     argvs = (
-        ["tau-eval", "--samples", "3"],
-        ["verify-ground-state", "--samples", "3", "--beta", "1", "--nu", "0.5"],
-        ["flatness", "--precision", "hp", "--points", "3"],
-        ["verify-tables", "--variant", "canonical", "--precision", "hp", "--samples", "3"],
-        ["fit", "--entries", "A11"],
+        (["tau-eval", "--samples", "3"], 0),
+        (["verify-ground-state", "--samples", "3", "--beta", "1", "--nu", "0.5"], 0),
+        (["flatness", "--precision", "hp", "--points", "3"], 0),
+        (["verify-tables", "--variant", "canonical", "--precision", "hp", "--samples", "3"], 0),
+        (["fit", "--entries", "A11"], 0),
+        # the raw tables fail their screen, and a detected fault passes
+        (["verify-tables", "--variant", "raw", "--samples", bound], 1),
+        (["flatness", "--points", bound, "--fault"], 0),
     )
-    # the E7 hp point loops fork at 3 CPUs
+    # the E7 hp point loops and long double point lists fork at 3 CPUs
     outputs = []
     for cpus in (1, 3):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        outputs.append([run(capsys, *argv) for argv in argvs])
+        outputs.append([run(capsys, *argv) for argv, _ in argvs])
     assert outputs[0] == outputs[1]
-    for code, out in outputs[0]:
-        assert code == 0
+    for (code, out), (_, want) in zip(outputs[0], argvs):
+        assert code == want
         assert "jobs" not in json.loads(out)["config"]
 
 

@@ -21,6 +21,7 @@ from tauforge.operator import e7_operator
 from tauforge.oracle import (
     CancellationError,
     ClearanceError,
+    FORK_MIN_DOUBLE_POINTS,
     FORK_MIN_ORBIT_ROWS,
     HELD_OUT_FRAMES,
     FramePool,
@@ -906,6 +907,29 @@ def test_e7_hp_points_fork_once_on_two_cpus(monkeypatch, capsys, argv):
     main(argv)
     capsys.readouterr()
     assert len(forks) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["verify-tables", "--samples", str(FORK_MIN_DOUBLE_POINTS)], 1),
+        (["flatness", "--points", str(FORK_MIN_DOUBLE_POINTS), "--fault"], 1),
+        (["verify-tables", "--samples", str(FORK_MIN_DOUBLE_POINTS - 1)], 0),
+        (["flatness", "--points", "10"], 0),
+        # its 20-point double screen stays here; only the hp pool forks
+        (["fit", "--entries", "discrepant"], 1),
+    ],
+)
+def test_e7_double_point_lists_fork_from_the_bound_on_two_cpus(
+    monkeypatch, capsys, argv, want
+):
+    from tauforge.cli import main
+
+    forks = _pin_cpus(monkeypatch, 2)
+    main(argv)
+    capsys.readouterr()
+    assert len(forks) == want
     _no_child_left()
 
 
