@@ -582,6 +582,12 @@ GOLDEN_REPORTS = [
      "064074d95e8cf2f11196bff2e112e3ffbd22870a9949a15f689ef1c40d1dcb7a"),
     (["export", "--matrix-n", "2", "--format", "csv"],
      "47048ecbaf38d2db50ea737d40e12938c26772d89c0607708ca68ee0a277d0fe"),
+    # the table CSVs, recorded before the table-file layout was read in one
+    # place
+    (["export", "--variant", "raw", "--format", "csv"],
+     "6144dad337a4fbd24bd6848a1e088b5b28b72c662de0b161080bec948c82f303"),
+    (["export", "--system", "A2", "--format", "csv"],
+     "0caf323ef1d9cfdc1bf7bc1980e95493702a17944385e547c72b56b6dced1af1"),
     (["invariance", "--n", "4"],
      "ff57204844ca604477657238347dccf1f2fe490cb52e4d8fb513132b7ecab651"),
     # recorded before the determinant moved to integer Bareiss on grade blocks

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
 from tauforge.derive import derive_operator
+from tauforge.exactpoly import MultiPoly
 from tauforge.geometry import (
     SingularMetricError,
     _MetricPolys,
@@ -121,6 +123,23 @@ def test_with_coefficient_is_symmetric_and_guarded():
     bad = with_coefficient(can, 1, 7, exp, -4)
     assert bad.a_entry(1, 7) == bad.a_entry(7, 1)
     assert bad.a_entry(1, 7).terms[exp].c0 == -4
+
+
+@pytest.mark.parametrize("variant", ["raw", "canonical", "A2", "G2"])
+def test_sabotaged_adds_the_stock_fault_term_for_term(variant):
+    if variant in ("A2", "G2"):
+        op = derive_operator(build_system(variant))
+    else:
+        op = e7_operator(variant)
+    bad = sabotaged(op)
+    # the stock fault as first written: -1/2 tau_1^2 added to A11
+    want = op.A[0][0] + (MultiPoly.variable(op.rank, 1) ** 2).scale(Fraction(-1, 2))
+    assert list(bad.A[0][0].terms.items()) == list(want.terms.items())
+    assert bad.variant == op.variant + "+fault"
+    assert bad.B == op.B
+    assert [
+        [bad.A[i][j] for j in range(op.rank) if (i, j) != (0, 0)] for i in range(op.rank)
+    ] == [[op.A[i][j] for j in range(op.rank) if (i, j) != (0, 0)] for i in range(op.rank)]
 
 
 def test_faulted_copy_reports_its_own_violations():

@@ -933,6 +933,54 @@ def test_e7_double_point_lists_fork_from_the_bound_on_two_cpus(
     _no_child_left()
 
 
+def _ref_double_worst(op, samples: int) -> dict:
+    """verify_tables' double report residuals, entry -> max over the default
+    points, nus and beta, as its per-point loop computed them before the
+    oracle's checks shared one residual loop: the frame, each entry's
+    chain-rule value and |got - ref| / (1 + |ref|) of its compiled entry."""
+    sysr, rank = op.system, op.rank
+    gw = oracle._metric_weights(sysr.kind, False)
+    nus = [float(nu) for nu in oracle.DEFAULT_NU_LIST]
+    checks = [
+        (f"A{i+1}{j+1}", ("A", i, j), [compile_poly(op.A[i][j], float, 0.0)])
+        for i in range(rank) for j in range(i, rank)
+    ] + [
+        (f"B{i+1}", ("B", i, None), [compile_poly(op.B[i], float, nu) for nu in nus])
+        for i in range(rank)
+    ]
+    top = top_exponents([terms for *_, row in checks for terms in row], rank)
+    worst = dict.fromkeys([name for name, *_ in checks], 0.0)
+    for pt in sample_points(sysr, samples, seed=20240, nu=0.0):
+        frame = oracle._geom(sysr, pt)
+        taus = frame[0]
+        pw = [[t**e for e in range(n + 1)] for t, n in zip(taus, top)]
+        for name, entry, row in checks:
+            ref = oracle._oracle_ab(frame, gw, 1.0, entry)
+            wants = [ref] if entry[0] == "A" else [ref[0] + nu * ref[1] for nu in nus]
+            for terms, want in zip(row, wants):
+                got = eval_compiled(terms, pw, taus)
+                worst[name] = max(worst[name], float(abs(got - want) / (1 + abs(want))))
+    return worst
+
+
+@pytest.mark.parametrize("samples,cpus,forks", [(20, 1, 0), (50, 2, 1)])
+def test_double_verify_tables_residuals_match_the_reference_bit_for_bit(
+    monkeypatch, samples, cpus, forks
+):
+    # no golden digest covers a double verify-tables report, so its residual
+    # bits are pinned here, in one process and forked
+    op = e7_operator("raw")
+    forked = _pin_cpus(monkeypatch, cpus)
+    rep = verify_tables(op, samples=samples)
+    assert len(forked) == forks
+    _no_child_left()
+    got = {row["entry"]: row["max_rel_residual"] for row in rep["entries"]}
+    want = _ref_double_worst(op, samples)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert rep["discrepant"] == ["A17", "B1", "B2", "B3", "B4", "B5", "B6", "B7"]
+
+
 def test_a_forked_frame_pool_equals_the_one_cpu_pool(monkeypatch):
     forks = _pin_cpus(monkeypatch, 1)
     serial = FramePool(E7, 12, fit_frames=4)
