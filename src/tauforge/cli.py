@@ -32,6 +32,7 @@ from .operator import (
     matrix_to_json,
     operator_to_json,
     spectrum,
+    table_entries,
     weighted_projective_check,
 )
 from .rootsys import (
@@ -146,13 +147,13 @@ def _output_path(text: str) -> str:
     """argparse type: a report file in an existing directory.
 
     Checked when the arguments are parsed, so a bad path fails before the
-    command runs rather than after it.
+    command runs rather than after it.  A symlink is checked at its target.
     """
     if not text or "\0" in text:
         raise argparse.ArgumentTypeError(f"invalid path {text!r}")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text!r} is a directory")
-    parent = os.path.dirname(text) or "."
+    parent = os.path.dirname(os.path.realpath(text))
     if not os.path.isdir(parent):
         raise argparse.ArgumentTypeError(f"no directory {parent!r} to write into")
     return text
@@ -503,20 +504,10 @@ def _cmd_export(args) -> dict:
     body = operator_to_json(op)
     if args.format == "csv":
         lines = ["entry,num,den,nu_pow,exp"]
-        rank = op.rank
-        for i in range(rank):
-            for j in range(i, rank):
-                for row in body["A"][i][j - i]:
-                    exp = " ".join(str(e) for e in row["exp"])
-                    lines.append(
-                        f"A{i+1}{j+1},{row['num']},{row['den']},{row['nu_pow']},{exp}"
-                    )
-        for i in range(rank):
-            for row in body["B"][i]:
+        for key, rows in table_entries(body):
+            for row in rows:
                 exp = " ".join(str(e) for e in row["exp"])
-                lines.append(
-                    f"B{i+1},{row['num']},{row['den']},{row['nu_pow']},{exp}"
-                )
+                lines.append(f"{key},{row['num']},{row['den']},{row['nu_pow']},{exp}")
         return {"ok": True, "raw_text": "\n".join(lines) + "\n"}
     return {"ok": True, "result": body}
 
@@ -656,8 +647,12 @@ def main(argv=None) -> int:
         else:
             payload = "\n".join(_render_text(report)) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            parser.exit(2, f"{parser.prog} {args.command}: error: argument --output:"
+                           f" cannot write {args.output!r}: {exc.strerror or exc}\n")
     else:
         sys.stdout.write(payload)
     return 0 if body["ok"] else 1

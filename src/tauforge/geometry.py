@@ -17,7 +17,15 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath import libmp
 
-from .exactpoly import MultiPoly, compile_poly, eval_compiled, product_powers, top_exponents
+from .exactpoly import (
+    ZERO,
+    MultiPoly,
+    NuLinear,
+    compile_poly,
+    eval_compiled,
+    product_powers,
+    top_exponents,
+)
 from .operator import AlgebraicOperator, build_operator
 from .oracle import (
     SamplePoint,
@@ -97,23 +105,20 @@ def with_coefficient(
     """
     exp = tuple(exponents)
     entry = op.A[i - 1][j - 1]
-    old = entry.terms.get(exp)
-    old_c = old.c0 if old is not None else Fraction(0)
-    if old is not None and old.c1:
+    old = entry.terms.get(exp, ZERO)
+    if old.c1:
         raise ValueError("A entries are nu-free; refusing to perturb")
-    mono = MultiPoly.constant(op.rank, Fraction(value) - old_c)
-    for axis, p in enumerate(exp):
-        if p:
-            mono = mono * MultiPoly.variable(op.rank, axis + 1) ** p
+    delta = MultiPoly(op.rank, {exp: NuLinear(Fraction(value) - old.c0)})
     return build_operator(
-        op.system, {f"A{i}{j}": entry + mono}, op.variant + "+fault", base=op
+        op.system, {f"A{i}{j}": entry + delta}, op.variant + "+fault", base=op
     )
 
 
 def sabotaged(op: AlgebraicOperator) -> AlgebraicOperator:
     """The stock fault: A_11's tau_1^2 coefficient lowered by 1/2 (E7: -3/2 to -2)."""
-    fault = op.A[0][0] + (MultiPoly.variable(op.rank, 1) ** 2).scale(Fraction(-1, 2))
-    return build_operator(op.system, {"A11": fault}, op.variant + "+fault", base=op)
+    exp = (2,) + (0,) * (op.rank - 1)
+    old = op.A[0][0].terms.get(exp, ZERO).c0
+    return with_coefficient(op, 1, 1, exp, old - Fraction(1, 2))
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,16 @@ def stored_data_report(op: AlgebraicOperator) -> tuple[str, ...]:
     return tuple(out)
 
 
+def table_entries(body: dict):
+    """(entry id, term rows) of a table-file body, in file order: the rows
+    of A's upper triangle, then B."""
+    for i, row in enumerate(body["A"]):
+        for j, rows in enumerate(row, start=i):
+            yield f"A{i + 1}{j + 1}", rows
+    for i, rows in enumerate(body["B"]):
+        yield f"B{i + 1}", rows
+
+
 @lru_cache(maxsize=None)
 def e7_operator(variant: str = "raw") -> AlgebraicOperator:
     """Load the E7 tables.
@@ -207,11 +217,7 @@ def e7_operator(variant: str = "raw") -> AlgebraicOperator:
     _verify_checksum(body, "e7_operator_raw.json")
     if body["system"] != "E7" or tuple(body["charvec"]) != E7_CV:
         raise ValueError("unexpected raw table header")
-    entries = {
-        f"A{i + 1}{i + j + 1}": MultiPoly.from_terms(7, rows)
-        for i, row in enumerate(body["A"])
-        for j, rows in enumerate(row)
-    } | {f"B{i + 1}": MultiPoly.from_terms(7, rows) for i, rows in enumerate(body["B"])}
+    entries = {key: MultiPoly.from_terms(7, rows) for key, rows in table_entries(body)}
     if variant == "canonical":
         corr = json.loads(_data_text("e7_operator_corrections.json"))
         _verify_checksum(corr, "e7_operator_corrections.json")

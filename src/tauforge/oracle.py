@@ -22,6 +22,7 @@ import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp, mpf
@@ -232,12 +233,15 @@ class SamplePoint:
     nu: float = 0.5
 
 
-@dataclass(frozen=True)
-class NumericFrame:
-    tau: tuple
-    jac: tuple
-    lap_tau: tuple
-    grad_logpsi: tuple
+class NumericFrame(NamedTuple):
+    """The orbit sums tau at a point, their y-gradients jac (a row per orbit),
+    their Laplacians lap_tau, and cot, the gradient of log Psi0 divided by
+    nu: numpy values in double precision, mpf in hp."""
+
+    tau: list
+    jac: list
+    lap_tau: list
+    cot: list
 
 
 @dataclass(frozen=True)
@@ -401,8 +405,8 @@ def _is_hp(point: SamplePoint) -> bool:
     return isinstance(point.y[0], mpf)
 
 
-def _geom_double(sysr: RootSystem, y_arr: np.ndarray, beta: float):
-    """tau, jac, lap per orbit plus the unit cot gradient, double precision.
+def _geom_double(sysr: RootSystem, y_arr: np.ndarray, beta: float) -> NumericFrame:
+    """The frame at y_arr in double precision.
 
     Returns complex sums for systems whose Weyl group lacks -1; otherwise
     asserts the imaginary parts cancel and returns reals.
@@ -427,7 +431,7 @@ def _geom_double(sysr: RootSystem, y_arr: np.ndarray, beta: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         th = beta * (_root_array(sysr.kind) @ y_arr) / 2
         cotg = (beta / 2) * ((np.cos(th) / np.sin(th)) @ _root_array(sysr.kind))
-    return taus, jacs, laps, cotg
+    return NumericFrame(taus, jacs, laps, cotg)
 
 
 try:
@@ -561,8 +565,8 @@ def _grouped_sums(plan: _HpPlan, f: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _geom_hp(sysr: RootSystem, y, beta):
-    """Fixed-point evaluation of the orbit sums at the current mp precision.
+def _geom_hp(sysr: RootSystem, y, beta) -> NumericFrame:
+    """The frame at y, by fixed-point orbit sums at the current mp precision.
 
     Phase factors e^{i beta u.y / M} are products of per-coordinate roots
     e^{i beta y_k / M} raised to small integer powers, computed in integer
@@ -614,10 +618,11 @@ def _geom_hp(sysr: RootSystem, y, beta):
         ct = (beta / 2) * c / s
         for k in range(dim):
             cotg[k] += ct * r[k]
-    return taus, jacs, laps, cotg
+    return NumericFrame(taus, jacs, laps, cotg)
 
 
-def _geom(sysr: RootSystem, point: SamplePoint):
+def build_frame(sysr: RootSystem, point: SamplePoint) -> NumericFrame:
+    """The frame at the point, in the point's arithmetic (double or hp)."""
     if _is_hp(point):
         return _geom_hp(sysr, point.y, mpf(str(point.beta)))
     return _geom_double(
@@ -627,25 +632,13 @@ def _geom(sysr: RootSystem, point: SamplePoint):
 
 def tau_numeric(sysr: RootSystem, point: SamplePoint) -> tuple:
     """The orbit sums tau_a(y); real for systems containing -1."""
-    taus, _, _, _ = _geom(sysr, point)
-    return tuple(taus)
-
-
-def build_frame(sysr: RootSystem, point: SamplePoint) -> NumericFrame:
-    taus, jacs, laps, cotg = _geom(sysr, point)
-    nu = point.nu
-    return NumericFrame(
-        tau=tuple(taus),
-        jac=tuple(tuple(row) for row in jacs),
-        lap_tau=tuple(laps),
-        grad_logpsi=tuple(nu * c for c in cotg),
-    )
+    return tuple(build_frame(sysr, point).tau)
 
 
 def chain_rule_oracle(sysr: RootSystem, point: SamplePoint):
     """(A_num, B_num) at the point, normalized by 1/beta^2."""
     _require_clearance(sysr, point)
-    frame = _geom(sysr, point)
+    frame = build_frame(sysr, point)
     hp = _is_hp(point)
     gw = _metric_weights(sysr.kind, hp)
     b2 = (mpf(str(point.beta)) if hp else float(point.beta)) ** 2
@@ -661,20 +654,21 @@ def chain_rule_oracle(sysr: RootSystem, point: SamplePoint):
     return A, B
 
 
-def _oracle_ab(frame, gw, b2, entry):
+def _oracle_ab(frame: NumericFrame, gw, b2, entry):
     """The chain-rule value of one table entry at one frame.
 
-    frame is (taus, jacs, laps, cotg) from _geom, gw the metric weights in
-    the frame's arithmetic, b2 = beta^2, and entry ("A", i, j) or
-    ("B", i, None) with zero-based indices.  A_ij is a number; B_i is the
-    pair (base, slope) with B_i(nu) = base + nu * slope, because the
-    nu-dependence of B is exactly the ground-state cotangent term.
+    gw holds the metric weights in the frame's arithmetic, b2 = beta^2,
+    and entry is ("A", i, j) or ("B", i, None) with zero-based indices.
+    A_ij is a number; B_i is the pair (base, slope) with B_i(nu) = base +
+    nu * slope, because the nu-dependence of B is exactly the ground-state
+    cotangent term.
     """
-    _, jacs, laps, cotg = frame
     kind_, i, j = entry
+    jac = frame.jac
     if kind_ == "A":
-        return sum(g * a * b for g, a, b in zip(gw, jacs[i], jacs[j])) / b2
-    return laps[i] / b2, 2 * sum(g * c * jk for g, c, jk in zip(gw, cotg, jacs[i])) / b2
+        return sum(g * a * b for g, a, b in zip(gw, jac[i], jac[j])) / b2
+    slope = 2 * sum(g * c * jk for g, c, jk in zip(gw, frame.cot, jac[i])) / b2
+    return frame.lap_tau[i] / b2, slope
 
 
 def ground_state_energy(sysr: RootSystem, beta, nu):
@@ -740,6 +734,25 @@ def _powers(tau, top) -> list[list]:
     return [[t**e for e in range(n + 1)] for t, n in zip(tau, top)]
 
 
+def _residuals(frame: NumericFrame, checks, top, gw, b2) -> list:
+    """|got - ref| / (1 + |ref|) at the frame, as floats in check order.
+
+    checks lists (entry, [(nu, compiled entry), ...]) with entry as for
+    _oracle_ab; a B entry's ref is base + nu * slope.  Plain floats: a
+    forked point list sends every point's list back at once, and (name,
+    residual) pairs raised the peak RSS of a 1000-point E7 run by 3 MiB.
+    """
+    pw = _powers(frame.tau, top)
+    out = []
+    for entry, row in checks:
+        ref = _oracle_ab(frame, gw, b2, entry)
+        for nu, terms in row:
+            want = ref if entry[0] == "A" else ref[0] + nu * ref[1]
+            got = eval_compiled(terms, pw, frame.tau)
+            out.append(float(abs(got - want) / (1 + abs(want))))
+    return out
+
+
 def distinct_nus(nu_list) -> list:
     """nu_list as a list; ValueError if a value repeats.
 
@@ -778,58 +791,35 @@ def verify_tables(
     beta_list = list(beta_list) if beta_list else list(DEFAULT_BETA_LIST)
     rank = op.rank
     hp = precision == "hp"
-    ids = [("A", i, j) for i in range(rank) for j in range(i, rank)]
-    ids += [("B", i, None) for i in range(rank)]
-    names = [f"A{i+1}{j+1}" if j is not None else f"B{i+1}" for _, i, j in ids]
-    worst = dict.fromkeys(names, 0.0)
-
-    def rel(got, ref) -> float:
-        return float(abs(got - ref) / (1 + abs(ref)))
-
     with mp.workdps(digits):
         gw = _metric_weights(sysr.kind, hp)
         conv = _converter(hp)
         nubs = [mpf(str(nu)) if hp else float(nu) for nu in nu_list]
         # A is nu-free and compiled at nu = 0; B once per nu of the list
-        compiled = [
-            [compile_poly(op.A[i][j], conv, mpf(0) if hp else 0.0)]
-            if j is not None
-            else [compile_poly(op.B[i], conv, nub) for nub in nubs]
-            for _, i, j in ids
+        nu0 = mpf(0) if hp else 0.0
+        checks = [
+            (("A", i, j), [(nu0, compile_poly(op.A[i][j], conv, nu0))])
+            for i in range(rank) for j in range(i, rank)
+        ] + [
+            (("B", i, None), [(nub, compile_poly(op.B[i], conv, nub)) for nub in nubs])
+            for i in range(rank)
         ]
-        top = top_exponents([terms for row in compiled for terms in row], rank)
-        # the entry of each residual point_notes returns: A once, B once per nu
-        checked = [name for name, row in zip(names, compiled) for _ in row]
+        top = top_exponents([terms for _, row in checks for _, terms in row], rank)
+        names = [f"A{i+1}{j+1}" if j is not None else f"B{i+1}" for (_, i, j), _ in checks]
+        worst = dict.fromkeys(names, 0.0)
+        # the entry of each residual: A once, B once per nu
+        checked = [name for name, (_, row) in zip(names, checks) for _ in row]
 
         for beta in beta_list:
             b2 = (mpf(str(beta)) if hp else float(beta)) ** 2
-
-            def point_notes(pt) -> list:
-                """The residuals at pt in check order, one per name of checked.
-
-                Plain floats: a forked point list sends every point's list back
-                at once, and (name, residual) pairs raised the peak RSS of a
-                1000-point E7 run by about 3 MiB.
-                """
-                frame = _geom(sysr, pt)
-                taus = frame[0]
-                pw = _powers(taus, top)
-                notes = []
-                for entry, row in zip(ids, compiled):
-                    ref = _oracle_ab(frame, gw, b2, entry)
-                    if entry[0] == "A":
-                        notes.append(rel(eval_compiled(row[0], pw, taus), ref))
-                        continue
-                    base, slope = ref
-                    for terms, nub in zip(row, nubs):
-                        notes.append(rel(eval_compiled(terms, pw, taus), base + nub * slope))
-                return notes
-
             pts = sample_points(
                 sysr, samples, seed=seed, beta=beta, nu=0.0, precision=precision,
                 digits=digits,
             )
-            per_point = _map_sample_points(point_notes, sysr, pts)
+            per_point = _map_sample_points(
+                lambda pt: _residuals(build_frame(sysr, pt), checks, top, gw, b2),
+                sysr, pts,
+            )
             for notes in per_point:
                 for name, r in zip(checked, notes):
                     if r > worst[name]:
@@ -944,8 +934,8 @@ def fit_entry(op: AlgebraicOperator, which: str, pool: FramePool) -> FitResult:
         # value, or B's nu^0 part (base) and nu^1 part (slope)
         rows, rhs = [], []
         for frame in pool.frames[:want_frames]:
-            pw = _powers(frame[0], top)
-            rows.append([eval_compiled(m, pw, frame[0]) for m in monomials])
+            pw = _powers(frame.tau, top)
+            rows.append([eval_compiled(m, pw, frame.tau) for m in monomials])
             ref = _oracle_ab(frame, gw, b2, entry)
             rhs.append([ref] if kind_ == "A" else list(ref))
         # complex frames (A2) give complex systems
@@ -977,25 +967,22 @@ def fit_entry(op: AlgebraicOperator, which: str, pool: FramePool) -> FitResult:
         reconstructed = miss is None
         poly = MultiPoly(sysr.rank, terms) if reconstructed else None
 
-        worst = mpf(0)
+        worst = float("inf")
         if reconstructed:
             held = [
                 (nub, compile_poly(poly, to_mpf, nub))
                 for nub in (held_nubs if kind_ == "B" else [mpf(0)])
             ]
             top = top_exponents([terms for _, terms in held], sysr.rank)
-            for frame in pool.frames[-HELD_OUT_FRAMES:]:
-                taus = frame[0]
-                pw = _powers(taus, top)
-                ref = _oracle_ab(frame, gw, b2, entry)
-                for nub, terms in held:
-                    want = ref if kind_ == "A" else ref[0] + nub * ref[1]
-                    got = eval_compiled(terms, pw, taus)
-                    worst = max(worst, abs(got - want) / (1 + abs(want)))
+            # rounding to float is monotone: this is the float of the mpf max
+            worst = max(
+                max(_residuals(frame, [(entry, held)], top, gw, b2))
+                for frame in pool.frames[-HELD_OUT_FRAMES:]
+            )
         return FitResult(
             entry=which.upper(),
             poly=poly,
-            residual=float(worst) if reconstructed else float("inf"),
+            residual=worst,
             reconstructed=reconstructed,
             raw_coefficients=tuple(mp.nstr(c, 30) for c in coeffs)
             if not reconstructed

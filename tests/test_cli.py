@@ -254,6 +254,24 @@ def test_output_file_round_trip(capsys, tmp_path):
     assert rep["result"]["sizes"][0] == 56
 
 
+def test_an_output_file_that_cannot_be_written_is_a_one_line_error(
+    capsys, monkeypatch, tmp_path
+):
+    # a symlink loop passes the directory check and fails only at the write
+    monkeypatch.chdir(tmp_path)
+    os.symlink("b.json", "a.json")
+    os.symlink("a.json", "b.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits", "--output", "a.json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "tauforge orbits: error: argument --output: cannot write 'a.json':"
+        " Too many levels of symbolic links\n"
+    )
+
+
 def test_text_format(capsys):
     code, out = run(capsys, "orbits", "--format", "text")
     assert code == 0
@@ -368,6 +386,10 @@ BAD_VALUES = [
     (["fit", "--entries", "B1", "--output", "/nonexistent/x.json"],
      "tauforge fit: error: argument --output: no directory '/nonexistent' to write into"),
     (["orbits", "--output", "."], "tauforge orbits: error: argument --output: '.' is a directory"),
+    # a symlink into a missing directory, made by the test below
+    (["orbits", "--output", "dangling.json"],
+     "tauforge orbits: error: argument --output: no directory '/nonexistent_dir' to write"
+     " into"),
     (["tau-eval", "--samples", "1", "--beta", "1,2"],
      "tauforge tau-eval: error: argument --beta: tau-eval takes one beta, got 1.0,2.0"),
     (["flatness", "--points", "1", "--beta", "1,2"],
@@ -394,10 +416,12 @@ BAD_VALUES = [
 @pytest.mark.parametrize(
     "argv,message", BAD_VALUES, ids=["_".join(argv) for argv, _ in BAD_VALUES]
 )
-def test_bad_values_are_one_line_usage_errors(capsys, monkeypatch, argv, message):
+def test_bad_values_are_one_line_usage_errors(capsys, monkeypatch, tmp_path, argv, message):
     def no_frames(*args, **kwargs):
         raise AssertionError("frames built before the arguments were checked")
 
+    monkeypatch.chdir(tmp_path)
+    os.symlink("/nonexistent_dir/x.json", "dangling.json")
     monkeypatch.setattr("tauforge.oracle.FramePool", no_frames)
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -686,8 +710,10 @@ def test_a_row_that_fails_to_reconstruct_names_its_first_miss(capsys, monkeypatc
             with mp.workdps(self.dps + 20):
                 turn = mp.expjpi(mpf(1) / 4)
                 self.frames = [
-                    (taus, [[turn * v for v in row] for row in jacs], laps, cotg)
-                    for taus, jacs, laps, cotg in self.frames
+                    oracle.NumericFrame(
+                        taus, [[turn * v for v in row] for row in jacs], laps, cot
+                    )
+                    for taus, jacs, laps, cot in self.frames
                 ]
 
     monkeypatch.setattr(oracle, "FramePool", TurnedPool)

@@ -25,6 +25,7 @@ from tauforge.oracle import (
     FORK_MIN_ORBIT_ROWS,
     HELD_OUT_FRAMES,
     FramePool,
+    NumericFrame,
     SamplePoint,
     SamplingError,
     build_frame,
@@ -276,7 +277,7 @@ def test_hp_kernel_matches_the_stack_walk_bit_for_bit(kind, dps):
             assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
-# sha256 of repr(_geom_hp(E7, y, 1)) at the first seed-23 hp sample point,
+# sha256 of repr(tuple(_geom_hp(E7, y, 1))) at the first seed-23 hp sample point,
 # recorded from the kernel that multiplied out every orbit element in full
 # (no pairing, no shared prefixes); the fixed-point products must not change.
 @pytest.mark.parametrize(
@@ -290,7 +291,8 @@ def test_hp_kernel_golden_bits(dps, digest):
     # sample_points rounds hp coordinates at 50 digits by default
     with mp.workdps(dps):
         y = sample_points(E7, 1, seed=23, precision="hp")[0].y
-        got = hashlib.sha256(repr(_geom_hp(E7, y, mp.mpf(1))).encode()).hexdigest()
+        frame = tuple(_geom_hp(E7, y, mp.mpf(1)))
+        got = hashlib.sha256(repr(frame).encode()).hexdigest()
     assert got == digest
 
 
@@ -427,7 +429,7 @@ def test_grouped_gradient_sums_equal_the_row_matmul(kind):
             assert row.tolist() == want.tolist()
 
 
-# sha256 of repr(_geom_double(sysr, y, beta)) at the first sample point of
+# sha256 of repr(tuple(_geom_double(sysr, y, beta))) at the first sample point of
 # each (seed, beta), recorded from the frames built on the Fraction orbits
 # (numpy 2.4, x86-64 Linux); the integer orbit rows must not move a bit
 GOLDEN_DOUBLE = {
@@ -447,7 +449,7 @@ def test_double_frame_golden_bits(key, digest):
     kind, seed, beta = key
     sysr = build_system(kind)
     y = sample_points(sysr, 1, seed=seed, beta=beta)[0].y
-    got = _geom_double(sysr, np.array(y), beta)
+    got = tuple(_geom_double(sysr, np.array(y), beta))
     assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
 
 
@@ -531,8 +533,8 @@ def test_a2_refit_rejects_coefficients_with_an_imaginary_part():
     with mp.workdps(pool.dps + 20):
         turn = mp.expjpi(mpf(1) / 4)
         pool.frames = [
-            (taus, [[turn * v for v in row] for row in jacs], laps, cotg)
-            for taus, jacs, laps, cotg in pool.frames
+            NumericFrame(taus, [[turn * v for v in row] for row in jacs], laps, cot)
+            for taus, jacs, laps, cot in pool.frames
         ]
     fit = fit_entry(op, "A11", pool=pool)
     assert not fit.reconstructed and fit.poly is None
@@ -651,7 +653,7 @@ def test_frame_shapes():
     assert len(fr.tau) == 7
     assert len(fr.jac) == 7 and all(len(r) == 7 for r in fr.jac)
     assert len(fr.lap_tau) == 7
-    assert len(fr.grad_logpsi) == 7
+    assert len(fr.cot) == 7
 
 
 def _ref_eval_poly(poly, tau, nu):
@@ -951,7 +953,7 @@ def _ref_double_worst(op, samples: int) -> dict:
     top = top_exponents([terms for *_, row in checks for terms in row], rank)
     worst = dict.fromkeys([name for name, *_ in checks], 0.0)
     for pt in sample_points(sysr, samples, seed=20240, nu=0.0):
-        frame = oracle._geom(sysr, pt)
+        frame = oracle.build_frame(sysr, pt)
         taus = frame[0]
         pw = [[t**e for e in range(n + 1)] for t, n in zip(taus, top)]
         for name, entry, row in checks:
