@@ -32,6 +32,16 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def test_every_public_name_resolves():
+    # a name left in __all__ after its definition was deleted fails here
+    missing = [name for name in tauforge.__all__ if not hasattr(tauforge, name)]
+    assert missing == []
+    assert len(set(tauforge.__all__)) == len(tauforge.__all__)
+    namespace = {}
+    exec("from tauforge import *", namespace)
+    assert set(tauforge.__all__) <= set(namespace)
+
+
 def test_orbits(capsys):
     code, rep = run_json(capsys, "orbits", "--system", "E7")
     assert code == 0
@@ -636,6 +646,14 @@ GOLDEN_REPORTS = [
     (["verify-tables", "--variant", "canonical", "--precision", "hp", "--samples", "10",
       "--tol", "1e-30"],
      "48f551963576a27e2d7c5173701bdabdd24cedf60337c2f7171f13cd495b699f"),
+    # hp ground-state residuals and energies, recorded before E0 came from
+    # ground_state_energy alone; these call no BLAS routine.  G2 has roots
+    # of two lengths
+    (["verify-ground-state", "--precision", "hp", "--samples", "20"],
+     "3cff3ae8ee24d1d12ddaf54485e4a4ea29d99b1d69f164a36a221978d5ebcab5"),
+    (["verify-ground-state", "--system", "G2", "--precision", "hp", "--samples", "20",
+      "--nu", "0.5,1.7", "--beta", "1,2"],
+     "5045477ccb7d50eb6760f725afd8585c0ee5da66888e9b91367ee76adcef72c6"),
 ]
 
 
