@@ -9,14 +9,10 @@ small-rank derivations that close the loop on the whole method.
 from .derive import derive_operator
 from .exactpoly import MultiPoly, NuDegreeError, NuLinear
 from .geometry import (
-    MetricFrame,
     SingularMetricError,
-    bianchi_at,
     chart_center,
     flatness_report,
     flatness_sample_points,
-    metric_at,
-    riemann_at,
     sabotaged,
     with_coefficient,
 )
@@ -52,7 +48,6 @@ from .oracle import (
     sample_points,
     tau_numeric,
     verify_tables,
-    with_entry,
 )
 from .rootsys import (
     RootSystem,
@@ -74,7 +69,6 @@ __all__ = [
     "FitResult",
     "FlagBasis",
     "FramePool",
-    "MetricFrame",
     "MultiPoly",
     "NuDegreeError",
     "NuLinear",
@@ -86,7 +80,6 @@ __all__ = [
     "WP_PARAM_NAMES",
     "WeylOrbit",
     "apply",
-    "bianchi_at",
     "build_frame",
     "build_system",
     "chain_rule_oracle",
@@ -107,9 +100,7 @@ __all__ = [
     "ground_state_residual",
     "highest_root",
     "hp_digits",
-    "metric_at",
     "operator_to_json",
-    "riemann_at",
     "sabotaged",
     "sample_points",
     "spectrum",
@@ -119,6 +110,5 @@ __all__ = [
     "weighted_projective_check",
     "weyl_orbit",
     "with_coefficient",
-    "with_entry",
     "__version__",
 ]

@@ -431,12 +431,17 @@ def _cmd_fit(args) -> dict:
             op, samples=20, seed=args.seed, tol=args.tol, precision="double"
         )
         entries = quick["discrepant"]
-    frames = {}
+    frames, named = {}, {}
     for which in entries:
         try:
-            frames[which] = oracle._fit_plan(op, which)[-1]
+            kind_, i, j, _, frames[which] = oracle._fit_plan(op, which)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        # a repeat would overstate what the report covers; A_ij is A_ji
+        key = kind_, frozenset((i, j))
+        if key in named:
+            raise UsageError(f"entries must be distinct, but {which} repeats {named[key]}")
+        named[key] = which
     # a pool must hold the largest entry's fit frames and the held-out ones;
     # the default pool has 4 frames more than that
     largest = max(frames, key=frames.get, default=None)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .exactpoly import MultiPoly, NuLinear, weighted_monomials
 from .operator import AlgebraicOperator, build_operator
-from .rootsys import RootSystem, characteristic_vector, weyl_orbit
+from .rootsys import RootSystem, characteristic_vector, orbit_rows
 
 # below 2^31, so the product of two residues fits in an int64
 PRIMES = tuple(2**31 - d for d in (1, 19, 61, 69, 85, 99, 105, 151))
@@ -80,9 +80,8 @@ def _chain_rule_mod(sysr: RootSystem, p: int, count: int, rng):
     slope).  A point with some W_alpha = 1 is redrawn.
     """
     rank = sysr.rank
-    orbits = [weyl_orbit(sysr, a + 1) for a in range(rank)]
     # z stands for one scale M, which every orbit of a supported system shares
-    (scale,) = {o.scale for o in orbits}
+    scale, orbits = orbit_rows(sysr.kind)
     # the metric weights are small integers (1 and 2)
     g = np.array([int(x) for x in sysr.metric_weights[: sysr.y_dim]], dtype=np.int64)
     roots = np.array(
@@ -97,12 +96,12 @@ def _chain_rule_mod(sysr: RootSystem, p: int, count: int, rng):
     cot = (w + 1) * _power((w - 1) % p, p - 2, p) % p
     c = -pow(scale * scale, -1, p) % p
     tau, jac, entries = [], [], {}
-    for a, orbit in enumerate(orbits):
-        zu = _laurent(z, orbit.ints, p)
-        j = zu @ orbit.ints % p
+    for a, ints in enumerate(orbits):
+        zu = _laurent(z, ints, p)
+        j = zu @ ints % p
         tau.append(zu.sum(axis=1) % p)
         jac.append(j)
-        base = zu @ (orbit.ints**2 @ g) % p
+        base = zu @ (ints**2 @ g) % p
         slope = (cot * (j @ (roots * g).T % p) % p).sum(axis=1) % p
         entries[f"B{a + 1}"] = np.stack([base, slope], axis=1) * c % p
     for i in range(rank):

@@ -30,6 +30,7 @@ from .operator import AlgebraicOperator, build_operator
 from .oracle import (
     SamplePoint,
     _converter,
+    _is_mp,
     _map_sample_points,
     _rejection_sample,
     hp_digits,
@@ -142,7 +143,7 @@ class _MetricPolys:
     values returned by values(tau).
     """
 
-    def __init__(self, op: AlgebraicOperator, hp: bool, derivatives: bool = True):
+    def __init__(self, op: AlgebraicOperator, hp: bool):
         r = op.rank
         self.terms: list = []
         index: dict = {}
@@ -160,21 +161,20 @@ class _MetricPolys:
 
         rr = range(r)
         self.A = np.array([[add(op.A[i][j]) for j in rr] for i in rr])
-        if derivatives:
-            dA = [[[op.A[i][j].partial_derivative(k + 1) for j in rr] for i in rr] for k in rr]
-            self.dA = np.array([[[add(p) for p in row] for row in plane] for plane in dA])
-            d2A = np.array([
-                [[[add(dA[k][i][j].partial_derivative(l + 1)) for j in rr] for i in rr]
-                 for l in rr]
-                for k in rr
-            ]).reshape(r * r, r, r)
-            # d2A_distinct holds each distinct matrix d2A[k][l] once (mixed
-            # partials come in equal pairs); d2A_slot[k, l] is its position
-            _, first, slot = np.unique(
-                d2A.reshape(r * r, r * r), axis=0, return_index=True, return_inverse=True
-            )
-            self.d2A_distinct = d2A[first]
-            self.d2A_slot = slot.reshape(r, r)
+        dA = [[[op.A[i][j].partial_derivative(k + 1) for j in rr] for i in rr] for k in rr]
+        self.dA = np.array([[[add(p) for p in row] for row in plane] for plane in dA])
+        d2A = np.array([
+            [[[add(dA[k][i][j].partial_derivative(l + 1)) for j in rr] for i in rr]
+             for l in rr]
+            for k in rr
+        ]).reshape(r * r, r, r)
+        # d2A_distinct holds each distinct matrix d2A[k][l] once (mixed
+        # partials come in equal pairs); d2A_slot[k, l] is its position
+        _, first, slot = np.unique(
+            d2A.reshape(r * r, r * r), axis=0, return_index=True, return_inverse=True
+        )
+        self.d2A_distinct = d2A[first]
+        self.d2A_slot = slot.reshape(r, r)
         self.top = top_exponents(self.terms, r)
 
     def values(self, tau) -> list:
@@ -208,32 +208,6 @@ def _invert(mat, hp: bool):
         raise SingularMetricError(f"equilibrated condition number {cond:.3e}")
     inv = np.linalg.inv(scaled) / d[:, None] / d[None, :]
     return inv.tolist(), cond
-
-
-def _is_mp(tau) -> bool:
-    """True for tau points in mpmath arithmetic, real (mpf) or complex (mpc)."""
-    return isinstance(tau[0], (mpf, mpc))
-
-
-def _metric_frame(tau: tuple, A: list, hp: bool) -> MetricFrame:
-    if all(all(abs(v) < 1e-12 for v in row) for row in A):
-        raise SingularMetricError("metric vanishes at this point")
-    A_inv, cond = _invert(A, hp)
-    return MetricFrame(
-        tau=tau,
-        A=tuple(tuple(row) for row in A),
-        A_inv=tuple(tuple(row) for row in A_inv),
-        cond=cond,
-    )
-
-
-def metric_at(op: AlgebraicOperator, tau_point) -> MetricFrame:
-    """Evaluate and invert the contravariant metric at a tau point."""
-    tau = tuple(tau_point)
-    hp = _is_mp(tau)
-    metric = _MetricPolys(op, hp, derivatives=False)
-    vals = metric.values(tau)
-    return _metric_frame(tau, [[vals[x] for x in row] for row in metric.A], hp)
 
 
 def _mm(X, Y):
@@ -344,9 +318,11 @@ def _curvature_mp(metric: _MetricPolys, vals: list, frame: MetricFrame) -> tuple
 def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = None):
     """(riemann_max_normalized, bianchi_max_normalized, frame).
 
-    `metric` is op compiled in the arithmetic of tau_point; pass it to
-    reuse one compilation across points.  mpf and mpc points go to
-    _curvature_mp; doubles run on numpy arrays, float64 or (A2) complex
+    frame holds A, its inverse and condition number, and the Christoffel
+    symbols at tau_point; SingularMetricError if A vanishes there or cannot
+    be inverted.  `metric` is op compiled in the arithmetic of tau_point;
+    pass it to reuse one compilation across points.  mpf and mpc points go
+    to _curvature_mp; doubles run on numpy arrays, float64 or (A2) complex
     objects.  Every sum runs over m in order from zero, which keeps the
     bits of the scalar formulas in the comments.
     """
@@ -356,7 +332,11 @@ def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = N
     if metric is None:
         metric = _MetricPolys(op, hp)
     vals = metric.values(tau)
-    frame = _metric_frame(tau, [[vals[x] for x in row] for row in metric.A], hp)
+    A = [[vals[x] for x in row] for row in metric.A]
+    if all(all(abs(v) < 1e-12 for v in row) for row in A):
+        raise SingularMetricError("metric vanishes at this point")
+    A_inv, cond = _invert(A, hp)
+    frame = MetricFrame(tau, tuple(map(tuple, A)), tuple(map(tuple, A_inv)), cond)
     if hp:
         return _curvature_mp(metric, vals, frame)
     dtype = float if all(isinstance(v, float) for v in vals) else object
@@ -413,15 +393,6 @@ def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = N
         float(bianchi_max / norm),
         replace(frame, christoffel=tuple(tuple(map(tuple, plane)) for plane in gamma.tolist())),
     )
-
-
-def riemann_at(op: AlgebraicOperator, tau_point) -> float:
-    """max |R^i_jkl| / (1 + max |Gamma|^2) at the point."""
-    return _curvature(op, tau_point)[0]
-
-
-def bianchi_at(op: AlgebraicOperator, tau_point) -> float:
-    return _curvature(op, tau_point)[1]
 
 
 def hp_tol(digits: int) -> float:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .exactpoly import (
     ONE,
@@ -37,8 +37,8 @@ from .exactpoly import (
     weighted_monomials,
 )
 from .fixedpoint import complex_qr_solve, qr_solve, to_fixed
-from .operator import AlgebraicOperator, _entry_indices, build_operator
-from .rootsys import RootSystem, _read_only, build_system, deformed_weyl_vector, weyl_orbit
+from .operator import AlgebraicOperator, _entry_indices
+from .rootsys import RootSystem, _read_only, build_system, deformed_weyl_vector, orbit_rows
 
 DEFAULT_NU_LIST = (Fraction(0), Fraction(1, 2), Fraction(5, 2))
 DEFAULT_BETA_LIST = (1.0,)
@@ -62,15 +62,6 @@ class ClearanceError(ValueError):
 
 class SamplingError(ValueError):
     """No draw clears the root walls, e.g. because beta is (nearly) zero."""
-
-
-def _check_rejections(rejected: int, beta) -> None:
-    """Raise SamplingError once MAX_REJECTED_DRAWS draws in a row failed."""
-    if rejected >= MAX_REJECTED_DRAWS:
-        raise SamplingError(
-            f"no sample point cleared the root walls (clearance > {CLEARANCE})"
-            f" in {MAX_REJECTED_DRAWS} draws in a row at beta={beta}"
-        )
 
 
 def hp_digits() -> int:
@@ -110,9 +101,9 @@ def _map_sample_points(fn, sysr: RootSystem, points: list):
     is every hp list and every double one of at least FORK_MIN_DOUBLE_POINTS
     points.  Any other points run lazily here, as map runs them.
     """
-    hp = bool(points) and _is_hp(points[0])
+    hp = bool(points) and _is_mp(points[0].y)
     if (not (hp or len(points) >= FORK_MIN_DOUBLE_POINTS)
-            or sum(map(len, _orbit_ints(sysr.kind)[1])) < FORK_MIN_ORBIT_ROWS):
+            or sum(map(len, orbit_rows(sysr.kind)[1])) < FORK_MIN_ORBIT_ROWS):
         return map(fn, points)
     if hp:
         _hp_plan(sysr.kind)  # built once here, for every child to inherit
@@ -274,18 +265,8 @@ class FitResult:
 
 
 @lru_cache(maxsize=None)
-def _orbit_ints(kind: str) -> tuple[int, tuple]:
-    """(scale, per orbit its integer rows u): the y vectors are u / scale."""
-    sysr = build_system(kind)
-    orbits = [weyl_orbit(sysr, a + 1) for a in range(sysr.rank)]
-    # every orbit of a supported system has the same scale (2 for E7)
-    (scale,) = {o.scale for o in orbits}
-    return scale, tuple(o.ints for o in orbits)
-
-
-@lru_cache(maxsize=None)
 def _orbit_arrays(kind: str) -> tuple[np.ndarray, ...]:
-    scale, ints = _orbit_ints(kind)
+    scale, ints = orbit_rows(kind)
     return tuple(_read_only(m / scale) for m in ints)
 
 
@@ -379,7 +360,11 @@ def _rejection_sample(
         cand = SamplePoint(y=tuple(float(v) for v in u), beta=beta, nu=nu)
         if clearance(sysr, cand) <= CLEARANCE:
             rejected += 1
-            _check_rejections(rejected, beta)
+            if rejected >= MAX_REJECTED_DRAWS:
+                raise SamplingError(
+                    f"no sample point cleared the root walls (clearance > {CLEARANCE})"
+                    f" in {MAX_REJECTED_DRAWS} draws in a row at beta={beta}"
+                )
             continue
         rejected = 0
         if precision == "hp":
@@ -401,8 +386,9 @@ def _require_clearance(sysr: RootSystem, point: SamplePoint) -> None:
 # frames
 
 
-def _is_hp(point: SamplePoint) -> bool:
-    return isinstance(point.y[0], mpf)
+def _is_mp(values) -> bool:
+    """True for values in mpmath arithmetic, real (mpf) or complex (mpc)."""
+    return isinstance(values[0], (mpf, mpc))
 
 
 def _geom_double(sysr: RootSystem, y_arr: np.ndarray, beta: float) -> NumericFrame:
@@ -534,7 +520,7 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
 def _hp_plan(kind: str) -> _HpPlan:
     sysr = build_system(kind)
     gws = [int(g) for g in sysr.metric_weights[: sysr.y_dim]]
-    return _build_hp_plan(*_orbit_ints(kind), gws, sysr.has_minus_one)
+    return _build_hp_plan(*orbit_rows(kind), gws, sysr.has_minus_one)
 
 
 def _trie_step(pc, ps, c, c_plus_s, s_minus_c, shift: int):
@@ -623,7 +609,7 @@ def _geom_hp(sysr: RootSystem, y, beta) -> NumericFrame:
 
 def build_frame(sysr: RootSystem, point: SamplePoint) -> NumericFrame:
     """The frame at the point, in the point's arithmetic (double or hp)."""
-    if _is_hp(point):
+    if _is_mp(point.y):
         return _geom_hp(sysr, point.y, mpf(str(point.beta)))
     return _geom_double(
         sysr, np.array([float(v) for v in point.y]), float(point.beta)
@@ -639,7 +625,7 @@ def chain_rule_oracle(sysr: RootSystem, point: SamplePoint):
     """(A_num, B_num) at the point, normalized by 1/beta^2."""
     _require_clearance(sysr, point)
     frame = build_frame(sysr, point)
-    hp = _is_hp(point)
+    hp = _is_mp(point.y)
     gw = _metric_weights(sysr.kind, hp)
     b2 = (mpf(str(point.beta)) if hp else float(point.beta)) ** 2
     rank = sysr.rank
@@ -672,8 +658,11 @@ def _oracle_ab(frame: NumericFrame, gw, b2, entry):
 
 
 def ground_state_energy(sysr: RootSystem, beta, nu):
-    """E0 = beta^2 rho^2 / 8 with rho = nu * (sum of positive roots)."""
-    return beta**2 * nu**2 * float(_rho_sq(sysr.kind)) / 8
+    """E0 = beta^2 rho^2 / 8 with rho = nu * (sum of positive roots).
+
+    rho^2 is taken in the arithmetic of beta: mpf for an mpf beta, else float.
+    """
+    return beta**2 * nu**2 * _converter(_is_mp([beta]))(_rho_sq(sysr.kind)) / 8
 
 
 def ground_state_residual(sysr: RootSystem, point: SamplePoint):
@@ -684,7 +673,7 @@ def ground_state_residual(sysr: RootSystem, point: SamplePoint):
     both V and D log Psi0 weight each root's 1/sin^2 by |alpha|^2 / 2.
     """
     _require_clearance(sysr, point)
-    hp = _is_hp(point)
+    hp = _is_mp(point.y)
     nu = mpf(str(point.nu)) if hp else float(point.nu)
     beta = mpf(str(point.beta)) if hp else float(point.beta)
     if nu == 0:
@@ -715,8 +704,7 @@ def ground_state_residual(sysr: RootSystem, point: SamplePoint):
         quad = float((np.array(gw) * grad * grad).sum())
     v_pot = nu * (nu - 1) * (beta**2 / 4) * inv_sin2
     lhs = -(d_log + quad) / 2 + v_pot
-    rho2 = _converter(hp)(_rho_sq(sysr.kind))
-    e0 = beta**2 * nu**2 * rho2 / 8
+    e0 = ground_state_energy(sysr, beta, nu)
     return abs(lhs - e0) / (abs(e0) + 1)
 
 
@@ -891,10 +879,10 @@ class FramePool:
                 sysr, count, seed=seed, beta=float(beta), nu=0.0, precision="hp",
                 digits=digits,
             )
-            self.beta = mpf(beta)
+            # build_frame's beta: the decimal string of the points' float
+            self.beta = mpf(str(float(beta)))
             self.frames = list(_map_sample_points(
-                lambda p: _geom_hp(sysr, p.y, self.beta),
-                sysr, pts[: self.fit_frames] + pts[held:],
+                lambda p: build_frame(sysr, p), sysr, pts[: self.fit_frames] + pts[held:],
             ))
 
     def workdps(self):
@@ -989,8 +977,3 @@ def fit_entry(op: AlgebraicOperator, which: str, pool: FramePool) -> FitResult:
             else (),
             first_miss=miss,
         )
-
-
-def with_entry(op: AlgebraicOperator, which: str, poly: MultiPoly) -> AlgebraicOperator:
-    """A copy of the operator with one table entry replaced."""
-    return build_operator(op.system, {which: poly}, f"{op.variant}+fit", base=op)

@@ -347,6 +347,16 @@ def weyl_orbit(sys: RootSystem, weight_index: int) -> WeylOrbit:
     return _orbits(sys.kind)[weight_index - 1]
 
 
+@lru_cache(maxsize=None)
+def orbit_rows(kind: str) -> tuple[int, tuple]:
+    """(scale, per orbit its integer rows u): the y vectors are u / scale."""
+    sys = build_system(kind)
+    orbits = [weyl_orbit(sys, a + 1) for a in range(sys.rank)]
+    # every orbit of a supported system has the same scale (2 for E7)
+    (scale,) = {o.scale for o in orbits}
+    return scale, tuple(o.ints for o in orbits)
+
+
 def deformed_weyl_vector(sys: RootSystem) -> DeformedWeylVector:
     total = vcombo([1] * len(sys.positive_roots), sys.positive_roots)
     return DeformedWeylVector(root_sum=total, rho_sq_over_nu_sq=vdot(total, total))

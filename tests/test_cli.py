@@ -343,6 +343,11 @@ BAD_VALUES = [
      "tauforge fit: error: bad entry id 'B0' for rank 7"),
     (["fit", "--entries", "A18"],
      "tauforge fit: error: bad entry id 'A18' for rank 7"),
+    # a repeated entry would be fitted and reported twice; A21 is A12
+    (["fit", "--system", "A2", "--entries", "A11,A11"],
+     "tauforge fit: error: entries must be distinct, but A11 repeats A11"),
+    (["fit", "--system", "A2", "--entries", "A12,A21"],
+     "tauforge fit: error: entries must be distinct, but A21 repeats A12"),
     (["verify-tables", "--variant", "derived"],
      "tauforge verify-tables: error: E7 has no derived variant; use raw or canonical"),
     (["derive", "--system", "E7"],

@@ -12,13 +12,10 @@ from tauforge.geometry import (
     _MetricPolys,
     _curvature,
     _invert,
-    bianchi_at,
     chart_center,
     flatness_report,
     flatness_sample_points,
     hp_tol,
-    metric_at,
-    riemann_at,
     sabotaged,
     with_coefficient,
 )
@@ -57,7 +54,7 @@ def test_sample_points_are_deterministic():
 def test_metric_at_the_chart_center_is_well_conditioned():
     can = e7_operator("canonical")
     tau = tau_numeric(E7, SamplePoint(y=chart_center(E7)))
-    frame = metric_at(can, tau)
+    frame = _curvature(can, tau)[2]
     assert frame.cond < 1e7
     A = np.array(frame.A)
     assert np.allclose(A, A.T)
@@ -69,14 +66,14 @@ def test_metric_vanishes_at_the_orbit_size_point():
     can = e7_operator("canonical")
     sizes = tuple(weyl_orbit(E7, a).size for a in range(1, 8))
     with pytest.raises(SingularMetricError):
-        metric_at(can, sizes)
+        _curvature(can, sizes)
 
 
 def test_metric_rejects_ill_conditioned_points():
     can = e7_operator("canonical")
     tau = tau_numeric(E7, SamplePoint(y=tuple(0.05 * v for v in chart_center(E7))))
     with pytest.raises(SingularMetricError):
-        metric_at(can, tau)
+        _curvature(can, tau)
 
 
 def test_canonical_tables_are_flat_in_double_precision():
@@ -152,8 +149,7 @@ def test_faulted_copy_reports_its_own_violations():
 
 def test_rank_one_metric_is_exactly_flat():
     op = derive_operator(build_system("A1"))
-    assert riemann_at(op, (0.3,)) == 0.0
-    assert bianchi_at(op, (0.3,)) == 0.0
+    assert _curvature(op, (0.3,))[:2] == (0.0, 0.0)
 
 
 # Reference copy of the curvature assembly as it was before the per-operator

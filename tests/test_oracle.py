@@ -17,7 +17,7 @@ from tauforge.derive import derive_operator
 from tauforge.exactpoly import MultiPoly, compile_poly, eval_compiled, top_exponents
 from tauforge.geometry import sabotaged
 from tauforge.fixedpoint import complex_qr_solve, qr_solve, to_fixed
-from tauforge.operator import e7_operator
+from tauforge.operator import build_operator, e7_operator
 from tauforge.oracle import (
     CancellationError,
     ClearanceError,
@@ -37,7 +37,6 @@ from tauforge.oracle import (
     sample_points,
     tau_numeric,
     verify_tables,
-    with_entry,
     _build_hp_plan,
     _converter,
     _fit_plan,
@@ -47,12 +46,11 @@ from tauforge.oracle import (
     _geom_hp,
     _grouped_sums,
     _hp_plan,
-    _orbit_ints,
     _root_mp,
     _map_points,
     _trie_step,
 )
-from tauforge.rootsys import build_system, deformed_weyl_vector
+from tauforge.rootsys import build_system, deformed_weyl_vector, orbit_rows
 
 E7 = build_system("E7")
 
@@ -103,7 +101,7 @@ def _geom_hp_direct(sysr, y, beta):
     gw = [mpf(g.numerator) / g.denominator for g in sysr.metric_weights[: sysr.y_dim]]
     taus, jacs, laps = [], [], []
     dim = sysr.y_dim
-    scale, ints = _orbit_ints(sysr.kind)
+    scale, ints = orbit_rows(sysr.kind)
     for rows in ints:
         M = [[mpf(c) / scale for c in u] for u in rows.tolist()]
         cs = [mp.cos_sin(beta * sum(w[k] * y[k] for k in range(dim))) for w in M]
@@ -177,7 +175,7 @@ def _geom_hp_stack(sysr, y, beta):
     """
     dim = sysr.y_dim
     gws = [int(g) for g in sysr.metric_weights[:dim]]
-    scale, ints = _orbit_ints(sysr.kind)
+    scale, ints = orbit_rows(sysr.kind)
     paired = sysr.has_minus_one
     max_u = [0] * dim
     orbits = []
@@ -352,7 +350,7 @@ def test_e7_hp_plan_has_one_node_per_distinct_row_prefix():
     for lo, hi in plan.levels:
         assert (plan.parent[lo:hi] < lo).all()
     # each kept row ends at the node whose path is its nonzero (k, u_k) list
-    _, ints = _orbit_ints("E7")
+    _, ints = orbit_rows("E7")
     gws = [int(g) for g in E7.metric_weights[: E7.y_dim]]
     for (ends, w2), m in zip(plan.orbits, ints):
         assert len(set(ends.tolist())) == len(ends)
@@ -500,21 +498,32 @@ def test_fit_recovers_a_b_entry_from_the_oracle():
     assert fit.ok
     assert fit.residual < 1e-30
     assert fit.poly == e7_operator("canonical").b_entry(1)
-    patched = with_entry(raw, "B1", fit.poly)
-    assert patched.variant == "raw+fit"
+    patched = build_operator(E7, {"B1": fit.poly}, "raw+fit", base=raw)
     assert patched.b_entry(1) == fit.poly
 
 
 def test_a_modified_copy_reports_its_own_violations():
     can = e7_operator("canonical")
     tau1 = MultiPoly.variable(7, 1)
-    broken = with_entry(can, "A11", can.A[0][0] + tau1 * tau1)
-    assert broken.variant == "canonical+fit"
+    broken = build_operator(E7, {"A11": can.A[0][0] + tau1 * tau1}, "canonical+fit", base=can)
     assert broken.violations == (
         "A11: coefficient of tau_1tau_1 is -1/2, leading law needs -3/2",
     )
     # any copy recomputes them from its own tables
     assert dataclasses.replace(broken, A=can.A).violations == ()
+
+
+@pytest.mark.parametrize("kind", ["E7", "A2"])
+def test_pool_frames_are_build_frame_frames_at_a_non_dyadic_beta(kind):
+    # 1.3 is no binary fraction, so mpf(1.3) and mpf("1.3") differ in their
+    # last bits: the refit must see the frames verify-tables sees
+    sysr = build_system(kind)
+    pool = FramePool(sysr, HELD_OUT_FRAMES + 1, seed=23, beta=1.3)
+    with pool.workdps():
+        pts = sample_points(sysr, HELD_OUT_FRAMES + 1, seed=23, beta=1.3, nu=0.0,
+                            precision="hp", digits=pool.dps)
+        assert pool.beta == mpf("1.3")
+        assert pool.frames == [build_frame(sysr, pt) for pt in pts]
 
 
 def test_fit_rejects_an_undersized_pool():
@@ -888,7 +897,7 @@ def test_slow_rank_two_hp_points_stay_in_process(monkeypatch, capsys):
 def test_the_fork_bound_is_far_from_every_system():
     # every supported system's orbit-row total is 10x below the bound or
     # 10x above it, so no system sits near the fork decision
-    rows = {kind: sum(map(len, _orbit_ints(kind)[1])) for kind in SYSTEMS}
+    rows = {kind: sum(map(len, orbit_rows(kind)[1])) for kind in SYSTEMS}
     assert rows == {"E7": 17_642, "A1": 2, "A2": 6, "G2": 12}
     for n in rows.values():
         assert n * 10 <= FORK_MIN_ORBIT_ROWS or n >= 10 * FORK_MIN_ORBIT_ROWS

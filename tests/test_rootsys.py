@@ -14,6 +14,7 @@ from tauforge.rootsys import (
     deformed_weyl_vector,
     dominance_leq,
     highest_root,
+    orbit_rows,
     weyl_orbit,
 )
 
@@ -230,11 +231,11 @@ def test_orbit_walk_rejects_rows_too_large_for_int64_codes():
 
 def test_one_orbit_walk_per_system():
     _orbits.cache_clear()
-    oracle._orbit_ints.cache_clear()
+    orbit_rows.cache_clear()
     kinds = ("E7", "A1", "A2", "G2")
     for kind in kinds:
-        oracle._orbit_ints(kind)
-        oracle._orbit_ints(kind)
+        orbit_rows(kind)
+        orbit_rows(kind)
     info = _orbits.cache_info()
     assert info.misses == len(kinds) and info.currsize == len(kinds)
 
