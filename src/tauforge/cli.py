@@ -5,6 +5,11 @@ in the run pass; check failures exit 1, usage problems exit 2.  Reports
 are deterministic for a fixed config and seed: keys are sorted and the
 effective configuration is echoed back into the report, so identical
 invocations produce byte-identical output.
+
+Only the exact modules load with this one.  The handlers that evaluate
+numbers import the oracle, geometry, the derivation and mpmath
+themselves, so `spectrum`, `flag-check` and `export` of the E7 tables run
+without numpy or mpmath, and `invariance` loads numpy alone.
 """
 
 from __future__ import annotations
@@ -16,10 +21,7 @@ import os
 import sys
 from fractions import Fraction
 
-from mpmath import mp
-
-from . import geometry, oracle
-from .derive import derive_operator
+from .exactpoly import _HP_DIGITS
 from .operator import (
     E7_CV,
     WP_PARAM_NAMES,
@@ -187,6 +189,8 @@ def _one_beta(args) -> float:
 def _operator_for(kind: str, variant: str):
     if kind == "E7":
         return e7_operator(variant)
+    from .derive import derive_operator
+
     return derive_operator(build_system(kind))
 
 
@@ -250,6 +254,10 @@ def _cmd_orbits(args) -> dict:
 
 
 def _cmd_tau_eval(args) -> dict:
+    from mpmath import mp
+
+    from . import oracle
+
     sysr = build_system(args.system)
     pts = oracle.sample_points(
         sysr, args.samples, seed=args.seed, beta=_one_beta(args),
@@ -271,6 +279,10 @@ def _cmd_tau_eval(args) -> dict:
 
 
 def _cmd_verify_ground_state(args) -> dict:
+    from mpmath import mp
+
+    from . import oracle
+
     sysr = build_system(args.system)
     rho = deformed_weyl_vector(sysr)
     rows = []
@@ -305,6 +317,8 @@ def _cmd_verify_ground_state(args) -> dict:
 
 
 def _cmd_verify_tables(args) -> dict:
+    from . import oracle
+
     try:
         nus = oracle.distinct_nus(args.nu)
     except ValueError as exc:
@@ -368,6 +382,8 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _cmd_flatness(args) -> dict:
+    from . import geometry
+
     if args.system == "A1":
         raise UsageError("every rank-1 metric is flat; flatness needs rank >= 2")
     beta = _one_beta(args)
@@ -423,6 +439,8 @@ def _cmd_invariance(args) -> dict:
 
 
 def _cmd_fit(args) -> dict:
+    from . import oracle
+
     beta = _one_beta(args)
     op = _operator_for(args.system, args.variant)
     entries = args.entries.split(",")
@@ -475,9 +493,11 @@ def _cmd_fit(args) -> dict:
 
 
 def _cmd_derive(args) -> dict:
+    from . import oracle
+
     if args.system == "E7":
         raise UsageError("derivation is limited to rank <= 2 systems")
-    op = derive_operator(build_system(args.system))
+    op = _operator_for(args.system, "derived")
     rep = oracle.verify_tables(
         op, samples=20, seed=args.seed, tol=args.tol, precision="hp",
         digits=args.precision_digits,
@@ -532,7 +552,7 @@ def _add_common(p, *, samples=None, seed=0, tol=None, precision=False,
     # rounds onto a root wall, where a cotangent divides by zero); two hp
     # verify-tables points take 3 s at 1000 digits, 8 s at 2000
     p.add_argument("--precision-digits", type=_count(15, 1000),
-                   default=oracle.hp_digits())
+                   default=_HP_DIGITS)
     if samples is not None:
         # fit's default of 0 sizes the frame pool from the entries
         p.add_argument("--samples", type=_count(0 if samples == 0 else 1),
@@ -636,7 +656,13 @@ def main(argv=None) -> int:
     try:
         _resolve_variant(args)
         body = args.handler(args)
-    except (UsageError, oracle.SamplingError) as exc:
+    except ValueError as exc:
+        # a SamplingError can only come from a command that loaded the oracle
+        if not isinstance(exc, UsageError):
+            from .oracle import SamplingError
+
+            if not isinstance(exc, SamplingError):
+                raise
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
     if "raw_text" in body:
         payload = body["raw_text"]

@@ -39,7 +39,10 @@ class NuLinear:
         return NuLinear(-self.c0, -self.c1)
 
     def __mul__(self, other: "NuLinear") -> "NuLinear":
-        if self.c1 != 0 and other.c1 != 0:
+        if not (self.c1 or other.c1):
+            # both nu-free: the slope terms are products of zeros
+            return NuLinear(self.c0 * other.c0, self.c1)
+        if self.c1 and other.c1:
             raise NuDegreeError("product of two nu-linear coefficients")
         return NuLinear(
             self.c0 * other.c0,
@@ -70,6 +73,12 @@ class NuLinear:
 ZERO = NuLinear()
 ONE = NuLinear(Fraction(1))
 
+# The default working precision of high-precision evaluation, in decimal
+# digits.  oracle.hp_digits() is its public reader; it is kept in this
+# module, which imports no numeric library, so that the command line can
+# offer it as a default without loading mpmath.
+_HP_DIGITS = 50
+
 
 class MultiPoly:
     """Immutable sparse polynomial: exponent tuple -> NuLinear coefficient."""
@@ -86,6 +95,15 @@ class MultiPoly:
                 clean[exp] = coef
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, rank: int, terms: dict[tuple[int, ...], NuLinear]) -> "MultiPoly":
+        """The ring operations' constructor: their exponent tuples are valid by
+        construction, so only zero coefficients are dropped, in storage order."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "rank", rank)
+        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c.c0 or c.c1})
+        return poly
 
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
@@ -118,17 +136,17 @@ class MultiPoly:
         out = dict(self.terms)
         for exp, coef in other.terms.items():
             out[exp] = out.get(exp, ZERO) + coef
-        return MultiPoly(self.rank, out)
+        return MultiPoly._of(self.rank, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         out = dict(self.terms)
         for exp, coef in other.terms.items():
             out[exp] = out.get(exp, ZERO) - coef
-        return MultiPoly(self.rank, out)
+        return MultiPoly._of(self.rank, out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.rank, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
@@ -138,7 +156,7 @@ class MultiPoly:
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 prod = c1 * c2
                 out[exp] = out.get(exp, ZERO) + prod
-        return MultiPoly(self.rank, out)
+        return MultiPoly._of(self.rank, out)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:

@@ -28,6 +28,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .exactpoly import (
+    _HP_DIGITS,
     ONE,
     MultiPoly,
     NuLinear,
@@ -66,7 +67,7 @@ class SamplingError(ValueError):
 
 def hp_digits() -> int:
     """The default high-precision working precision, in decimal digits."""
-    return 50
+    return _HP_DIGITS
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ systems A1, A2, G2 live in their usual 2- and 3-coordinate ambient
 spaces.  Roots and weights are exact (tuples of Fraction), so dominance
 tests need no tolerances.  All of a system's Weyl orbits are walked at
 once in int64 layers of Dynkin labels, and each is kept as one read-only
-integer array.
+integer array.  numpy is imported only where an array is built, so the
+exact algebra (systems, dominance, characteristic vectors) runs without it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Vec = tuple[Fraction, ...]
 
@@ -102,6 +105,8 @@ class RootSystem:
 
         Small integers, so these doubles are exact at any precision.
         """
+        import numpy as np
+
         return _read_only(np.array([float(vdot(r, r) / 2) for r in self.positive_roots]))
 
     def y_rep(self, v: Vec) -> Vec:
@@ -294,6 +299,8 @@ def _orbit_walk(weights: tuple[Vec, ...], simple: tuple[Vec, ...], rep) -> tuple
     within itself; exact mixed-radix codes of (orbit, coordinates) do that, and
     at the end put each orbit's rows in lexicographic order.
     """
+    import numpy as np
+
     vecs = [rep(w) for w in weights] + [rep(s) for s in simple]
     scale = math.lcm(*(c.denominator for v in vecs for c in v))
     rank = len(simple)
@@ -324,6 +331,8 @@ def _orbit_walk(weights: tuple[Vec, ...], simple: tuple[Vec, ...], rep) -> tuple
 
 def _sorted_firsts(coords: np.ndarray, orbit=0) -> np.ndarray:
     """Index of each distinct (orbit, coordinates) row, in lexicographic order."""
+    import numpy as np
+
     bound = int(np.abs(coords).max())
     radix, dim = 2 * bound + 1, coords.shape[1]
     if (int(np.max(orbit)) + 1) * radix**dim >= 2**63:

@@ -42,6 +42,47 @@ def test_every_public_name_resolves():
     assert set(tauforge.__all__) <= set(namespace)
 
 
+NUMERIC_MODULES = ("numpy", "mpmath", "tauforge.oracle", "tauforge.geometry", "tauforge.derive")
+
+# what a fresh process holds of NUMERIC_MODULES after running argv through
+# cli.main (None: after a bare `import tauforge`)
+IMPORT_BOUNDARY = [
+    (None, []),
+    (["spectrum", "--n", "3"], []),
+    (["flag-check", "--n", "2"], []),
+    (["export", "--format", "csv"], []),
+    # the parameter sets come from numpy's generator
+    (["invariance", "--n", "4", "--sets", "1"], ["numpy"]),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", IMPORT_BOUNDARY,
+                         ids=[" ".join(argv or ["import"]) for argv, _ in IMPORT_BOUNDARY])
+def test_exact_commands_load_no_numeric_module(argv, loaded):
+    # a fresh process: this one already holds numpy and the oracle
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import tauforge\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv is not None:\n"
+        "    from tauforge import cli\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "seen = {'modules': sorted(sys.modules), 'dir': dir(tauforge), 'all': tauforge.__all__}\n"
+        "# a numeric submodule still resolves as an attribute of the package\n"
+        "assert tauforge.geometry.flatness_report is tauforge.flatness_report\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert [m for m in NUMERIC_MODULES if m in seen["modules"]] == loaded
+    assert set(seen["all"]) <= set(seen["dir"])
+
+
 def test_orbits(capsys):
     code, rep = run_json(capsys, "orbits", "--system", "E7")
     assert code == 0

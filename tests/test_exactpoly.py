@@ -142,3 +142,50 @@ def test_nu_free_predicate():
     t1 = MultiPoly.variable(RANK, 1)
     assert t1.is_nu_free()
     assert not (t1 * MultiPoly.constant(RANK, NuLinear.of(0, 1))).is_nu_free()
+
+
+@given(rationals, rationals, rationals)
+@settings(max_examples=30, deadline=None)
+def test_a_nu_free_product_matches_the_general_formula(a, b, c):
+    x, y = NuLinear.of(a), NuLinear.of(b)
+    assert x * y == NuLinear(x.c0 * y.c0, x.c0 * y.c1 + x.c1 * y.c0)
+    # one nu-linear factor still takes the general formula
+    z = NuLinear.of(c, 1)
+    assert x * z == z * x == NuLinear(a * c, a)
+
+
+def test_a_cancelled_product_term_is_dropped():
+    t1 = MultiPoly.variable(RANK, 1)
+    one = MultiPoly.constant(RANK, 1)
+    square = (t1 + one) * (t1 - one)
+    assert square.terms == {(2, 0, 0): NuLinear.of(1), (0, 0, 0): NuLinear.of(-1)}
+    assert (1, 0, 0) not in square.terms
+
+
+def test_ring_operations_keep_the_storage_order():
+    # double evaluation sums in storage order, so the order is part of
+    # what a ring operation returns; a cancelled term leaves its place
+    f = MultiPoly(RANK, {(1, 0, 0): NuLinear.of(1), (0, 1, 0): NuLinear.of(2, 1),
+                         (0, 0, 0): NuLinear.of(3)})
+    g = MultiPoly(RANK, {(0, 0, 1): NuLinear.of(1), (1, 0, 0): NuLinear.of(-1),
+                         (0, 0, 0): NuLinear.of(3)})
+    h = MultiPoly(RANK, {(0, 1, 0): NuLinear.of(-2, -1), (2, 0, 0): NuLinear.of(1),
+                         (0, 0, 0): NuLinear.of(-3)})
+    assert list((f * g).terms) == [
+        (1, 0, 1), (2, 0, 0), (0, 1, 1), (1, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0),
+    ]
+    assert list((g * f).terms) == [
+        (1, 0, 1), (0, 1, 1), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 0),
+    ]
+    assert list((f + h).terms) == [(1, 0, 0), (2, 0, 0)]
+    assert list((h + f).terms) == [(2, 0, 0), (1, 0, 0)]
+    assert list((f - g).terms) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert list((-h).terms) == [(0, 1, 0), (2, 0, 0), (0, 0, 0)]
+
+
+def test_a_negative_exponent_is_rejected():
+    one = NuLinear.of(1)
+    with raises(ValueError, match="bad exponent tuple"):
+        MultiPoly(7, {(-1, 0, 0, 0, 0, 0, 0): one})
+    with raises(ValueError, match="bad exponent tuple"):
+        MultiPoly(RANK, {(1, 0): one})
