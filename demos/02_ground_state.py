@@ -21,9 +21,10 @@ for beta, nu in ((1.0, 0.5), (2.0, 1.7)):
 print()
 print("relative residuals at 20 sample points per sweep:")
 for beta in (1.0, 2.0):
+    # a sample point is a place (y, beta); nu is an argument of the check
+    pts = sample_points(sysr, 20, seed=101, beta=beta)
     for nu in (0.5, 1.7, 3.0):
-        pts = sample_points(sysr, 20, seed=101, beta=beta, nu=nu)
-        worst = max(ground_state_residual(sysr, p) for p in pts)
+        worst = max(ground_state_residual(sysr, p, nu) for p in pts)
         print(f"  beta={beta} nu={nu}:  worst {worst:.3e}")
 
 print()

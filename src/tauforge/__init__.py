@@ -6,6 +6,8 @@ spectrum machinery, a flatness check for the induced metric, and exact
 small-rank derivations that close the loop on the whole method.
 """
 
+from types import ModuleType as _ModuleType
+
 from .exactpoly import MultiPoly, NuDegreeError, NuLinear
 from .operator import (
     AlgebraicOperator,
@@ -86,53 +88,8 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
+# the eager names, then the numeric ones, then the version
 __all__ = [
-    "AlgebraicOperator",
-    "CancellationError",
-    "ClearanceError",
-    "FitResult",
-    "FlagBasis",
-    "FramePool",
-    "MultiPoly",
-    "NuDegreeError",
-    "NuLinear",
-    "NumericFrame",
-    "RootSystem",
-    "SamplePoint",
-    "SingularMetricError",
-    "SpectrumResult",
-    "WP_PARAM_NAMES",
-    "WeylOrbit",
-    "apply",
-    "build_frame",
-    "build_system",
-    "chain_rule_oracle",
-    "characteristic_vector",
-    "chart_center",
-    "clearance",
-    "deformed_weyl_vector",
-    "derive_operator",
-    "dominance_leq",
-    "e7_operator",
-    "enumerate_flag_basis",
-    "fit_entry",
-    "flag_degree_check",
-    "flag_matrix",
-    "flatness_report",
-    "flatness_sample_points",
-    "ground_state_energy",
-    "ground_state_residual",
-    "highest_root",
-    "hp_digits",
-    "operator_to_json",
-    "sabotaged",
-    "sample_points",
-    "spectrum",
-    "stored_data_report",
-    "tau_numeric",
-    "verify_tables",
-    "weighted_projective_check",
-    "weyl_orbit",
-    "with_coefficient",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + list(_NUMERIC) + ["__version__"]

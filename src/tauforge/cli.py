@@ -289,12 +289,13 @@ def _cmd_verify_ground_state(args) -> dict:
     worst = 0.0
     with mp.workdps(args.precision_digits):
         for beta in args.beta:
+            # the draw depends on beta but not on nu: one list serves every nu
+            pts = oracle.sample_points(
+                sysr, args.samples, seed=args.seed, beta=beta,
+                precision=args.precision, digits=args.precision_digits,
+            )
             for nu in args.nu:
-                pts = oracle.sample_points(
-                    sysr, args.samples, seed=args.seed, beta=beta, nu=nu,
-                    precision=args.precision, digits=args.precision_digits,
-                )
-                res = [float(oracle.ground_state_residual(sysr, pt)) for pt in pts]
+                res = [float(oracle.ground_state_residual(sysr, pt, nu)) for pt in pts]
                 peak = max(res)
                 worst = max(worst, peak)
                 rows.append(
@@ -568,9 +569,15 @@ def _add_common(p, *, samples=None, seed=0, tol=None, precision=False,
     if beta is not None:
         p.add_argument("--beta", type=_parse_betas, default=_parse_betas(beta))
     if nu is not None:
-        p.add_argument("--nu", type=_parse_floats, default=_parse_floats(nu))
+        p.add_argument("--nu", type=_parse_floats, default=_parse_floats(nu),
+                       help="comma list of nu values; a list with a negative"
+                       " value takes =, as in --nu=-0.5,1")
     if n is not None:
         p.add_argument("--n", type=_count(0), default=n)
+
+
+# argparse reads a negative fraction as an option unless it follows =
+_RATIONAL_NU_HELP = "a rational nu; a negative fraction takes =, as in --nu=-1/3"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -611,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues on the flag")
     _add_common(p, variant="raw", beta=None, n=1)
-    p.add_argument("--nu", type=_parse_rational, default=None)
+    p.add_argument("--nu", type=_parse_rational, default=None, help=_RATIONAL_NU_HELP)
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("flatness", help="Riemann residuals of the metric")
@@ -644,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="dump tables or flag matrices")
     _add_common(p, variant="raw", beta=None, formats=("json", "csv"))
     p.add_argument("--matrix-n", type=_count(0), default=None)
-    p.add_argument("--nu", type=_parse_rational, default=None)
+    p.add_argument("--nu", type=_parse_rational, default=None, help=_RATIONAL_NU_HELP)
     p.set_defaults(handler=_cmd_export)
 
     return ap

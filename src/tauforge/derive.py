@@ -83,7 +83,7 @@ def _chain_rule_mod(sysr: RootSystem, p: int, count: int, rng):
     # z stands for one scale M, which every orbit of a supported system shares
     scale, orbits = orbit_rows(sysr.kind)
     # the metric weights are small integers (1 and 2)
-    g = np.array([int(x) for x in sysr.metric_weights[: sysr.y_dim]], dtype=np.int64)
+    g = np.array([int(x) for x in sysr.metric_weights], dtype=np.int64)
     roots = np.array(
         [[int(c * scale) for c in sysr.y_rep(r)] for r in sysr.positive_roots],
         dtype=np.int64,

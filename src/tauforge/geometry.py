@@ -91,9 +91,7 @@ def flatness_sample_points(
         radial = 1.0 - 0.2 * accepted / max(count - 1, 1)
         return radial * center + rng.uniform(-SPREAD, SPREAD, sysr.y_dim) / float(beta)
 
-    return _rejection_sample(
-        sysr, count, seed, float(beta), 0.0, precision, digits, draw
-    )
+    return _rejection_sample(sysr, count, seed, float(beta), precision, digits, draw)
 
 
 def with_coefficient(

@@ -222,7 +222,6 @@ def _map_child(fn, items, share, wfd: int) -> None:
 class SamplePoint:
     y: tuple
     beta: float = 1.0
-    nu: float = 0.5
 
 
 class NumericFrame(NamedTuple):
@@ -296,6 +295,13 @@ def _converter(hp: bool):
     return (lambda q: mpf(q.numerator) / q.denominator) if hp else float
 
 
+def _param(x, hp: bool):
+    """A float parameter (a beta, a nu or a drawn coordinate) in a check's
+    arithmetic: float, or with hp the mpf of its decimal string at the
+    current precision, so 0.7 is the decimal 0.7 and not its binary float."""
+    return mpf(str(x)) if hp else float(x)
+
+
 @lru_cache(maxsize=None)
 def _metric_weights(kind: str, hp: bool) -> tuple:
     """The metric weights g_k of the y coordinates, as floats or as mpf.
@@ -304,7 +310,7 @@ def _metric_weights(kind: str, hp: bool) -> tuple:
     at every precision.
     """
     sysr = build_system(kind)
-    return tuple(map(_converter(hp), sysr.metric_weights[: sysr.y_dim]))
+    return tuple(map(_converter(hp), sysr.metric_weights))
 
 
 @lru_cache(maxsize=None)
@@ -329,7 +335,6 @@ def sample_points(
     count: int,
     seed: int = 0,
     beta: float = 1.0,
-    nu: float = 0.5,
     precision: str = "double",
     digits: int = hp_digits(),
 ) -> list[SamplePoint]:
@@ -338,13 +343,13 @@ def sample_points(
     Raises SamplingError after MAX_REJECTED_DRAWS rejections in a row.
     """
     return _rejection_sample(
-        sysr, count, seed, beta, nu, precision, digits,
+        sysr, count, seed, beta, precision, digits,
         lambda rng, accepted: rng.uniform(0.05, 0.35, sysr.y_dim),
     )
 
 
 def _rejection_sample(
-    sysr, count, seed, beta, nu, precision, digits, draw
+    sysr, count, seed, beta, precision, digits, draw
 ) -> list[SamplePoint]:
     """`count` points that clear the root walls, in draw order.
 
@@ -358,7 +363,7 @@ def _rejection_sample(
     rejected = 0
     while len(out) < count:
         u = draw(rng, len(out))
-        cand = SamplePoint(y=tuple(float(v) for v in u), beta=beta, nu=nu)
+        cand = SamplePoint(y=tuple(float(v) for v in u), beta=beta)
         if clearance(sysr, cand) <= CLEARANCE:
             rejected += 1
             if rejected >= MAX_REJECTED_DRAWS:
@@ -370,9 +375,7 @@ def _rejection_sample(
         rejected = 0
         if precision == "hp":
             with mp.workdps(digits):
-                cand = SamplePoint(
-                    y=tuple(mpf(str(v)) for v in u), beta=beta, nu=nu
-                )
+                cand = SamplePoint(y=tuple(_param(v, True) for v in u), beta=beta)
         out.append(cand)
     return out
 
@@ -520,7 +523,7 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
 @lru_cache(maxsize=None)
 def _hp_plan(kind: str) -> _HpPlan:
     sysr = build_system(kind)
-    gws = [int(g) for g in sysr.metric_weights[: sysr.y_dim]]
+    gws = [int(g) for g in sysr.metric_weights]
     return _build_hp_plan(*orbit_rows(kind), gws, sysr.has_minus_one)
 
 
@@ -610,11 +613,11 @@ def _geom_hp(sysr: RootSystem, y, beta) -> NumericFrame:
 
 def build_frame(sysr: RootSystem, point: SamplePoint) -> NumericFrame:
     """The frame at the point, in the point's arithmetic (double or hp)."""
-    if _is_mp(point.y):
-        return _geom_hp(sysr, point.y, mpf(str(point.beta)))
-    return _geom_double(
-        sysr, np.array([float(v) for v in point.y]), float(point.beta)
-    )
+    hp = _is_mp(point.y)
+    beta = _param(point.beta, hp)
+    if hp:
+        return _geom_hp(sysr, point.y, beta)
+    return _geom_double(sysr, np.array([float(v) for v in point.y]), beta)
 
 
 def tau_numeric(sysr: RootSystem, point: SamplePoint) -> tuple:
@@ -622,13 +625,14 @@ def tau_numeric(sysr: RootSystem, point: SamplePoint) -> tuple:
     return tuple(build_frame(sysr, point).tau)
 
 
-def chain_rule_oracle(sysr: RootSystem, point: SamplePoint):
-    """(A_num, B_num) at the point, normalized by 1/beta^2."""
+def chain_rule_oracle(sysr: RootSystem, point: SamplePoint, nu):
+    """(A_num, B_num) at the point and coupling nu, normalized by 1/beta^2."""
     _require_clearance(sysr, point)
     frame = build_frame(sysr, point)
     hp = _is_mp(point.y)
     gw = _metric_weights(sysr.kind, hp)
-    b2 = (mpf(str(point.beta)) if hp else float(point.beta)) ** 2
+    b2 = _param(point.beta, hp) ** 2
+    nu = _param(nu, hp)
     rank = sysr.rank
     A = [[None] * rank for _ in range(rank)]
     for i in range(rank):
@@ -637,7 +641,7 @@ def chain_rule_oracle(sysr: RootSystem, point: SamplePoint):
     B = []
     for i in range(rank):
         base, slope = _oracle_ab(frame, gw, b2, ("B", i, None))
-        B.append(base + point.nu * slope)
+        B.append(base + nu * slope)
     return A, B
 
 
@@ -666,8 +670,8 @@ def ground_state_energy(sysr: RootSystem, beta, nu):
     return beta**2 * nu**2 * _converter(_is_mp([beta]))(_rho_sq(sysr.kind)) / 8
 
 
-def ground_state_residual(sysr: RootSystem, point: SamplePoint):
-    """Relative defect of (H Psi0)/Psi0 against the closed-form energy.
+def ground_state_residual(sysr: RootSystem, point: SamplePoint, nu):
+    """Relative defect of (H Psi0)/Psi0 against the closed-form energy at nu.
 
     (H Psi0)/Psi0 = -1/2 [D log Psi0 + sum_k g_k (d_k log Psi0)^2] + V
     with V = nu(nu-1) (beta^2/4) sum over positive roots of |alpha|^2/sin^2;
@@ -675,8 +679,8 @@ def ground_state_residual(sysr: RootSystem, point: SamplePoint):
     """
     _require_clearance(sysr, point)
     hp = _is_mp(point.y)
-    nu = mpf(str(point.nu)) if hp else float(point.nu)
-    beta = mpf(str(point.beta)) if hp else float(point.beta)
+    nu = _param(nu, hp)
+    beta = _param(point.beta, hp)
     if nu == 0:
         return 0.0
     roots = _root_mp(sysr.kind, mp.dps) if hp else _root_array(sysr.kind)
@@ -783,7 +787,7 @@ def verify_tables(
     with mp.workdps(digits):
         gw = _metric_weights(sysr.kind, hp)
         conv = _converter(hp)
-        nubs = [mpf(str(nu)) if hp else float(nu) for nu in nu_list]
+        nubs = [_param(nu, hp) for nu in nu_list]
         # A is nu-free and compiled at nu = 0; B once per nu of the list
         nu0 = mpf(0) if hp else 0.0
         checks = [
@@ -800,10 +804,9 @@ def verify_tables(
         checked = [name for name, (_, row) in zip(names, checks) for _ in row]
 
         for beta in beta_list:
-            b2 = (mpf(str(beta)) if hp else float(beta)) ** 2
+            b2 = _param(beta, hp) ** 2
             pts = sample_points(
-                sysr, samples, seed=seed, beta=beta, nu=0.0, precision=precision,
-                digits=digits,
+                sysr, samples, seed=seed, beta=beta, precision=precision, digits=digits,
             )
             per_point = _map_sample_points(
                 lambda pt: _residuals(build_frame(sysr, pt), checks, top, gw, b2),
@@ -877,11 +880,9 @@ class FramePool:
         self.fit_frames = held if fit_frames is None else min(fit_frames, held)
         with self.workdps():
             pts = sample_points(
-                sysr, count, seed=seed, beta=float(beta), nu=0.0, precision="hp",
-                digits=digits,
+                sysr, count, seed=seed, beta=float(beta), precision="hp", digits=digits,
             )
-            # build_frame's beta: the decimal string of the points' float
-            self.beta = mpf(str(float(beta)))
+            self.beta = _param(float(beta), True)  # build_frame's beta
             self.frames = list(_map_sample_points(
                 lambda p: build_frame(sysr, p), sysr, pts[: self.fit_frames] + pts[held:],
             ))

@@ -68,8 +68,8 @@ def test_criterion_02_ground_state():
     worst = 0.0
     for beta in (1.0, 2.0):
         for nu in (0.5, 1.7, 3.0):
-            for pt in sample_points(E7, 100, seed=777, beta=beta, nu=nu):
-                worst = max(worst, ground_state_residual(E7, pt))
+            for pt in sample_points(E7, 100, seed=777, beta=beta):
+                worst = max(worst, ground_state_residual(E7, pt, nu))
     energy_ok = ground_state_energy(E7, 2.0, 3.0) == 399.0 / 4 * 4.0 * 9.0
     rho_ok = deformed_weyl_vector(E7).rho_sq_over_nu_sq == 798
     ok = worst < 1e-8 and energy_ok and rho_ok

@@ -497,6 +497,41 @@ def test_fit_accepts_exactly_the_minimum_samples(capsys):
     assert rep["result"]["entries"][0]["ok"]
 
 
+def test_verify_ground_state_draws_once_per_beta(capsys, monkeypatch):
+    # a sample point is (y, beta): every nu of a beta reads the same draw
+    from tauforge import oracle
+
+    draws = []
+    real = oracle.sample_points
+
+    def counted(*args, **kwargs):
+        draws.append(kwargs["beta"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "sample_points", counted)
+    code, rep = run_json(
+        capsys, "verify-ground-state", "--samples", "5", "--beta", "1,2",
+        "--nu", "0.5,1.7,3.0",
+    )
+    assert code == 0
+    assert draws == [1.0, 2.0]
+    assert len(rep["result"]["sweeps"]) == 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "2", "--nu=-1/3"],
+        ["verify-ground-state", "--samples", "2", "--nu=-0.5,1"],
+    ],
+    ids=lambda argv: "_".join(argv),
+)
+def test_a_negative_nu_list_or_fraction_is_written_with_equals(capsys, argv):
+    # without the = argparse reads -1/3 and -0.5,1 as options (see --help)
+    code, _ = run_json(capsys, *argv)
+    assert code == 0
+
+
 def test_fit_samples_zero_sizes_the_pool(capsys):
     code, rep = run_json(capsys, "fit", "--entries", "B1", "--samples", "0")
     assert code == 0

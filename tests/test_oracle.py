@@ -65,7 +65,7 @@ def test_sample_points_are_deterministic_and_cleared():
 def test_tau_is_weyl_invariant_under_a_coordinate_swap():
     # x1 - x2 is a root, so swapping the first two coordinates is in W
     pt = sample_points(E7, 1, seed=9)[0]
-    swapped = SamplePoint(y=(pt.y[1], pt.y[0]) + pt.y[2:], beta=pt.beta, nu=pt.nu)
+    swapped = SamplePoint(y=(pt.y[1], pt.y[0]) + pt.y[2:], beta=pt.beta)
     t1 = tau_numeric(E7, pt)
     t2 = tau_numeric(E7, swapped)
     assert max(abs(a - b) / (1 + abs(a)) for a, b in zip(t1, t2)) < 1e-12
@@ -73,12 +73,10 @@ def test_tau_is_weyl_invariant_under_a_coordinate_swap():
 
 def test_oracle_is_independent_of_beta_rescaling():
     # phases depend on beta*y only, and A, B carry an explicit 1/beta^2
-    pt = sample_points(E7, 1, seed=5, beta=1.9, nu=0.7)[0]
-    unit = SamplePoint(
-        y=tuple(1.9 * v for v in pt.y), beta=1.0, nu=0.7
-    )
-    A1, B1 = chain_rule_oracle(E7, pt)
-    A2, B2 = chain_rule_oracle(E7, unit)
+    pt = sample_points(E7, 1, seed=5, beta=1.9)[0]
+    unit = SamplePoint(y=tuple(1.9 * v for v in pt.y), beta=1.0)
+    A1, B1 = chain_rule_oracle(E7, pt, 0.7)
+    A2, B2 = chain_rule_oracle(E7, unit, 0.7)
     for i in range(7):
         assert abs(B1[i] - B2[i]) / (1 + abs(B1[i])) < 1e-11
         for j in range(7):
@@ -89,11 +87,25 @@ def test_numeric_b_is_affine_in_nu():
     y = sample_points(E7, 1, seed=21)[0].y
     vals = []
     for nu in (0.0, 1.0, 2.0):
-        _, B = chain_rule_oracle(E7, SamplePoint(y=y, nu=nu))
+        _, B = chain_rule_oracle(E7, SamplePoint(y=y), nu)
         vals.append(B)
     for b0, b1, b2 in zip(*vals):
         scale = 1 + abs(b0) + abs(b2)
         assert abs((b2 - b1) - (b1 - b0)) / scale < 1e-10
+
+
+def test_hp_oracle_reads_nu_as_its_decimal_value():
+    # 0.7 is no binary fraction: an hp B takes mpf("0.7"), as verify-tables
+    # does, and not the binary float's mpf(0.7)
+    with mp.workdps(50):
+        pt = sample_points(E7, 1, seed=21, precision="hp")[0]
+        _, B = chain_rule_oracle(E7, pt, 0.7)
+        frame = build_frame(E7, pt)
+        gw = oracle._metric_weights("E7", True)
+        for i, got in enumerate(B):
+            base, slope = oracle._oracle_ab(frame, gw, mpf(1), ("B", i, None))
+            assert got == base + mpf("0.7") * slope
+            assert got != base + mpf(0.7) * slope
 
 
 def _geom_hp_direct(sysr, y, beta):
@@ -474,8 +486,8 @@ def test_ground_state_energy_closed_form():
 
 @pytest.mark.parametrize("beta,nu", [(1.0, 0.5), (2.0, 1.7), (1.0, 3.0)])
 def test_ground_state_residual_double(beta, nu):
-    for pt in sample_points(E7, 5, seed=40, beta=beta, nu=nu):
-        assert ground_state_residual(E7, pt) < 1e-8
+    for pt in sample_points(E7, 5, seed=40, beta=beta):
+        assert ground_state_residual(E7, pt, nu) < 1e-8
 
 
 def test_verify_tables_canonical_passes():
@@ -520,7 +532,7 @@ def test_pool_frames_are_build_frame_frames_at_a_non_dyadic_beta(kind):
     sysr = build_system(kind)
     pool = FramePool(sysr, HELD_OUT_FRAMES + 1, seed=23, beta=1.3)
     with pool.workdps():
-        pts = sample_points(sysr, HELD_OUT_FRAMES + 1, seed=23, beta=1.3, nu=0.0,
+        pts = sample_points(sysr, HELD_OUT_FRAMES + 1, seed=23, beta=1.3,
                             precision="hp", digits=pool.dps)
         assert pool.beta == mpf("1.3")
         assert pool.frames == [build_frame(sysr, pt) for pt in pts]
@@ -651,9 +663,9 @@ def test_fit_on_a_pool_of_identical_frames_is_singular():
 
 def test_clearance_guard():
     with pytest.raises(ClearanceError):
-        chain_rule_oracle(E7, SamplePoint(y=(0.0,) * 7))
+        chain_rule_oracle(E7, SamplePoint(y=(0.0,) * 7), 0.5)
     with pytest.raises(ClearanceError):
-        ground_state_residual(E7, SamplePoint(y=(0.0,) * 7))
+        ground_state_residual(E7, SamplePoint(y=(0.0,) * 7), 0.5)
 
 
 def test_frame_shapes():
@@ -961,7 +973,7 @@ def _ref_double_worst(op, samples: int) -> dict:
     ]
     top = top_exponents([terms for *_, row in checks for terms in row], rank)
     worst = dict.fromkeys([name for name, *_ in checks], 0.0)
-    for pt in sample_points(sysr, samples, seed=20240, nu=0.0):
+    for pt in sample_points(sysr, samples, seed=20240):
         frame = oracle.build_frame(sysr, pt)
         taus = frame[0]
         pw = [[t**e for e in range(n + 1)] for t, n in zip(taus, top)]

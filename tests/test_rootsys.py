@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tauforge import oracle
+from tauforge.cli import SYSTEMS
 from tauforge.rootsys import (
     _orbit_walk,
     _orbits,
@@ -260,3 +261,9 @@ def test_cached_arrays_are_read_only(kind):
     for arr in cached:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] += 1
+
+
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_every_y_coordinate_has_one_metric_weight(kind):
+    sysr = build_system(kind)
+    assert len(sysr.metric_weights) == sysr.y_dim
