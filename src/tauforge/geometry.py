@@ -10,12 +10,13 @@ formula error.  Points are always tau(y) images of clearance samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import combinations
+from operator import attrgetter
 
 import numpy as np
 from mpmath import mp, mpc, mpf
-from mpmath import libmp
 
 from .exactpoly import (
     ZERO,
@@ -36,7 +37,7 @@ from .oracle import (
     hp_digits,
     tau_numeric,
 )
-from .rootsys import RootSystem
+from .rootsys import RootSystem, _read_only
 
 COND_LIMIT = 1e14
 # half-width of the box of flatness samples around the scaled chart center
@@ -208,12 +209,179 @@ def _invert(mat, hp: bool):
     return inv.tolist(), cond
 
 
+# the exponent of every exact zero of an _HpArray: a sum aligns to its
+# other operand, and 0 << n costs nothing
+_ZERO_EXP = 1 << 40
+_bit_length = np.frompyfunc(int.bit_length, 1, 1)
+
+
+@lru_cache(maxsize=None)
+def _round_by(width: int) -> tuple:
+    """Object arrays over s < width of s, 2**(s-1) - 1 and 1, all 0 at s = 0.
+
+    The constants of rounding off s bits; width is a power of two, so a
+    process holds a few tables, the widest about twice a product's s.
+    """
+    s = range(width)
+    return tuple(_read_only(np.array(list(t), dtype=object)) for t in (
+        s, ((1 << k >> 1) - (k > 0) for k in s), (int(k > 0) for k in s)))
+
+
+def _round(man, exp) -> tuple:
+    """(man, exp) rounded to mp.prec bits, to nearest with ties to even.
+
+    Rounding off s = bitlen(man) - prec > 0 bits gives (man + 2**(s-1) - 1
+    + bit s of man) >> s; >> is a floor, so negative mantissas need no
+    branch.  This is the value libmp's normalize rounds to.
+    """
+    bits = _bit_length(man).astype(np.int64)
+    s = np.maximum(bits - mp.prec, 0)
+    shift, half, odd = (t[s] for t in _round_by(1 << int(s.max(initial=0)).bit_length()))
+    man = (man + half + ((man >> shift) & odd)) >> shift
+    return man, np.where(bits == 0, _ZERO_EXP, exp + s)
+
+
+def _add(a: tuple, b: tuple, sub: bool = False) -> tuple:
+    """a + b (a - b with sub) of (man, exp) pairs, formed exactly, rounded once."""
+    (ma, ea), (mb, eb) = a, b
+    e = np.minimum(ea, eb)
+    ma, mb = ma << (ea - e), mb << (eb - e)
+    return _round(ma - mb if sub else ma + mb, e)
+
+
+def _add_products(a: tuple, b: tuple, sub: bool = False) -> tuple:
+    """_add of two exact products as libmp.mpf_add adds them in mpc_mul.
+
+    When the normalized exponents differ by more than 100 and the smaller
+    operand lies more than prec + 4 bits below the larger, libmp adds a
+    sticky unit prec + 4 bits below the larger's last bit in its place.
+    That is the nearest value for operands of at most prec bits, but an
+    exact product has up to 2 prec, so the rule is kept here.
+    """
+    ops = [a, (-b[0], b[1]) if sub else b]
+    nonzero = (ops[0][0] != 0) & (ops[1][0] != 0)
+    ends = [e + _bit_length(m & -m).astype(np.int64) - 1 for m, e in ops]
+    tops = [e + _bit_length(m).astype(np.int64) for m, e in ops]
+    cut = mp.prec + 4
+    for big, small in ((0, 1), (1, 0)):
+        far = nonzero & (ends[big] - ends[small] > 100) & (tops[big] - tops[small] > cut)
+        if far.any():
+            m, e = ops[small]
+            sign = (m > 0).astype(int) - (m < 0)
+            ops[small] = np.where(far, sign, m).astype(object), np.where(far, ends[big] - cut, e)
+    return _add(*ops)
+
+
+class _HpArray:
+    """An array of mpf values, or of mpc values, held exactly.
+
+    `parts` holds one pair (man, exp) for mpf values and a real and an
+    imaginary pair for mpc: a numpy object array of signed Python-int
+    mantissas and an int64 array of exponents, value man * 2**exp; an exact
+    zero has exponent _ZERO_EXP.  Every +, - and * forms its exact result
+    and rounds it once at mp.prec, to nearest with ties to even, as
+    libmp.mpf_add, mpf_sub and mpf_mul round, so each value keeps the bits
+    of the mpf operators; a complex product rounds ac - bd and ad + bc once
+    each, as libmp.mpc_mul does.  Negation and halving (0.5 * x) are
+    exact.  Indexing, transposes and broadcasting act as in numpy.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+
+    @classmethod
+    def of(cls, values, real: bool) -> "_HpArray":
+        """The nested lists of mpf and mpc `values`, as mpc unless real.
+
+        As with np.array, a list of _HpArray of one shape stacks them.
+        """
+        if isinstance(values[0], _HpArray):
+            return cls(tuple((np.stack([v.parts[p][0] for v in values]),
+                              np.stack([v.parts[p][1] for v in values]))
+                             for p in range(len(values[0].parts))))
+        values = np.array(values, dtype=object)
+        parts = ("real",) if real else ("real", "imag")
+        return cls(tuple(_split(np.frompyfunc(attrgetter(p), 1, 1)(values)) for p in parts))
+
+    def _map(self, f) -> "_HpArray":
+        return _HpArray(tuple((np.asarray(f(m)), np.asarray(f(e))) for m, e in self.parts))
+
+    def __getitem__(self, key) -> "_HpArray":
+        return self._map(lambda a: a[key])
+
+    def transpose(self, *axes) -> "_HpArray":
+        return self._map(lambda a: a.transpose(*axes))
+
+    @property
+    def T(self) -> "_HpArray":
+        return self._map(lambda a: a.T)
+
+    @property
+    def shape(self) -> tuple:
+        return self.parts[0][1].shape
+
+    def __neg__(self) -> "_HpArray":
+        return _HpArray(tuple((-m, e) for m, e in self.parts))
+
+    def __add__(self, other: "_HpArray", sub: bool = False) -> "_HpArray":
+        return _HpArray(tuple(_add(a, b, sub) for a, b in zip(self.parts, other.parts)))
+
+    def __sub__(self, other: "_HpArray") -> "_HpArray":
+        return self.__add__(other, sub=True)
+
+    def __radd__(self, other) -> "_HpArray":
+        if other != 0:
+            return NotImplemented
+        return self  # sum()'s start: adding an exact zero changes no value
+
+    def __mul__(self, other: "_HpArray") -> "_HpArray":
+        def exact(x, y):
+            return x[0] * y[0], x[1] + y[1]
+
+        if len(self.parts) == 1:
+            return _HpArray((_round(*exact(self.parts[0], other.parts[0])),))
+        (a, b), (c, d) = self.parts, other.parts
+        return _HpArray((_add_products(exact(a, c), exact(b, d), sub=True),
+                         _add_products(exact(a, d), exact(b, c))))
+
+    def __rmul__(self, other) -> "_HpArray":
+        if other != 0.5:
+            return NotImplemented
+        return _HpArray(tuple((m, e - 1) for m, e in self.parts))  # exact halving
+
+    def values(self) -> np.ndarray:
+        """An object array of the mpf or mpc values."""
+        parts = [np.asarray(_mpf_of(m, e)) for m, e in self.parts]
+        return parts[0] if len(parts) == 1 else np.asarray(_mpc_of(*parts))
+
+    def tolist(self) -> list:
+        return self.values().tolist()
+
+    @property
+    def flat(self):
+        return self.values().flat
+
+
+_mpf_of = np.frompyfunc(lambda man, exp: mpf((man, exp)), 2, 1)
+_mpc_of = np.frompyfunc(mpc, 2, 1)
+
+
+def _split(values: np.ndarray) -> tuple:
+    """(man, exp) arrays of an object array of mpf values."""
+    raw = [v._mpf_ for v in values.flat]
+    man = np.array([-m if sign else m for sign, m, _, _ in raw], dtype=object)
+    exp = np.array([e if m else _ZERO_EXP for _, m, e, _ in raw], dtype=np.int64)
+    return man.reshape(values.shape), exp.reshape(values.shape)
+
+
 def _mm(X, Y):
     """Matrix products over the last two axes, with numpy broadcasting.
 
     Each entry is 0 + X[i,0] Y[0,j] + X[i,1] Y[1,j] + ... in that order,
-    the order of sum() over m, so float64 and complex arrays give the bits
-    of the scalar loop.
+    the order of sum() over m, so every arithmetic gives the bits of the
+    scalar loop.
     """
     return sum(X[..., :, m, None] * Y[..., None, m, :] for m in range(X.shape[-1]))
 
@@ -223,106 +391,17 @@ def _bracket(T):
     return (T.transpose(0, 2, 1) + T.transpose(2, 0, 1)) - T.transpose(1, 2, 0)
 
 
-def _curvature_mp(metric: _MetricPolys, vals: list, frame: MetricFrame) -> tuple:
-    """_curvature on nested lists of _mpf_ tuples, or of _mpc_ pairs for A2.
-
-    They are combined by the functions the mpf and mpc operators call, at
-    the context's precision and rounding, each sum over m from zero as in
-    _curvature, so every value keeps its bits.  Products with an exact-zero
-    factor are skipped, and so is the first addition to zero: adding an
-    exact zero returns a value rounded at prec unchanged.
-    """
-    cplx = any(isinstance(v, mpc) for v in chain(vals, *frame.A_inv))
-    ops = ("mul", "add", "sub", "neg", "shift")  # libmp.mpf_mul or libmp.mpc_mul, ...
-    mul, add, sub, neg, shift = (getattr(libmp, ("mpc_" if cplx else "mpf_") + f) for f in ops)
-    prec, rnd = mp._prec_rounding  # what the mpf and mpc operators read
-    zero, wrap = ((libmp.fzero,) * 2, mp.make_mpc) if cplx else (libmp.fzero, mp.make_mpf)
-    R = range(len(frame.A_inv))
-
-    def raw(v):
-        return v._mpc_ if isinstance(v, mpc) else (v._mpf_, libmp.fzero) if cplx else v._mpf_
-
-    def total(terms):
-        acc = zero
-        for t in terms:
-            acc = t if acc == zero else add(acc, t, prec, rnd)
-        return acc
-
-    def dot(xs, ys):
-        return total(mul(x, y, prec, rnd) for x, y in zip(xs, ys) if x != zero != y)
-
-    def mm(X, Y):
-        cols = list(zip(*Y))
-        return [[dot(row, col) for col in cols] for row in X]
-
-    def bracket(T):  # out[j][k][m] = T[j][m][k] + T[k][m][j] - T[m][j][k]
-        return [[[sub(add(T[j][m][k], T[k][m][j], prec, rnd), T[m][j][k], prec, rnd)
-                  for m in R] for k in R] for j in R]
-
-    def largest(values):
-        return max(chain((mpf(0),), map(abs, map(wrap, values))))
-
-    vals = [raw(v) for v in vals]
-    A = [[vals[x] for x in row] for row in metric.A.tolist()]
-    dA, d2A = ([[[vals[x] for x in row] for row in m] for m in index.tolist()]
-               for index in (metric.dA, metric.d2A_distinct))
-    g = [[raw(v) for v in row] for row in frame.A_inv]
-    gdA = [mm(g, m) for m in dA]
-    dg = [[[neg(v) for v in row] for row in mm(m, g)] for m in gdA]
-    br = bracket(dg)
-    gamma = [[[shift(dot(Ai, b), -1) for b in brj] for brj in br] for Ai in A]
-    norm = 1 + largest(chain.from_iterable(chain.from_iterable(gamma))) ** 2
-    gd2Ag = [mm(mm(g, m), g) for m in d2A]
-    dgamma = []
-    for l, slots in enumerate(metric.d2A_slot.tolist()):
-        dbr = bracket([
-            [[neg(add(add(a, b, prec, rnd), c, prec, rnd)) for a, b, c in zip(*rows)]
-             for rows in zip(mm(mm(dg[k], dA[l]), g), gd2Ag[slot], mm(gdA[l], dg[k]))]
-            for k, slot in enumerate(slots)
-        ])
-        # each m term dA[l, i, m] br[j, k, m] + A[i, m] dbr[j, k, m] is summed first
-        dgamma.append([[[shift(total(
-            add(mul(x, y, prec, rnd), mul(u, v, prec, rnd), prec, rnd) if x != zero != y
-            else mul(u, v, prec, rnd) for x, y, u, v in zip(dAli, brj[k], Ai, dbrj[k])
-        ), -1) for k in R] for brj, dbrj in zip(br, dbr)] for dAli, Ai in zip(dA[l], A)])
-
-    # R^i_{jkl} is computed for k < l only: swapping k and l negates every
-    # rounded term of its formula (rounding to nearest is symmetric), so
-    # R^i_{jlk} is exactly neg(R^i_{jkl}) and R^i_{jkk} exactly zero
-    pairs = list(combinations(R, 2))
-    riemann, bianchi = [], []
-    for i, Gi in enumerate(gamma):
-        Ri = []
-        for j in R:
-            # P[k][l][m] = Gamma^i_{km} Gamma^m_{lj}; the second product of
-            # the quadratic term, Gamma^i_{lm} Gamma^m_{kj}, is P[l][k][m]
-            P = [[[mul(x, gamma[m][l][j], prec, rnd) for m, x in enumerate(Gik)]
-                  if l != k else None for l in R] for k, Gik in enumerate(Gi)]
-            Rij = [[zero] * len(R) for _ in R]
-            for k, l in pairs:
-                Rij[k][l] = add(sub(dgamma[k][i][l][j], dgamma[l][i][k][j], prec, rnd),
-                                total(map(sub, P[k][l], P[l][k], repeat(prec), repeat(rnd))),
-                                prec, rnd)
-                Rij[l][k] = neg(Rij[k][l])
-                riemann.append(Rij[k][l])
-            Ri.append(Rij)
-        bianchi.extend(add(add(Ri[j][k][l], Ri[k][l][j], prec, rnd), Ri[l][j][k], prec, rnd)
-                       for j, k, l in combinations(R, 3))
-    riemann_max, bianchi_max = largest(riemann), largest(bianchi)
-    frame = replace(frame, christoffel=tuple(tuple(tuple(map(wrap, r)) for r in p) for p in gamma))
-    return float(riemann_max / norm), float(bianchi_max / norm), frame
-
-
 def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = None):
     """(riemann_max_normalized, bianchi_max_normalized, frame).
 
     frame holds A, its inverse and condition number, and the Christoffel
     symbols at tau_point; SingularMetricError if A vanishes there or cannot
     be inverted.  `metric` is op compiled in the arithmetic of tau_point;
-    pass it to reuse one compilation across points.  mpf and mpc points go
-    to _curvature_mp; doubles run on numpy arrays, float64 or (A2) complex
-    objects.  Every sum runs over m in order from zero, which keeps the
-    bits of the scalar formulas in the comments.
+    pass it to reuse one compilation across points.  One body serves every
+    arithmetic: doubles run on float64 arrays, or (A2) on arrays of Python
+    complex, and mpf and mpc points on _HpArray, whose every operation
+    rounds as the mpf and mpc operators do.  Every sum runs over m in order
+    from zero, which keeps the bits of the scalar formulas in the comments.
     """
     r = op.rank
     tau = tuple(tau_point)
@@ -335,12 +414,13 @@ def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = N
         raise SingularMetricError("metric vanishes at this point")
     A_inv, cond = _invert(A, hp)
     frame = MetricFrame(tau, tuple(map(tuple, A)), tuple(map(tuple, A_inv)), cond)
+    real = all(isinstance(v, (float, mpf)) for v in vals)
     if hp:
-        return _curvature_mp(metric, vals, frame)
-    dtype = float if all(isinstance(v, float) for v in vals) else object
-    vals = np.array(vals, dtype=dtype)
+        array = partial(_HpArray.of, real=real)
+    else:
+        array = partial(np.array, dtype=float if real else object)
+    vals, g = array(vals), array(frame.A_inv)
     A, dA = vals[metric.A], vals[metric.dA]
-    g = np.array(frame.A_inv, dtype=dtype)
 
     # dg[k] = -g dA[k] g
     gdA = _mm(g, dA)
@@ -349,16 +429,14 @@ def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = N
     # bracket[j, k, m] = d_j g_{mk} + d_k g_{mj} - d_m g_{jk}
     bracket = _bracket(dg)
     gamma = 0.5 * sum(A[:, None, None, m] * bracket[None, :, :, m] for m in range(r))
-    norm = 1 + max(abs(v) for v in gamma.flat) ** 2
+    norm = 1 + max(map(abs, gamma.flat)) ** 2
 
     # g d2A g, once per distinct second-derivative matrix
     gd2Ag = _mm(_mm(g, vals[metric.d2A_distinct]), g)
     dgamma = []
     for l in range(r):
-        # d2g[l, k] = d_l d_k g = -(dg[k] dA[l] g + g d2A[l, k] g + g dA[l] dg[k])
-        t1 = _mm(_mm(dg, dA[l]), g)
-        t3 = _mm(gdA[l], dg)
-        d2g = -((t1 + gd2Ag[metric.d2A_slot[l]]) + t3)
+        # d2g[k] = d_l d_k g = -(dg[k] dA[l] g + g d2A[l, k] g + g dA[l] dg[k])
+        d2g = -((_mm(_mm(dg, dA[l]), g) + gd2Ag[metric.d2A_slot[l]]) + _mm(gdA[l], dg))
         # dGamma[l, i, j, k] = d_l Gamma^i_{jk}
         #   = 1/2 sum_m (dA[l, i, m] bracket[j, k, m] + A[i, m] d_l bracket[j, k, m])
         dbracket = _bracket(d2g)
@@ -367,25 +445,25 @@ def _curvature(op: AlgebraicOperator, tau_point, metric: _MetricPolys | None = N
             + A[:, None, None, m] * dbracket[None, :, :, m]
             for m in range(r)
         ))
-    dgamma = np.array(dgamma, dtype=dtype)
+    dgamma = array(dgamma)
 
-    # R^i_{jkl} = dGamma[k, i, l, j] - dGamma[l, i, k, j]
-    #   + sum_m (Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}),
-    # one i at a time; the first Bianchi identity R^i_{jkl} + R^i_{klj}
-    # + R^i_{ljk} = 0 is checked for j < k < l
+    # R[i, j, p] = R^i_{jkl} for the p-th pair k < l:
+    #   dGamma[k, i, l, j] - dGamma[l, i, k, j]
+    #   + sum_m (Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}).
+    # Swapping k and l negates every rounded term (rounding to nearest is
+    # symmetric), so R^i_{jlk} is exactly -R^i_{jkl} and R^i_{jkk} zero
+    k, l = np.array(list(combinations(range(r), 2)), dtype=int).reshape(-1, 2).T
+    R = (dgamma[k, :, l].transpose(1, 2, 0) - dgamma[l, :, k].transpose(1, 2, 0)) + sum(
+        gamma[:, None, k, m] * gamma[m, l].T[None] - gamma[:, None, l, m] * gamma[m, k].T[None]
+        for m in range(r)
+    )
+    # the first Bianchi identity R^i_{jkl} + R^i_{klj} + R^i_{ljk} = 0 for
+    # j < k < l, with R^i_{klj} = -R^i_{kjl}
+    pair = np.zeros((r, r), dtype=int)
+    pair[k, l] = range(len(k))
     j, k, l = np.array(list(combinations(range(r), 3)), dtype=int).reshape(-1, 3).T
-    riemann_max = bianchi_max = 0.0
-    for i in range(r):
-        acc = sum(
-            gamma[i, None, :, None, m] * gamma[m].T[:, None, :]
-            - gamma[i, None, None, :, m] * gamma[m].T[:, :, None]
-            for m in range(r)
-        )
-        d = dgamma[:, i]
-        R = (d.transpose(2, 0, 1) - d.transpose(2, 1, 0)) + acc
-        riemann_max = max(chain((riemann_max,), np.abs(R).flat))
-        bianchi = (R[j, k, l] + R[k, l, j]) + R[l, j, k]
-        bianchi_max = max(chain((bianchi_max,), np.abs(bianchi).flat))
+    bianchi = (R[:, j, pair[k, l]] - R[:, k, pair[j, l]]) + R[:, l, pair[j, k]]
+    riemann_max, bianchi_max = (max(map(abs, x.flat), default=0.0) for x in (R, bianchi))
     return (
         float(riemann_max / norm),
         float(bianchi_max / norm),

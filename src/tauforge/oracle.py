@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,7 +80,7 @@ def hp_digits() -> int:
 # warm E7 process costs 20-30 ms, copy-on-write faults included.  Timed in
 # one process on one CPU of that host, an E7 hp point (17,642 rows) costs
 # 20-37 ms as a refit frame at 70 digits, 24-33 ms in hp verify-tables and
-# 0.34-0.43 s in hp flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
+# 0.12-0.22 s in hp flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
 # An E7 double point costs 0.8-1.5 ms in verify-tables and 2.6-3.5 ms in
 # flatness, so fit's 20-point screen and the default 10-point flatness
 # gain less than a fork costs; a ground-state residual costs 0.02-0.03 ms,
@@ -727,16 +728,17 @@ def _powers(tau, top) -> list[list]:
     return [[t**e for e in range(n + 1)] for t, n in zip(tau, top)]
 
 
-def _residuals(frame: NumericFrame, checks, top, gw, b2) -> list:
-    """|got - ref| / (1 + |ref|) at the frame, as floats in check order.
+def _residuals(frame: NumericFrame, checks, top, gw, b2) -> array:
+    """|got - ref| / (1 + |ref|) at the frame, as doubles in check order.
 
     checks lists (entry, [(nu, compiled entry), ...]) with entry as for
-    _oracle_ab; a B entry's ref is base + nu * slope.  Plain floats: a
-    forked point list sends every point's list back at once, and (name,
-    residual) pairs raised the peak RSS of a 1000-point E7 run by 3 MiB.
+    _oracle_ab; a B entry's ref is base + nu * slope.  One array('d'): a
+    forked point list sends every point's residuals back at once, and a
+    1000-point E7 run peaked about 4 MiB higher with (name, residual) pairs
+    and 1.0 MiB higher with lists of floats.
     """
     pw = _powers(frame.tau, top)
-    out = []
+    out = array("d")
     for entry, row in checks:
         ref = _oracle_ab(frame, gw, b2, entry)
         for nu, terms in row:

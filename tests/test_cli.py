@@ -53,6 +53,10 @@ IMPORT_BOUNDARY = [
     (["export", "--format", "csv"], []),
     # the parameter sets come from numpy's generator
     (["invariance", "--n", "4", "--sets", "1"], ["numpy"]),
+    # the curvature kernel lives in geometry, so no table check compiles it
+    (["verify-tables", "--variant", "canonical", "--samples", "2"],
+     ["numpy", "mpmath", "tauforge.oracle"]),
+    (["flatness", "--points", "2"], ["numpy", "mpmath", "tauforge.oracle", "tauforge.geometry"]),
 ]
 
 

@@ -1,14 +1,16 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from mpmath import mp, mpc, mpf
+from mpmath import libmp, mp, mpc, mpf
 
 from tauforge.derive import derive_operator
 from tauforge.exactpoly import MultiPoly
 from tauforge.geometry import (
     SingularMetricError,
+    _HpArray,
     _MetricPolys,
     _curvature,
     _invert,
@@ -358,6 +360,80 @@ def test_derived_curvature_matches_the_reference_bit_for_bit(kind):
     for tau in points:
         with mp.workdps(50):
             assert _frame_fields(_curvature(op, tau)) == _ref_curvature(op, tau)
+
+
+def _mpf(man, exp=0):
+    return mp.make_mpf(libmp.from_man_exp(man, exp))
+
+
+def _kernel_operands(prec):
+    """(x, y) pairs of mpf at prec bits for the kernel's edge cases."""
+    top = 1 << prec
+    pairs = [
+        # sums of prec + 1 bits whose last bit is a tie: M * 2 + 1 rounds
+        # down to M * 2 for even M and up to M * 2 + 2 for odd M
+        (_mpf(top - 2, 1), _mpf(1)),
+        (_mpf(top - 3, 1), _mpf(1)),
+        (_mpf(-(top - 2), 1), _mpf(-1)),
+        # products 3 (2^prec - 2) and 3 (2^prec - 6): ties down and up
+        (_mpf(3), _mpf(top - 2)),
+        (_mpf(3), _mpf(top - 6)),
+        (_mpf(-3), _mpf(top - 6)),
+        # (2^prec - 1) * 2 + 1 carries to 2^(prec+1)
+        (_mpf(top - 1, 1), _mpf(1)),
+        (_mpf(top - 1), _mpf(top - 1)),
+        # cancellation to an exact zero, zero and negative operands
+        (_mpf(top - 5, -7), _mpf(top - 5, -7)),
+        (_mpf(0), _mpf(-(top - 5), 3)),
+        (_mpf(-(top - 5), 3), _mpf(0)),
+        (_mpf(0), _mpf(0)),
+        (_mpf(-11, -3), _mpf(-13, 40)),
+    ]
+    # exponent gaps over 100 bits, both ways round: libmp's mpf_add takes
+    # its sticky-bit branch where the smaller value lies prec + 4 bits down
+    for gap in (101, 150, prec + 3, prec + 5, prec + 40, 2 * prec + 7):
+        for sign in (1, -1):
+            big, small = _mpf(top - 1), _mpf(sign * (top // 3 | 1), -gap)
+            pairs += [(big, small), (small, big), (_mpf(1), small)]
+    return pairs
+
+
+@pytest.mark.parametrize("digits", [15, 50, 70])
+def test_hp_kernel_rounds_as_libmp_does(digits):
+    with mp.workdps(digits):
+        prec, rnd = mp._prec_rounding
+        pairs = _kernel_operands(prec)
+        xs, ys = (_HpArray.of([p[k] for p in pairs], real=True) for k in (0, 1))
+        for got, op in ((xs * ys, libmp.mpf_mul), (xs + ys, libmp.mpf_add),
+                        (xs - ys, libmp.mpf_sub)):
+            want = [op(x._mpf_, y._mpf_, prec, rnd) for x, y in pairs]
+            assert [v._mpf_ for v in got.tolist()] == want
+        assert [v._mpf_ for v in (-xs).tolist()] == [libmp.mpf_neg(x._mpf_) for x, _ in pairs]
+        assert [v._mpf_ for v in (0.5 * xs).tolist()] == [
+            libmp.mpf_shift(x._mpf_, -1) for x, _ in pairs]
+
+        # mpc: the pairs' values in every real and imaginary slot, plus
+        # products whose exact terms ac and bd lie over prec + 4 bits apart
+        vals = [v for p in pairs for v in p]
+        zs = [mpc(a, b) for a, b in zip(vals, vals[3:] + vals[:3])]
+        ws = [mpc(a, b) for a, b in zip(vals[7:] + vals[:7], vals)]
+        rng = random.Random(digits)
+        for _ in range(300):
+            a, b, c, d = (rng.getrandbits(prec) | 1 << (prec - 1) | 1 for _ in range(4))
+            zs.append(mpc(_mpf(a), _mpf(b, -rng.randint(prec + 5, prec + 12))))
+            ws.append(mpc(_mpf(c), _mpf(-d)))
+        z, w = (_HpArray.of(v, real=False) for v in (zs, ws))
+        for got, op in ((z * w, libmp.mpc_mul), (z + w, libmp.mpc_add)):
+            want = [op(x._mpc_, y._mpc_, prec, rnd) for x, y in zip(zs, ws)]
+            assert [v._mpc_ for v in got.tolist()] == want
+        if digits > 15:
+            # the draws do reach the case where libmp's sticky bit is not
+            # the exactly rounded value
+            exact = [libmp.mpf_sub(libmp.mpf_mul(x.real._mpf_, y.real._mpf_),
+                                   libmp.mpf_mul(x.imag._mpf_, y.imag._mpf_))
+                     for x, y in zip(zs, ws)]
+            assert any(libmp.mpf_pos(e, prec, rnd) != v._mpc_[0]
+                       for e, v in zip(exact, (z * w).tolist()))
 
 
 def _ref_metric_values(metric, tau):
