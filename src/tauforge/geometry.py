@@ -10,8 +10,8 @@ formula error.  Points are always tau(y) images of clearance samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import combinations
 from operator import attrgetter
 

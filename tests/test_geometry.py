@@ -379,7 +379,7 @@ def _kernel_operands(prec):
         (_mpf(3), _mpf(top - 2)),
         (_mpf(3), _mpf(top - 6)),
         (_mpf(-3), _mpf(top - 6)),
-        # (2^prec - 1) * 2 + 1 carries to 2^(prec+1)
+        # (2^prec - 1) * 2 + 1 carries to 2^(prec+1); a product of 2 prec bits
         (_mpf(top - 1, 1), _mpf(1)),
         (_mpf(top - 1), _mpf(top - 1)),
         # cancellation to an exact zero, zero and negative operands
@@ -413,15 +413,24 @@ def test_hp_kernel_rounds_as_libmp_does(digits):
             libmp.mpf_shift(x._mpf_, -1) for x, _ in pairs]
 
         # mpc: the pairs' values in every real and imaginary slot, plus
-        # products whose exact terms ac and bd lie over prec + 4 bits apart
+        # products whose exact terms ac and bd lie over prec + 4 bits apart,
+        # with their lowest bits prec + 5 or more apart, or 91 to 110
         vals = [v for p in pairs for v in p]
         zs = [mpc(a, b) for a, b in zip(vals, vals[3:] + vals[:3])]
         ws = [mpc(a, b) for a, b in zip(vals[7:] + vals[:7], vals)]
         rng = random.Random(digits)
+
+        def odd(bits):
+            return rng.getrandbits(bits) | 1 << (bits - 1) | 1
+
         for _ in range(300):
-            a, b, c, d = (rng.getrandbits(prec) | 1 << (prec - 1) | 1 for _ in range(4))
+            a, b, c, d = (odd(prec) for _ in range(4))
             zs.append(mpc(_mpf(a), _mpf(b, -rng.randint(prec + 5, prec + 12))))
             ws.append(mpc(_mpf(c), _mpf(-d)))
+        for _ in range(600):
+            gap = rng.randint(91, 110)
+            zs.append(mpc(_mpf(odd(prec)), _mpf(odd(gap - 8), -gap)))
+            ws.append(mpc(_mpf(odd(prec)), _mpf(odd(prec))))
         z, w = (_HpArray.of(v, real=False) for v in (zs, ws))
         for got, op in ((z * w, libmp.mpc_mul), (z + w, libmp.mpc_add)):
             want = [op(x._mpc_, y._mpc_, prec, rnd) for x, y in zip(zs, ws)]
