@@ -3,11 +3,13 @@ Deriving the operator from scratch at small rank
 ================================================
 
 For rank <= 2 the whole construction is derived from the orbit integers:
-evaluate the orbit sums, the Laplacian and the ground-state cotangent
-terms at random points over finite fields, solve for each entry's
-coefficients, and rebuild the rationals by CRT and rational
-reconstruction, confirmed at a fresh prime.  This independently
-reproduces the published A1 form and cross-checks the numeric oracle.
+evaluate the orbit sums and their gradients at random points over finite
+fields, solve for each metric entry A_ij's coefficients, and rebuild the
+rationals by CRT and rational reconstruction, confirmed at a fresh
+prime.  Each B_i is then the exact gauge of A, the ground state's
+transform of the Laplace-Beltrami operator of the flat metric A.  This
+independently reproduces the published A1 form, and the numeric oracle,
+which reads B through the ground state's cotangent sums, checks B apart.
 """
 
 from tauforge.derive import derive_operator

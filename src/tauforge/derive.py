@@ -1,32 +1,35 @@
 """Derivation of the operator by evaluation over finite fields.
 
 Write z_k = e^{i y_k / M}, where the integer rows u of an orbit's `ints`
-are M = `scale` times its y vectors.  Every chain-rule quantity is then a
-Laurent polynomial in z, with g_k the metric weights:
+are M = `scale` times its y vectors.  The metric is then a Laurent
+polynomial in z, with g_k the metric weights:
 
-    tau_a          = sum_u z^u
-    J_ak           = sum_u u_k z^u               (M/i times d tau_a / dy_k)
-    A_ij           = -(1/M^2) sum_k g_k J_ik J_jk
-    B_i, nu^0 part = -(1/M^2) sum_u (sum_k g_k u_k^2) z^u
-    B_i, nu^1 part = -(1/M^2) sum_alpha (W_alpha + 1)/(W_alpha - 1)
-                                        sum_k g_k (M alpha)_k J_ik
+    tau_a = sum_u z^u
+    J_ak  = sum_u u_k z^u               (M/i times d tau_a / dy_k)
+    A_ij  = -(1/M^2) sum_k g_k J_ik J_jk
 
-with W_alpha = z^{M alpha} over the positive roots.  The factors of i pair
-up, so the identities hold over F_p for any prime p, at every z in
-(F_p^*)^n with no W_alpha = 1; complex taus (A2) need no special case.
+The factors of i pair up, so this holds over F_p for any prime p, at
+every z in (F_p^*)^n.  At random such points each A entry is solved mod p
+over every monomial within its weighted-degree bound, one Gauss-Jordan
+elimination per bound.  31-bit primes are combined by CRT, and Wang's
+rational reconstruction rebuilds every coefficient, until a fresh prime
+confirms them all.
 
-At random such points each entry is solved mod p for its coefficients
-over every monomial within its weighted-degree bound; all entries of one
-bound are right-hand sides of one Gauss-Jordan elimination.  31-bit
-primes are combined by CRT, and every coefficient is rebuilt by Wang's
-rational reconstruction, until a fresh prime confirms the whole operator.
+B is the gauge of A.  The operator is the Laplace-Beltrami operator of
+the flat metric A, gauged by prod_alpha |sin(alpha.y/2)|^nu
+(Olshanetsky-Perelomov).  Its sqrt(g) is the inverse Weyl denominator,
+since that denominator is the Jacobian of the invariants (K. Saito), and
+the flat Laplacian takes tau_i to -d_i^2 tau_i, d_i = |w_i|.  So
+`_gauge` builds each B exactly, its nu^0 law and degree bound holding
+by construction:
 
-The result is certified three ways.  The fresh prime must reproduce every
-reconstructed coefficient.  Each point beyond the number of unknowns
-tests the fitted entry against the chain rule, and a wrong entry passes
-such a point with probability at most deg/p (Schwartz-Zippel, deg the
-degree of the cleared difference in z).  `derive` then checks the tables
-against the high-precision numeric oracle (`verify_tables`).
+    B_i = -d_i^2 tau_i + 2 nu (sum_j d A_ij / d tau_j + d_i^2 tau_i)
+
+The fresh prime and the extra points certify A: a wrong entry passes a
+point beyond the number of unknowns with probability at most deg/p
+(Schwartz-Zippel, deg the degree of the cleared difference in z).  The
+hp oracle check that `derive` runs (`verify_tables`) certifies B: it
+reads B through the ground state's cotangent sums, never this identity.
 """
 
 from __future__ import annotations
@@ -47,25 +50,14 @@ POINT_SEED = 2009
 EXTRA_POINTS = 4
 
 
-def _power(base: np.ndarray, e: int, p: int) -> np.ndarray:
-    """base ** e mod p, elementwise, for e >= 0."""
-    out = np.ones_like(base)
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
-
-
 def _laurent(z: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     """z^u mod p for every point z (row of z) and every integer row u."""
     out = np.ones((len(z), len(rows)), dtype=np.int64)
     for k in range(z.shape[1]):
         lo, hi = int(rows[:, k].min()), int(rows[:, k].max())
-        # table[:, e - lo] = z_k^e for lo <= e <= hi; z^(p-1) = 1 on F_p^*
+        # table[:, e - lo] = z_k^e for lo <= e <= hi
         table = np.empty((len(z), hi - lo + 1), dtype=np.int64)
-        table[:, 0] = _power(z[:, k], lo % (p - 1), p)
+        table[:, 0] = [pow(int(x), lo, p) for x in z[:, k]]
         for t in range(1, hi - lo + 1):
             table[:, t] = table[:, t - 1] * z[:, k] % p
         out = out * table[:, rows[:, k] - lo] % p
@@ -75,39 +67,26 @@ def _laurent(z: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
 def _chain_rule_mod(sysr: RootSystem, p: int, count: int, rng):
     """(tau, entries) mod p at `count` random points.
 
-    tau is (count, rank); entries maps A11 .. B<rank> to its values, one
-    column for an A entry, two for a B entry (its nu^0 part and its nu^1
-    slope).  A point with some W_alpha = 1 is redrawn.
+    tau is (count, rank); entries maps A11 .. A<rank><rank> to its values,
+    one column of `count`.
     """
     rank = sysr.rank
     # z stands for one scale M, which every orbit of a supported system shares
     scale, orbits = orbit_rows(sysr.kind)
     # the metric weights are small integers (1 and 2)
     g = np.array([int(x) for x in sysr.metric_weights], dtype=np.int64)
-    roots = np.array(
-        [[int(c * scale) for c in sysr.y_rep(r)] for r in sysr.positive_roots],
-        dtype=np.int64,
-    )
     z = rng.integers(1, p, size=(count, sysr.y_dim))
-    w = _laurent(z, roots, p)
-    while (hit := (w == 1).any(axis=1)).any():
-        z[hit] = rng.integers(1, p, size=(int(hit.sum()), sysr.y_dim))
-        w = _laurent(z, roots, p)
-    cot = (w + 1) * _power((w - 1) % p, p - 2, p) % p
     c = -pow(scale * scale, -1, p) % p
-    tau, jac, entries = [], [], {}
-    for a, ints in enumerate(orbits):
+    tau, jac = [], []
+    for ints in orbits:
         zu = _laurent(z, ints, p)
-        j = zu @ ints % p
         tau.append(zu.sum(axis=1) % p)
-        jac.append(j)
-        base = zu @ (ints**2 @ g) % p
-        slope = (cot * (j @ (roots * g).T % p) % p).sum(axis=1) % p
-        entries[f"B{a + 1}"] = np.stack([base, slope], axis=1) * c % p
-    for i in range(rank):
-        for k in range(i, rank):
-            value = (jac[i] * jac[k] % p) @ g % p
-            entries[f"A{i + 1}{k + 1}"] = value[:, None] * c % p
+        jac.append(zu @ ints % p)
+    entries = {
+        f"A{i + 1}{k + 1}": (jac[i] * jac[k] % p) @ g % p * c % p
+        for i in range(rank)
+        for k in range(i, rank)
+    }
     return np.stack(tau, axis=1), entries
 
 
@@ -133,7 +112,7 @@ def _gauss_jordan(values: np.ndarray, rhs: np.ndarray, p: int):
 
 
 def _solve_prime(sysr: RootSystem, p: int, rng, bounds: dict, bases: dict) -> dict:
-    """entry name -> coefficient residues mod p, per monomial its parts.
+    """A entry name -> its coefficient residues mod p, one per monomial.
 
     bounds maps each entry to its weighted-degree bound, bases each bound
     to its monomials.  A rank-deficient system draws more points.  Raises
@@ -155,20 +134,17 @@ def _solve_prime(sysr: RootSystem, p: int, rng, bounds: dict, bases: dict) -> di
                     values[:, m] = values[:, m] * powers[e][:, k] % p
             names = [name for name, b in bounds.items() if b == bound]
             x, inconsistent = _gauss_jordan(
-                values, np.concatenate([entries[name] for name in names], axis=1), p
+                values, np.stack([entries[name] for name in names], axis=1), p
             )
             if x is None:
                 break
-            k = 0
-            for name in names:
-                parts = entries[name].shape[1]
-                if inconsistent[k : k + parts].any():
+            for k, name in enumerate(names):
+                if inconsistent[k]:
                     raise ValueError(
                         f"{name}: no polynomial of weighted degree <= {bound} "
                         f"matches the chain rule mod {p}"
                     )
-                solved[name] = x[:, k : k + parts].ravel().tolist()
-                k += parts
+                solved[name] = x[:, k].tolist()
         else:
             return solved
     raise ValueError(f"the points mod {p} leave a basis rank-deficient")
@@ -196,10 +172,28 @@ def _agrees(values: list | None, residues: list, p: int) -> bool:
     )
 
 
-def derive_operator(sysr: RootSystem) -> AlgebraicOperator:
-    """A and B from first principles, exact, for rank <= 2 systems.
+def _table_order(cv, exps) -> list:
+    """exps in the tables' canonical (weighted degree, exponent) order."""
+    return sorted(exps, key=lambda e: (sum(c * x for c, x in zip(cv, e)), e))
 
-    See the module docstring.  Raises ValueError naming an entry whose
+
+def _gauge(sysr: RootSystem, A) -> list[MultiPoly]:
+    """B_1 .. B_rank of the metric rows A, each its terms in table order:
+    B_i = -d_i^2 tau_i + 2 nu (sum_j d A_ij / d tau_j + d_i^2 tau_i)."""
+    rank, cv = sysr.rank, characteristic_vector(sysr)
+    out = []
+    for i, row in enumerate(A):
+        tau = MultiPoly.variable(rank, i + 1).scale(sysr.weight_lengths_sq[i])
+        div = sum((a.partial_derivative(j + 1) for j, a in enumerate(row)), tau)
+        b = div.scale(2) * MultiPoly.constant(rank, NuLinear.of(0, 1)) - tau
+        out.append(MultiPoly(rank, {e: b.terms[e] for e in _table_order(cv, b.terms)}))
+    return out
+
+
+def derive_operator(sysr: RootSystem) -> AlgebraicOperator:
+    """A from first principles and each B its gauge, exact, for rank <= 2.
+
+    See the module docstring.  Raises ValueError naming an A entry whose
     coefficients no fresh prime confirms within PRIMES.
     """
     if sysr.rank > 2:
@@ -208,13 +202,9 @@ def derive_operator(sysr: RootSystem) -> AlgebraicOperator:
     cv = characteristic_vector(sysr)
     bounds = {
         f"A{i + 1}{j + 1}": cv[i] + cv[j] for i in range(rank) for j in range(i, rank)
-    } | {f"B{i + 1}": cv[i] for i in range(rank)}
-    # canonical (weighted degree, exponent) order, the order of the tables
+    }
     bases = {
-        bound: sorted(
-            weighted_monomials(cv, bound),
-            key=lambda e: (sum(c * x for c, x in zip(cv, e)), e),
-        )
+        bound: _table_order(cv, weighted_monomials(cv, bound))
         for bound in sorted(set(bounds.values()))
     }
     rng = np.random.default_rng(POINT_SEED)
@@ -240,13 +230,11 @@ def derive_operator(sysr: RootSystem) -> AlgebraicOperator:
             f"within {len(PRIMES)} primes"
         )
 
-    polys = {}
-    for name, bound in bounds.items():
-        # per monomial its nu^0 coefficient, and for B its nu^1 slope
-        basis, values = bases[bound], rebuilt[name]
-        parts = len(values) // len(basis)
-        coefs = zip(*[values[k::parts] for k in range(parts)])
-        polys[name] = MultiPoly(
-            rank, {exp: NuLinear(*c) for exp, c in zip(basis, coefs) if any(c)}
-        )
-    return build_operator(sysr, polys, "derived")
+    polys = {
+        name: MultiPoly(rank, {e: NuLinear(c) for e, c in zip(bases[b], rebuilt[name]) if c})
+        for name, b in bounds.items()
+    }
+    A = [[polys[f"A{min(i, j) + 1}{max(i, j) + 1}"] for j in range(rank)]
+         for i in range(rank)]
+    B = {f"B{i + 1}": b for i, b in enumerate(_gauge(sysr, A))}
+    return build_operator(sysr, polys | B, "derived")

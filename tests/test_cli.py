@@ -271,6 +271,26 @@ def test_derive_subcommand(capsys):
     assert rep["result"]["violations"] == []
 
 
+def test_derive_checks_b_apart_from_the_gauge(capsys, monkeypatch):
+    # each derived B is the gauge of A; the hp oracle reads B through its
+    # cotangent sums, so a slip in the gauge still fails the command
+    from tauforge import derive
+    from tauforge.exactpoly import MultiPoly, NuLinear
+
+    gauge = derive._gauge
+
+    def slipped(sysr, A):
+        B = gauge(sysr, A)
+        exp, coef = next((e, c) for e, c in B[1].terms.items() if c.c1)
+        B[1] = MultiPoly(sysr.rank, B[1].terms | {exp: coef + NuLinear.of(0, 1)})
+        return B
+
+    monkeypatch.setattr(derive, "_gauge", slipped)
+    code, rep = run_json(capsys, "derive", "--system", "G2")
+    assert code == 1
+    assert "B2" in rep["result"]["oracle_check"]["discrepant"]
+
+
 def test_fit_single_entry(capsys):
     code, rep = run_json(
         capsys, "fit", "--entries", "B1", "--samples", "14"
@@ -692,6 +712,12 @@ GOLDEN_REPORTS = [
     # 1.7835e-48; every other byte is the old report's
     (["derive", "--system", "G2"],
      "72aaeb33db5e7c713ae02ef93ef6767225d42a6f73d4517958ecddf0f9b1c144"),
+    # recorded while derive still solved each B mod p, before every B became
+    # the gauge of its derived A
+    (["derive", "--system", "A1"],
+     "da8d589e751a94fe5261923b22e5d5c4bb91a90479c8403307e0d1dcdb05b82b"),
+    (["derive", "--system", "A2"],
+     "0f232ecf6f8b65496bdca1146a354f44a9104db7bd16a01851675e0e36dae1d2"),
     # recorded before the flag spectrum moved to one sparse nu-symbolic pass
     (["spectrum", "--variant", "canonical", "--n", "7", "--nu", "0"],
      "59e69baf60cb6fe42e3d742c43e9bd1983e8d7f1e5d4623b4ffad67d7d52b674"),

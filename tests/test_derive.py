@@ -5,7 +5,7 @@ import pytest
 from tauforge import derive
 from tauforge.derive import derive_operator
 from tauforge.exactpoly import MultiPoly, NuLinear, weighted_monomials
-from tauforge.operator import build_operator, operator_to_json
+from tauforge.operator import build_operator, e7_operator, operator_to_json
 from tauforge.oracle import verify_tables
 from tauforge.rootsys import build_system
 
@@ -139,3 +139,35 @@ def test_a_rank_deficient_system_draws_more_points(monkeypatch):
     assert operator_to_json(op)["checksum"] == DERIVED_CHECKSUMS["A1"]
     # A1's largest basis is 1, tau, tau^2
     assert rows[:2] == [3 + derive.EXTRA_POINTS, 6 + derive.EXTRA_POINTS]
+
+
+def _nu_parts(poly):
+    """poly's nu^0 and nu^1 coefficients, each a map exponent -> value."""
+    return (
+        {e: c.c0 for e, c in poly.terms.items() if c.c0},
+        {e: c.c1 for e, c in poly.terms.items() if c.c1},
+    )
+
+
+def test_e7_b_is_the_gauge_of_a_and_the_raw_slip_fails_it():
+    e7 = build_system("E7")
+    canonical, raw = e7_operator("canonical"), e7_operator("raw")
+    gauge = derive._gauge(e7, canonical.A)
+    # term for term, in the table files' order
+    assert [list(b.terms.items()) for b in gauge] == [
+        list(b.terms.items()) for b in canonical.B
+    ]
+    # README's B slip: every raw nu^1 slope is -1/2 of the gauge's, while
+    # the nu^0 parts agree
+    raw_gauge = derive._gauge(e7, raw.A)
+    assert [i for i in range(7) if raw_gauge[i] != raw.B[i]] == list(range(7))
+    for b, want, published in zip(raw_gauge, gauge, raw.B):
+        assert _nu_parts(published)[0] == _nu_parts(b)[0]
+        assert _nu_parts(published)[1] == {
+            e: c * Fraction(-1, 2) for e, c in _nu_parts(want)[1].items()
+        }
+    # raw A17 alone moves the gauge of the two rows that hold it
+    mixed = build_operator(e7, {"A17": raw.a_entry(1, 7)}, "mixed", base=canonical)
+    mixed_gauge = derive._gauge(e7, mixed.A)
+    assert [i + 1 for i in range(7) if mixed_gauge[i] != mixed.B[i]] == [1, 7]
+    assert [i + 1 for i in range(7) if raw_gauge[i] != gauge[i]] == [1, 7]
