@@ -183,9 +183,9 @@ def _gauge(sysr: RootSystem, A) -> list[MultiPoly]:
     rank, cv = sysr.rank, characteristic_vector(sysr)
     out = []
     for i, row in enumerate(A):
-        tau = MultiPoly.variable(rank, i + 1).scale(sysr.weight_lengths_sq[i])
-        div = sum((a.partial_derivative(j + 1) for j, a in enumerate(row)), tau)
-        b = div.scale(2) * MultiPoly.constant(rank, NuLinear.of(0, 1)) - tau
+        d2_tau = MultiPoly.variable(rank, i + 1).scale(sysr.weight_lengths_sq[i])
+        half_slope = sum((a.partial_derivative(j + 1) for j, a in enumerate(row)), d2_tau)
+        b = half_slope.scale(2) * MultiPoly.constant(rank, NuLinear.of(0, 1)) - d2_tau
         out.append(MultiPoly(rank, {e: b.terms[e] for e in _table_order(cv, b.terms)}))
     return out
 
