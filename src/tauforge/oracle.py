@@ -79,8 +79,8 @@ def hp_digits() -> int:
 # least FORK_MIN_DOUBLE_POINTS points.  On a 2-CPU x86-64 host a fork of a
 # warm E7 process costs 20-30 ms, copy-on-write faults included.  Timed in
 # one process on one CPU of that host, an E7 hp point (17,642 rows) costs
-# 20-37 ms as a refit frame at 70 digits, 24-33 ms in hp verify-tables and
-# 0.12-0.22 s in hp flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
+# 17-23 ms as a refit frame at 70 digits, 15-23 ms in hp verify-tables and
+# 0.14-0.26 s in hp flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
 # An E7 double point costs 0.8-1.5 ms in verify-tables and 2.6-3.5 ms in
 # flatness, so fit's 20-point screen and the default 10-point flatness
 # gain less than a fork costs; a ground-state residual costs 0.02-0.03 ms,
@@ -291,6 +291,12 @@ def _root_mp(kind: str, dps: int) -> list:
         return [[mpf(c) for c in r] for r in _root_array(kind).tolist()]
 
 
+@lru_cache(maxsize=None)
+def _root_support(kind: str) -> tuple:
+    """Per positive root, the indices of its nonzero y coordinates."""
+    return tuple(tuple(np.flatnonzero(r).tolist()) for r in _root_array(kind))
+
+
 def _converter(hp: bool):
     """Fraction -> float, or with hp -> mpf at the current precision."""
     return (lambda q: mpf(q.numerator) / q.denominator) if hp else float
@@ -433,47 +439,48 @@ except ImportError:
 
 @dataclass(frozen=True)
 class _HpPlan:
-    """The hp kernel's trie over the orbit rows, built once per system.
+    """The hp kernel's two-block split of the orbit rows, built once per system.
 
-    Rows u are the orbit vectors times `scale`; a row's path is its nonzero
-    (k, u_k) list.  Node 0 is the root, 1; node i > 0 is node parent[i] times
-    the factor keys[key[i]] = (k, u); `levels` holds each depth's (lo, hi).
-    `orbits` holds per orbit (ends, w2): each row's last node and the orbit's
-    one sum_k g_k u_k^2.  When `paired`, only rows whose first nonzero u_k is
-    positive are kept: each stands for itself and its negative.
-
-    `grads` groups the gradient sums sum_u u_k f(u): per coordinate k, the
-    kept rows with u_k != 0 grouped by (orbit, u_k), in that order, as
-    (nodes, starts, values, orbits, orbit_starts): the rows' last nodes
-    group by group, where each group starts in nodes, its u_k, the orbits
-    that hold a group and where each one's groups start.  Every array is
-    read-only.
+    Rows u are the orbit vectors times `scale`; when `paired`, only rows whose
+    first nonzero u_k is positive are kept, each standing for itself and -u.
+    A kept row is (u1, u2), its first y_dim // 2 entries and the rest.
+    `factors` lists per half each distinct half-row's factors (k, u_k != 0)
+    as indices in `keys`, in k order and then len(keys), the factor 1, up to
+    one column more than the half has entries.  The rows run in (orbit, u1)
+    groups: group_u1 is each group's u1 (u1s its entries, as ints), rows_u2
+    each row's u2, and group_starts and orbit_starts say where each group's
+    rows and each orbit's groups start; w2 is each orbit's one sum_k g_k u_k^2.
+    grads[j] groups, for _grouped_sums, the rows whose second-half entry u_k,
+    k = len(u1) + j, is nonzero by (group, u_k), indexed by their u2.
     """
 
     scale: int
     paired: bool
     keys: tuple
-    parent: np.ndarray
-    key: np.ndarray
-    levels: tuple
-    orbits: tuple
+    factors: tuple
+    group_u1: np.ndarray
+    u1s: np.ndarray
+    rows_u2: np.ndarray
+    group_starts: np.ndarray
+    orbit_starts: np.ndarray
+    w2: tuple
     grads: tuple
 
 
 def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
-    """Plan for integer orbit rows u (the vectors u / scale) and weights `gws`.
+    """Plan for integer orbit rows u (the vectors u / scale) and weights `gws`,
+    its arrays read-only and built from exact mixed-radix int64 codes.
 
-    A depth-d node is an exact mixed-radix code of its orbit and d-prefix,
-    the row with every entry after its d-th nonzero set to zero.  Raises
-    ValueError if sum_k g_k u_k^2 varies on an orbit and, with `paired`,
-    CancellationError unless every orbit is closed under negation.
+    Raises ValueError if a code could overflow or if sum_k g_k u_k^2 varies
+    on an orbit and, with `paired`, CancellationError unless every orbit is
+    closed under negation.
     """
     bound = max(int(np.abs(m).max()) for m in orbits)
     radix, dim = 2 * bound + 1, len(gws)
     if len(orbits) * radix**dim >= 2**63:
-        raise ValueError("orbit rows too large for int64 prefix codes")
+        raise ValueError("orbit rows too large for int64 codes")
     place = radix ** np.arange(dim - 1, -1, -1)
-    kept = []
+    kept, w2s = [], []
     for m in orbits:
         w2 = (m * m) @ np.asarray(gws)
         if (w2 != w2[0]).any():
@@ -482,43 +489,40 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
             if set((bound + m) @ place) != set((bound - m) @ place):
                 raise CancellationError("orbit is not closed under negation")
             m = m[m[np.arange(len(m)), (m != 0).argmax(axis=1)] > 0]
-        kept.append((m, int(w2[0])))
-    sizes = [len(m) for m, _ in kept]
-    rows = np.concatenate([m for m, _ in kept])
-    orbit = np.repeat(np.arange(len(kept)), sizes)
-    count = (rows != 0) @ np.tri(dim, dtype=np.int64).T  # nonzeros up to k
-    node = np.zeros(len(rows), dtype=np.int64)
-    parent, key, levels = [[0]], [], []
-    for d in range(1, count[:, -1].max() + 1):
-        live = np.flatnonzero(count[:, -1] >= d)
-        prefix = np.where(count[live] <= d, rows[live], 0)
-        code = orbit[live] * radix**dim + (bound + prefix) @ place
-        _, first, inv = np.unique(code, return_index=True, return_inverse=True)
-        at = live[first]
-        k = (count[at] == d).argmax(axis=1)  # where the d-th nonzero sits
-        lo = levels[-1][1] if levels else 1
-        levels.append((lo, lo + len(at)))
-        parent.append(node[at])
-        key.append(k * radix + bound + rows[at, k])
-        node[live] = lo + inv
-    codes, _, key = np.unique(np.concatenate(key), True, True)
-    keys = tuple((int(c) // radix, int(c) % radix - bound) for c in codes)
-    ends = np.split(node, np.cumsum(sizes)[:-1])
+        kept.append(m[np.argsort((bound + m) @ place)])  # a row prefix's rows are adjacent
+        w2s.append(int(w2[0]))
+    rows = np.concatenate(kept)
+    orbit = np.repeat(np.arange(len(kept)), [len(m) for m in kept])
+    split = dim // 2
+    code, low = (bound + rows) @ place, radix ** (dim - split)
+    (_, at1, u1), (_, at2, u2) = (
+        np.unique(c, return_index=True, return_inverse=True) for c in (code // low, code % low)
+    )
+    entry = np.arange(dim) * radix + bound + rows  # each u_k's factor (k, u_k) as a code
+    used = np.unique(entry[rows != 0])
+    keys = tuple((int(c) // radix, int(c) % radix - bound) for c in used)
+    one, factors = len(used), []  # `one` is the table index of the factor 1
+    for at, ks in ((at1, slice(0, split)), (at2, slice(split, dim))):
+        f = np.where(rows[at, ks] != 0, np.searchsorted(used, entry[at, ks]), one)
+        # keys sort by k, so a sorted row lists its factors in k order, then 1s
+        factors.append(_read_only(np.sort(np.column_stack([f, np.full(len(at), one)]), axis=1)))
+    # the rows are sorted, so each (orbit, u1) group is a run of them
+    codes, group_starts, group = np.unique(orbit * len(at1) + u1, True, True)
     grads = []
-    for k in range(dim):  # one k at a time keeps the temporaries small
-        row = np.flatnonzero(rows[:, k])
-        code = orbit[row] * radix + bound + rows[row, k]
+    for k in range(split, dim):
+        nz = np.flatnonzero(rows[:, k])
+        code = group[nz] * radix + bound + rows[nz, k]
         order = np.argsort(code, kind="stable")
-        code = code[order]
-        starts = np.flatnonzero(np.diff(code, prepend=-1))
-        orbit_of = code[starts] // radix
-        orbit_starts = np.flatnonzero(np.diff(orbit_of, prepend=-1))
-        values = (code[starts] % radix - bound).astype(object)
-        group = node[row[order]], starts, values, orbit_of[orbit_starts], orbit_starts
-        grads.append(tuple(map(_read_only, group)))
-    parent, key = _read_only(np.concatenate(parent)), _read_only(np.append(0, key))
-    orbits = tuple((_read_only(e), w2) for e, (_, w2) in zip(ends, kept))
-    return _HpPlan(scale, paired, keys, parent, key, tuple(levels), orbits, tuple(grads))
+        code, starts = np.unique(code[order], return_index=True)
+        groups, firsts = np.unique(code // radix, return_index=True)
+        values = (code % radix - bound).astype(object)
+        grads.append(tuple(map(_read_only, (u2[nz[order]], starts, values, groups, firsts))))
+    u1s = rows[group_starts, :split].astype(object)
+    orbit_starts = np.flatnonzero(np.diff(codes // len(at1), prepend=-1))
+    arrays = codes % len(at1), u1s, u2, group_starts, orbit_starts
+    return _HpPlan(
+        scale, paired, keys, tuple(factors), *map(_read_only, arrays), tuple(w2s), tuple(grads)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -534,7 +538,7 @@ def _trie_step(pc, ps, c, c_plus_s, s_minus_c, shift: int):
     Three integer products per element instead of four: with t = c (pc +
     ps), pc c - ps s is t - ps (c + s) and pc s + ps c is t + pc (s - c),
     the same integers.  The object arrays pc and ps are overwritten with
-    the results, so no level holds more than one spare array.
+    the results, so no step holds more than one spare array.
     """
     t = (pc + ps) * c
     t += 1 << (shift - 1)
@@ -547,12 +551,12 @@ def _trie_step(pc, ps, c, c_plus_s, s_minus_c, shift: int):
     return re, im
 
 
-def _grouped_sums(plan: _HpPlan, f: np.ndarray) -> np.ndarray:
-    """The exact sums sum_u u_k f[end of u], an orbits x k object matrix."""
-    sums = np.zeros((len(plan.orbits), len(plan.grads)), dtype=object)
-    for k, (nodes, starts, values, orbits, orbit_starts) in enumerate(plan.grads):
-        by_value = np.add.reduceat(f[nodes], starts) * values
-        sums[orbits, k] = np.add.reduceat(by_value, orbit_starts)
+def _grouped_sums(group, f: np.ndarray, size: int) -> np.ndarray:
+    """The exact sums sum_i value_i f[index_i] per group, for one `grads` entry."""
+    index, starts, values, groups, group_starts = group
+    sums = np.zeros(size, dtype=object)
+    by_value = np.add.reduceat(f[index], starts) * values
+    sums[groups] = np.add.reduceat(by_value, group_starts)
     return sums
 
 
@@ -560,14 +564,15 @@ def _geom_hp(sysr: RootSystem, y, beta) -> NumericFrame:
     """The frame at y, by fixed-point orbit sums at the current mp precision.
 
     Phase factors e^{i beta u.y / M} are products of per-coordinate roots
-    e^{i beta y_k / M} raised to small integer powers, computed in integer
-    arithmetic with 64 guard bits and accumulated exactly over the orbit.
-    The products follow _hp_plan's trie one depth at a time on numpy object
-    arrays, each node rounded once from its parent in three integer products
-    (_trie_step, on the tables c, s, c + s and s - c).  tau, the Laplacian
-    w2 tau and J = sum_u u_k f(u), grouped by (orbit, k, u_k), are exact
-    integer sums.  For systems containing -1 the row of -u is the conjugate
-    of the row of u, so half-orbit sums double.
+    e^{i beta y_k / M} raised to small integer powers, in integer arithmetic
+    with 64 guard bits.  A row u = (u1, u2) (see _HpPlan) has the factor
+    g1[u1] g2[u2], and each half-row's product is formed once, its factors
+    multiplied in k order and each step rounded (_trie_step, on the tables c,
+    s, c + s and s - c).  Per (orbit, u1) group the g2, and the u_k g2 of each
+    second-half k, are summed exactly; tau, J = sum_u u_k f(u) and the
+    Laplacian w2 tau are exact sums of g1 times those sums, at scale
+    2^(2 shift), each rounded once into mpf.  For systems containing -1 the
+    row of -u is the conjugate of the row of u, so half-orbit sums double.
     """
     dim = sysr.y_dim
     plan = _hp_plan(sysr.kind)
@@ -577,37 +582,45 @@ def _geom_hp(sysr: RootSystem, y, beta) -> NumericFrame:
         theta = [beta * yk / scale for yk in y]
         table = [mp.cos_sin(u * theta[k]) for k, u in plan.keys]
     fixed = [[_mpz(to_fixed(v, shift)) for v in cs] for cs in table]
-    tab_c, tab_s = np.array(fixed, dtype=object).T
+    tab_c, tab_s = np.array(fixed + [[_mpz(1 << shift), _mpz(0)]], dtype=object).T
     tab_p, tab_m = tab_c + tab_s, tab_s - tab_c
-    fc, fs = np.empty((2, len(plan.parent)), dtype=object)
-    fc[0], fs[0] = _mpz(1 << shift), _mpz(0)
-    for lo, hi in plan.levels:
-        par, key = plan.parent[lo:hi], plan.key[lo:hi]
-        fc[lo:hi], fs[lo:hi] = _trie_step(
-            fc[par], fs[par], tab_c[key], tab_p[key], tab_m[key], shift
-        )
-    to_mpf = lambda acc, down: mp.ldexp(mpf(int(acc)), -shift) / down
+    halves = []
+    for factors in plan.factors:  # each half-row's factors, then 1s (see _HpPlan)
+        fc, fs = tab_c[factors[:, 0]], tab_s[factors[:, 0]]
+        for key in factors.T[1:]:
+            at = np.flatnonzero(key < len(plan.keys))
+            k = key[at]
+            fc[at], fs[at] = _trie_step(fc[at], fs[at], tab_c[k], tab_p[k], tab_m[k], shift)
+        halves.append((fc, fs))
+    (g1c, g1s), (g2c, g2s) = halves
+    a_c, a_s = g1c[plan.group_u1], g1s[plan.group_u1]
+    b_c, b_s = (np.add.reduceat(g[plan.rows_u2], plan.group_starts) for g in (g2c, g2s))
+    f_c, f_s = a_c * b_c - a_s * b_s, a_c * b_s + a_s * b_c  # per group, sum of f(u)
+    orbit_sums = lambda v: np.add.reduceat(v, plan.orbit_starts, axis=0)
+    h = [[_grouped_sums(group, g, len(a_c)) for g in (g2c, g2s)] for group in plan.grads]
+    # J per orbit and k: a first-half u_k is constant on a group
+    jac_s = orbit_sums(np.column_stack([f_s[:, None] * plan.u1s] + [
+        a_c * h_s + a_s * h_c for h_c, h_s in h]))
+    jac_c = None if plan.paired else orbit_sums(np.column_stack([f_c[:, None] * plan.u1s] + [
+        a_c * h_c - a_s * h_s for h_c, h_s in h]))
+    to_mpf = lambda acc, down: mp.ldexp(mpf(int(acc)), -2 * shift) / down
     cplx = lambda re, im, down: to_mpf(re, down) + 1j * to_mpf(im, down)
     taus, jacs, laps = [], [], []
-    grad_s = _grouped_sums(plan, fs)
-    grad_c = grad_s if plan.paired else _grouped_sums(plan, fc)
-    for (ends, w2), jac_s, jac_fc in zip(plan.orbits, grad_s, grad_c):
-        tau_c = fc[ends].sum()
+    for a, (w2, tau_c, tau_s) in enumerate(zip(plan.w2, orbit_sums(f_c), orbit_sums(f_s))):
         if plan.paired:
             taus.append(to_mpf(2 * tau_c, 1))
-            jacs.append([-beta * to_mpf(2 * j, scale) for j in jac_s])
+            jacs.append([-beta * to_mpf(2 * j, scale) for j in jac_s[a]])
             laps.append(-(beta**2) * to_mpf(2 * w2 * tau_c, scale**2))
         else:
-            tau_s = fs[ends].sum()
-            jac_c = [1j * beta * to_mpf(j, scale) for j in jac_fc]
             taus.append(cplx(tau_c, tau_s, 1))
-            jacs.append([-beta * to_mpf(j, scale) + c for j, c in zip(jac_s, jac_c)])
+            jacs.append([-beta * to_mpf(s, scale) + 1j * beta * to_mpf(c, scale)
+                         for s, c in zip(jac_s[a], jac_c[a])])
             laps.append(-(beta**2) * cplx(w2 * tau_c, w2 * tau_s, scale**2))
     cotg = [mpf(0)] * dim
-    for r in _root_mp(sysr.kind, mp.dps):
-        c, s = mp.cos_sin(beta * sum(r[k] * y[k] for k in range(dim)) / 2)
+    for r, nz in zip(_root_mp(sysr.kind, mp.dps), _root_support(sysr.kind)):
+        c, s = mp.cos_sin(beta * sum(r[k] * y[k] for k in nz) / 2)
         ct = (beta / 2) * c / s
-        for k in range(dim):
+        for k in nz:
             cotg[k] += ct * r[k]
     return NumericFrame(taus, jacs, laps, cotg)
 

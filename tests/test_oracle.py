@@ -181,9 +181,12 @@ def _geom_hp_stack(sysr, y, beta):
     """Reference for _geom_hp: the walk over orbit elements sorted by their
     nonzero (k, u_k) lists, sharing prefix products through a stack.
 
-    Each row's factors are multiplied in k order with the same rounding as
-    the kernel, and tau, J and the Laplacian are summed row by row, so every
-    output must match the kernel's bit for bit.
+    Each row's factors are multiplied in k order, each product rounded as
+    the kernel rounds its half-row products, and tau, J and the Laplacian
+    are summed row by row.  The kernel multiplies its two half-row products
+    exactly instead, so its sums differ from these by a few units of
+    2^-shift, 64 bits below the working precision, and every output must
+    round to the same mpf: the kernel's, bit for bit.
     """
     dim = sysr.y_dim
     gws = [int(g) for g in sysr.metric_weights[:dim]]
@@ -287,6 +290,19 @@ def test_hp_kernel_matches_the_stack_walk_bit_for_bit(kind, dps):
             assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
+@pytest.mark.parametrize("dps", [50, 70])
+def test_hp_kernel_matches_the_stack_walk_at_ten_e7_points(dps):
+    # ten seed-23 points, alternating beta 1 and 1.3: a rounding tie that
+    # fell differently in the half-row split would show as a repr change
+    with mp.workdps(dps):
+        points = sample_points(E7, 10, seed=23, precision="hp", digits=dps)
+        for i, point in enumerate(points):
+            beta = mpf("1.3" if i % 2 else "1")
+            got = _geom_hp(E7, point.y, beta)
+            want = _geom_hp_stack(E7, point.y, beta)
+            assert [repr(v) for v in got] == [repr(v) for v in want], (dps, i)
+
+
 # sha256 of repr(tuple(_geom_hp(E7, y, 1))) at the first seed-23 hp sample point,
 # recorded from the kernel that multiplied out every orbit element in full
 # (no pairing, no shared prefixes); the fixed-point products must not change.
@@ -306,19 +322,25 @@ def test_hp_kernel_golden_bits(dps, digest):
     assert got == digest
 
 
+def _kept_sizes(plan):
+    """The number of kept rows of each orbit."""
+    group_rows = np.diff(np.append(plan.group_starts, len(plan.rows_u2)))
+    return np.add.reduceat(group_rows, plan.orbit_starts).tolist()
+
+
 def test_hp_plan_rejects_an_orbit_not_closed_under_negation():
     # integer rows at scale 2: closed is {(1, 0), (-1, 0)}, lopsided is
     # {(1/2, 1), (-1, 1/2)}; both have one sum_k g_k u_k^2
     closed = np.array([[2, 0], [-2, 0]])
     lopsided = np.array([[1, 2], [-2, 1]])
     plan = _build_hp_plan(2, (closed,), [1, 1], paired=True)
-    assert [len(ends) for ends, _ in plan.orbits] == [1]
+    assert _kept_sizes(plan) == [1]
     with pytest.raises(CancellationError):
         _build_hp_plan(2, (closed, lopsided), [1, 1], paired=True)
     plan = _build_hp_plan(2, (closed, lopsided), [1, 1], paired=False)
     assert plan.scale == 2
-    assert [len(ends) for ends, _ in plan.orbits] == [2, 2]
-    assert [w2 for _, w2 in plan.orbits] == [4, 5]
+    assert _kept_sizes(plan) == [2, 2]
+    assert plan.w2 == (4, 5)
 
 
 def test_hp_plan_rejects_an_orbit_whose_weighted_norm_varies():
@@ -326,52 +348,76 @@ def test_hp_plan_rejects_an_orbit_whose_weighted_norm_varies():
     # weights and two under g = (1, 2)
     square = np.array([[2, 0], [-2, 0], [0, 2], [0, -2]])
     plan = _build_hp_plan(2, (square,), [1, 1], paired=True)
-    assert [w2 for _, w2 in plan.orbits] == [4]
+    assert plan.w2 == (4,)
     with pytest.raises(ValueError, match="not constant"):
         _build_hp_plan(2, (square,), [1, 2], paired=True)
 
 
-def _trie_path(plan, node):
-    """The (k, u_k) factors from the root to `node`, in k order."""
-    path = []
-    while node:
-        path.append(plan.keys[plan.key[node]])
-        node = plan.parent[node]
-    return path[::-1]
+def test_hp_plan_rejects_rows_whose_codes_overflow_int64():
+    # radix 2 * 1000 + 1 over 7 coordinates needs 77 bits
+    wide = np.array([[1000] * 7, [-1000] * 7])
+    with pytest.raises(ValueError, match="too large"):
+        _build_hp_plan(2, (wide,), [1] * 7, paired=True)
+    _build_hp_plan(2, (wide // 100,), [1] * 7, paired=True)
 
 
-def _trie_row(plan, node, dim):
-    """The row u whose nonzero (k, u_k) list is the path to `node`."""
-    u = [0] * dim
-    for k, x in _trie_path(plan, node):
-        u[k] = x
-    return u
+def _half_rows(plan):
+    """Per half, its distinct half-rows u1 or u2, rebuilt from their factors."""
+    widths = plan.u1s.shape[1], len(plan.grads)
+    halves = []
+    for factors, k0, width in zip(plan.factors, (0, widths[0]), widths):
+        assert factors.shape[1] == width + 1
+        rows = []
+        for f in factors.tolist():
+            # the factors (k, u_k) in k order, then the factor 1, len(keys)
+            n = sum(i < len(plan.keys) for i in f)
+            assert f[n:] == [len(plan.keys)] * (width + 1 - n)
+            ks = [plan.keys[i][0] for i in f[:n]]
+            assert ks == sorted(set(ks)) and all(k0 <= k < k0 + width for k in ks)
+            u = [0] * width
+            for i in f[:n]:
+                k, x = plan.keys[i]
+                u[k - k0] = x
+            rows.append(u)
+        halves.append(rows)
+    return halves
 
 
-def test_e7_hp_plan_has_one_node_per_distinct_row_prefix():
+def _plan_rows(plan):
+    """Per kept row in plan order, (orbit, group, the row u rebuilt from (u1, u2))."""
+    group_rows = np.diff(np.append(plan.group_starts, len(plan.rows_u2)))
+    groups = np.repeat(np.arange(len(plan.group_starts)), group_rows)
+    orbit_groups = np.diff(np.append(plan.orbit_starts, len(plan.group_starts)))
+    orbit_of_group = np.repeat(np.arange(len(plan.orbit_starts)), orbit_groups)
+    u1, u2 = _half_rows(plan)
+    return [
+        (int(orbit_of_group[g]), int(g), u1[plan.group_u1[g]] + u2[i])
+        for g, i in zip(groups.tolist(), plan.rows_u2.tolist())
+    ]
+
+
+def test_e7_hp_plan_puts_each_kept_row_in_one_orbit_u1_group():
     plan = _hp_plan("E7")
-    assert plan.paired and plan.scale == 2
-    assert len(plan.parent) - 1 == 16_518
-    sizes = [len(ends) for ends, _ in plan.orbits]
-    assert sizes == [28, 63, 288, 378, 1008, 2016, 5040]
-    assert sum(sizes) == 8_821
-    # levels tile the nodes in depth order, and a level reads only below it
-    assert plan.levels[0][0] == 1 and plan.levels[-1][1] == len(plan.parent)
-    for (_, hi), (lo, _) in zip(plan.levels, plan.levels[1:]):
-        assert hi == lo
-    for lo, hi in plan.levels:
-        assert (plan.parent[lo:hi] < lo).all()
-    # each kept row ends at the node whose path is its nonzero (k, u_k) list
+    assert plan.paired and plan.scale == 2 and plan.u1s.shape[1] == 3
+    assert [len(f) for f in plan.factors] == [170, 1_301]
+    assert len(plan.group_starts) == 409
+    assert _kept_sizes(plan) == [28, 63, 288, 378, 1008, 2016, 5040]
+    rows = _plan_rows(plan)
+    assert len(rows) == 8_821
+    # a group is one (orbit, u1), and u1s holds its entries; the kept rows,
+    # rebuilt from (u1, u2), are each orbit's rows whose first nonzero entry
+    # is positive, once each
+    assert len({(a, g) for a, g, _ in rows}) == len({(a, tuple(u[:3])) for a, _, u in rows})
+    assert len({g for _, g, _ in rows}) == 409
+    assert {(g, tuple(u[:3])) for _, g, u in rows} == set(enumerate(map(tuple, plan.u1s.tolist())))
+    u1, u2 = _half_rows(plan)
+    assert len(set(map(tuple, u1))) == 170 and len(set(map(tuple, u2))) == 1_301
     _, ints = orbit_rows("E7")
     gws = [int(g) for g in E7.metric_weights[: E7.y_dim]]
-    for (ends, w2), m in zip(plan.orbits, ints):
-        assert len(set(ends.tolist())) == len(ends)
-        U = [_trie_row(plan, node, E7.y_dim) for node in ends.tolist()]
-        assert {tuple(u) for u in U} == {
-            tuple(u) for u in m.tolist() if next(x for x in u if x) > 0
-        }
-        for node, u in zip(ends.tolist(), U):
-            assert _trie_path(plan, node) == [(k, x) for k, x in enumerate(u) if x]
+    for a, (m, w2) in enumerate(zip(ints, plan.w2)):
+        got = [tuple(u) for b, _, u in rows if b == a]
+        assert len(set(got)) == len(got)
+        assert set(got) == {tuple(u) for u in m.tolist() if next(x for x in u if x) > 0}
         assert {sum(g * x * x for g, x in zip(gws, u)) for u in m.tolist()} == {w2}
 
 
@@ -391,52 +437,64 @@ def test_the_three_product_trie_step_is_the_four_product_one(pc, ps, c, s, shift
     assert (got[0][0], got[1][0]) == want
 
 
-def _kept_rows(plan, dim):
-    """Per orbit, (ends, the kept rows u read from their trie paths)."""
-    return [
-        (ends, [_trie_row(plan, node, dim) for node in ends.tolist()])
-        for ends, _ in plan.orbits
-    ]
+def _random_ints(rng, size):
+    """size random Python ints of up to 320 bits, as an object array."""
+    return np.array(
+        [int(rng.integers(-3, 4)) * (1 << int(rng.integers(0, 320))) + int(rng.integers(-1000, 1000))
+         for _ in range(size)],
+        dtype=object,
+    )
 
 
 @pytest.mark.parametrize("kind", ["E7", "A1", "A2", "G2"])
 def test_each_nonzero_gradient_entry_falls_in_exactly_one_group(kind):
+    # a first-half u_k is constant on a group and read from u1s; a
+    # second-half one is grouped row by row
     plan, dim = _hp_plan(kind), build_system(kind).y_dim
-    want = {
-        (a, node, k): x
-        for a, (ends, U) in enumerate(_kept_rows(plan, dim))
-        for node, u in zip(ends.tolist(), U)
-        for k, x in enumerate(u)
-        if x
-    }
-    assert len(plan.grads) == dim
-    got = []
-    for k, (nodes, starts, values, orbits, orbit_starts) in enumerate(plan.grads):
-        group_ends = np.append(starts[1:], len(nodes))
-        orbit_of = np.repeat(orbits, np.diff(np.append(orbit_starts, len(starts))))
-        for lo, hi, value, a in zip(starts, group_ends, values, orbit_of):
+    split = plan.u1s.shape[1]
+    rows = _plan_rows(plan)
+    assert split == dim // 2 and len(plan.grads) == dim - split
+    assert all(u[:split] == plan.u1s[g].tolist() for _, g, u in rows)
+    for k, (index, starts, values, groups, group_starts) in enumerate(plan.grads, split):
+        want = {(g, i): u[k] for (_, g, u), i in zip(rows, plan.rows_u2.tolist()) if u[k]}
+        group_ends = np.append(starts[1:], len(index))
+        group_of = np.repeat(groups, np.diff(np.append(group_starts, len(starts))))
+        got = []
+        for lo, hi, value, g in zip(starts, group_ends, values, group_of):
             assert lo < hi and value != 0
-            got += [((int(a), node, k), value) for node in nodes[lo:hi].tolist()]
-    assert len(got) == len(want) == len(dict(got))
-    assert dict(got) == want
+            got += [((int(g), i), value) for i in index[lo:hi].tolist()]
+        assert len(got) == len(want) == len(dict(got))
+        assert dict(got) == want
+
+
+def _random_ints(rng, size):
+    """size random Python ints of up to 320 bits, as an object array."""
+    return np.array(
+        [int(rng.integers(-3, 4)) * (1 << int(rng.integers(0, 320))) + int(rng.integers(-1000, 1000))
+         for _ in range(size)],
+        dtype=object,
+    )
 
 
 @pytest.mark.parametrize("kind", ["E7", "A1", "A2", "G2"])
 def test_grouped_gradient_sums_equal_the_row_matmul(kind):
-    # fs on every system, and fc as on A2's complex path
-    plan, dim = _hp_plan(kind), build_system(kind).y_dim
+    # sum_u g1[u1] g2[u2] and sum_u u_k g1[u1] g2[u2] per orbit, assembled
+    # as _geom_hp assembles them, against the kept rows' products times [1, u]
+    plan = _hp_plan(kind)
+    rows = _plan_rows(plan)
     rng = np.random.default_rng(19)
+    orbit_sums = lambda v: np.add.reduceat(v, plan.orbit_starts, axis=0)
     for _ in range(2):
-        bits = rng.integers(0, 320, size=len(plan.parent)).tolist()
-        f = np.array(
-            [int(rng.integers(-3, 4)) * (1 << b) + int(rng.integers(-1000, 1000)) for b in bits],
-            dtype=object,
-        )
-        got = _grouped_sums(plan, f)
-        assert got.shape == (len(plan.orbits), dim)
-        for (ends, U), row in zip(_kept_rows(plan, dim), got):
-            want = f[ends] @ np.array(U, dtype=object)
-            assert row.tolist() == want.tolist()
+        g1, g2 = (_random_ints(rng, len(f)) for f in plan.factors)
+        a = g1[plan.group_u1]
+        f = a * np.add.reduceat(g2[plan.rows_u2], plan.group_starts)
+        h = [_grouped_sums(group, g2, len(a)) for group in plan.grads]
+        got = orbit_sums(np.column_stack([f, f[:, None] * plan.u1s] + [a * x for x in h]))
+        for orbit, row in enumerate(got):
+            kept = [(g, i, u) for (b, g, u), i in zip(rows, plan.rows_u2) if b == orbit]
+            x = np.array([g1[plan.group_u1[g]] * g2[i] for g, i, _ in kept], dtype=object)
+            U = np.array([[1] + u for _, _, u in kept], dtype=object)
+            assert row.tolist() == (x @ U).tolist()
 
 
 # sha256 of repr(tuple(_geom_double(sysr, y, beta))) at the first sample point of

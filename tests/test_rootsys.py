@@ -256,8 +256,11 @@ def test_cached_arrays_are_read_only(kind):
     cached += list(oracle._orbit_arrays(kind)) + list(oracle._orbit_w2(kind))
     cached += [oracle._root_array(kind), sysr.root_halves]
     plan = oracle._hp_plan(kind)
-    cached += [plan.parent, plan.key] + [ends for ends, _ in plan.orbits]
-    cached += [arr for group in plan.grads for arr in group]
+    arrays = [plan.group_u1, plan.u1s, plan.rows_u2, plan.group_starts, plan.orbit_starts]
+    arrays += list(plan.factors) + [arr for group in plan.grads for arr in group]
+    assert not any(arr.flags.writeable for arr in arrays)
+    # A1's u1s, of its empty first half, has no [0]
+    cached += [arr for arr in arrays if arr.size]
     for arr in cached:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] += 1
