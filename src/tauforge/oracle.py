@@ -499,7 +499,8 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
         np.unique(c, return_index=True, return_inverse=True) for c in (code // low, code % low)
     )
     entry = np.arange(dim) * radix + bound + rows  # each u_k's factor (k, u_k) as a code
-    used = np.unique(entry[rows != 0])
+    # the distinct codes; np.unique without a return_* flag would import numpy.ma (1.2 MiB)
+    used = np.flatnonzero(np.bincount(entry[rows != 0]))
     keys = tuple((int(c) // radix, int(c) % radix - bound) for c in used)
     one, factors = len(used), []  # `one` is the table index of the factor 1
     for at, ks in ((at1, slice(0, split)), (at2, slice(split, dim))):
