@@ -79,8 +79,8 @@ def hp_digits() -> int:
 # least FORK_MIN_DOUBLE_POINTS points.  On a 2-CPU x86-64 host a fork of a
 # warm E7 process costs 20-30 ms, copy-on-write faults included.  Timed in
 # one process on one CPU of that host, an E7 hp point (17,642 rows) costs
-# 17-23 ms as a refit frame at 70 digits, 15-23 ms in hp verify-tables and
-# 0.14-0.26 s in hp flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
+# 12-23 ms as a refit frame at 70 digits, 15-24 ms in hp verify-tables and
+# 0.13-0.26 s in hp flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
 # An E7 double point costs 0.8-1.5 ms in verify-tables and 2.6-3.5 ms in
 # flatness, so fit's 20-point screen and the default 10-point flatness
 # gain less than a fork costs; a ground-state residual costs 0.02-0.03 ms,
@@ -489,7 +489,7 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
             if set((bound + m) @ place) != set((bound - m) @ place):
                 raise CancellationError("orbit is not closed under negation")
             m = m[m[np.arange(len(m)), (m != 0).argmax(axis=1)] > 0]
-        kept.append(m[np.argsort((bound + m) @ place)])  # a row prefix's rows are adjacent
+        kept.append(m[np.argsort((bound + m) @ place)])  # sorted: rows sharing a u1 adjoin
         w2s.append(int(w2[0]))
     rows = np.concatenate(kept)
     orbit = np.repeat(np.arange(len(kept)), [len(m) for m in kept])
@@ -507,7 +507,7 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
         f = np.where(rows[at, ks] != 0, np.searchsorted(used, entry[at, ks]), one)
         # keys sort by k, so a sorted row lists its factors in k order, then 1s
         factors.append(_read_only(np.sort(np.column_stack([f, np.full(len(at), one)]), axis=1)))
-    # the rows are sorted, so each (orbit, u1) group is a run of them
+    # each (orbit, u1) group is a run of the sorted rows
     codes, group_starts, group = np.unique(orbit * len(at1) + u1, True, True)
     grads = []
     for k in range(split, dim):
