@@ -270,8 +270,11 @@ def _cmd_tau_eval(args) -> dict:
             rows.append(
                 {
                     "y": [float(v) for v in pt.y],
+                    # a system without -1 (A2) has complex orbit sums
                     "tau": [
-                        str(t) if args.precision == "hp" else float(t) for t in tau
+                        str(t) if args.precision == "hp"
+                        else str(complex(t)) if isinstance(t, complex) else float(t)
+                        for t in tau
                     ],
                 }
             )

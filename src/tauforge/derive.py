@@ -38,8 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactpoly import MultiPoly, NuLinear, weighted_monomials
-from .operator import AlgebraicOperator, build_operator
+from .exactpoly import MultiPoly, NuLinear, table_order, weighted_monomials
+from .operator import AlgebraicOperator, build_operator, table_slots
 from .rootsys import RootSystem, characteristic_vector, orbit_rows
 
 # below 2^31, so the product of two residues fits in an int64
@@ -70,7 +70,6 @@ def _chain_rule_mod(sysr: RootSystem, p: int, count: int, rng):
     tau is (count, rank); entries maps A11 .. A<rank><rank> to its values,
     one column of `count`.
     """
-    rank = sysr.rank
     # z stands for one scale M, which every orbit of a supported system shares
     scale, orbits = orbit_rows(sysr.kind)
     # the metric weights are small integers (1 and 2)
@@ -83,9 +82,9 @@ def _chain_rule_mod(sysr: RootSystem, p: int, count: int, rng):
         tau.append(zu.sum(axis=1) % p)
         jac.append(zu @ ints % p)
     entries = {
-        f"A{i + 1}{k + 1}": (jac[i] * jac[k] % p) @ g % p * c % p
-        for i in range(rank)
-        for k in range(i, rank)
+        name: (jac[i] * jac[k] % p) @ g % p * c % p
+        for name, i, k, _ in table_slots(characteristic_vector(sysr))
+        if k is not None
     }
     return np.stack(tau, axis=1), entries
 
@@ -172,11 +171,6 @@ def _agrees(values: list | None, residues: list, p: int) -> bool:
     )
 
 
-def _table_order(cv, exps) -> list:
-    """exps in the tables' canonical (weighted degree, exponent) order."""
-    return sorted(exps, key=lambda e: (sum(c * x for c, x in zip(cv, e)), e))
-
-
 def _gauge(sysr: RootSystem, A) -> list[MultiPoly]:
     """B_1 .. B_rank of the metric rows A, each its terms in table order:
     B_i = -d_i^2 tau_i + 2 nu (sum_j d A_ij / d tau_j + d_i^2 tau_i)."""
@@ -186,7 +180,7 @@ def _gauge(sysr: RootSystem, A) -> list[MultiPoly]:
         d2_tau = MultiPoly.variable(rank, i + 1).scale(sysr.weight_lengths_sq[i])
         half_slope = sum((a.partial_derivative(j + 1) for j, a in enumerate(row)), d2_tau)
         b = half_slope.scale(2) * MultiPoly.constant(rank, NuLinear.of(0, 1)) - d2_tau
-        out.append(MultiPoly(rank, {e: b.terms[e] for e in _table_order(cv, b.terms)}))
+        out.append(MultiPoly(rank, {e: b.terms[e] for e in table_order(cv, b.terms)}))
     return out
 
 
@@ -200,11 +194,9 @@ def derive_operator(sysr: RootSystem) -> AlgebraicOperator:
         raise ValueError("derivation is limited to rank <= 2")
     rank = sysr.rank
     cv = characteristic_vector(sysr)
-    bounds = {
-        f"A{i + 1}{j + 1}": cv[i] + cv[j] for i in range(rank) for j in range(i, rank)
-    }
+    bounds = {name: bound for name, _, j, bound in table_slots(cv) if j is not None}
     bases = {
-        bound: _table_order(cv, weighted_monomials(cv, bound))
+        bound: table_order(cv, weighted_monomials(cv, bound))
         for bound in sorted(set(bounds.values()))
     }
     rng = np.random.default_rng(POINT_SEED)

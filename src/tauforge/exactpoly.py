@@ -209,7 +209,7 @@ class MultiPoly:
         """Max over terms of sum(cv_i * p_i); -inf for the zero polynomial."""
         if not self.terms:
             return float("-inf")
-        return max(sum(c * p for c, p in zip(cv, exp)) for exp in self.terms)
+        return max(grade(cv, exp) for exp in self.terms)
 
     # -- evaluation ----------------------------------------------------
 
@@ -257,13 +257,7 @@ class MultiPoly:
     # -- serialization --------------------------------------------------
 
     def canonical_terms(self, cv: Sequence[int]) -> list[dict]:
-        rows = []
-        for exp, coef in self.terms.items():
-            wd = sum(c * p for c, p in zip(cv, exp))
-            for nu_pow, val in ((0, coef.c0), (1, coef.c1)):
-                if val != 0:
-                    rows.append((wd, exp, nu_pow, val))
-        rows.sort(key=lambda r: (r[0], r[1], r[2]))
+        """The term rows in table order, a term's nu^0 part before its nu^1 part."""
         return [
             {
                 "num": str(val.numerator),
@@ -271,7 +265,9 @@ class MultiPoly:
                 "nu_pow": nu_pow,
                 "exp": list(exp),
             }
-            for _, exp, nu_pow, val in rows
+            for exp in table_order(cv, self.terms)
+            for nu_pow, val in enumerate((self.terms[exp].c0, self.terms[exp].c1))
+            if val != 0
         ]
 
     @staticmethod
@@ -369,10 +365,23 @@ def eval_compiled(terms, powers, tau):
     return 0 * tau[0] if total is None else total
 
 
+# -- the grading ---------------------------------------------------------
+
+
+def grade(cv: Sequence[int], exp: Sequence[int]) -> int:
+    """The weighted degree sum(cv_i p_i) of the monomial with exponents exp."""
+    return sum(c * e for c, e in zip(cv, exp))
+
+
+def table_order(cv: Sequence[int], exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """exps in the tables' canonical (weighted degree, exponent) order."""
+    return sorted(exps, key=lambda e: (grade(cv, e), e))
+
+
 def weighted_monomials(cv: Sequence[int], bound: int) -> list[tuple[int, ...]]:
-    """Every exponent tuple p with sum(cv_i p_i) <= bound, in lexicographic order."""
+    """Every exponent tuple p with grade(cv, p) <= bound, in lexicographic order."""
     return [
         p
         for p in product(*[range(bound // c + 1) for c in cv])
-        if sum(c * e for c, e in zip(cv, p)) <= bound
+        if grade(cv, p) <= bound
     ]

@@ -25,7 +25,7 @@ from itertools import groupby
 from math import lcm, prod
 from typing import Mapping
 
-from .exactpoly import ONE, ZERO, MultiPoly, NuLinear, weighted_monomials
+from .exactpoly import ONE, ZERO, MultiPoly, NuLinear, grade, weighted_monomials
 from .rootsys import (
     RootSystem,
     build_system,
@@ -61,6 +61,17 @@ class AlgebraicOperator:
 
     def b_entry(self, i: int) -> MultiPoly:
         return self.B[i - 1]
+
+
+def table_slots(cv) -> list[tuple[str, int, int | None, int]]:
+    """Each table entry as (id, i, j, bound), in table order: A's upper
+    triangle row by row, then B, with zero-based i, j and j None for B.
+    bound is the entry's weighted-degree bound, cv_i + cv_j for A_ij and
+    cv_i for B_i."""
+    rank = len(cv)
+    return [
+        (f"A{i + 1}{j + 1}", i, j, cv[i] + cv[j]) for i in range(rank) for j in range(i, rank)
+    ] + [(f"B{i + 1}", i, None, cv[i]) for i in range(rank)]
 
 
 def _entry_indices(which: str, rank: int) -> tuple[str, int, int | None]:
@@ -158,49 +169,39 @@ def stored_data_report(op: AlgebraicOperator) -> tuple[str, ...]:
     coefficient law A_ij -> -(w_i . w_j), and B_i(nu=0) = -d_i^2 tau_i.
     """
     sysr = op.system
-    cv = op.cv
     rank = op.rank
     out: list[str] = []
-    for i in range(rank):
-        for j in range(i, rank):
-            p = op.A[i][j]
-            if not p.is_nu_free():
-                out.append(f"A{i+1}{j+1}: nu-dependent coefficient")
-            over = _over_degree(p, cv, cv[i] + cv[j])
-            if over:
-                out.append(
-                    f"A{i+1}{j+1}: weighted degree {max(over.values())} > {cv[i] + cv[j]}"
-                )
-            lead_exp = tuple(
-                (2 if i == j else 1) if k in (i, j) else 0 for k in range(rank)
+    for name, i, j, bound in table_slots(op.cv):
+        p = op.B[i] if j is None else op.A[i][j]
+        if j is not None and not p.is_nu_free():
+            out.append(f"{name}: nu-dependent coefficient")
+        top = p.weighted_degree(op.cv)
+        if top > bound:
+            out.append(f"{name}: weighted degree {top} > {bound}")
+        if j is None:
+            nu0 = {e: c.c0 for e, c in p.terms.items() if c.c0 != 0}
+            unit = tuple(1 if k == i else 0 for k in range(rank))
+            if nu0 != {unit: -sysr.weight_lengths_sq[i]}:
+                out.append(f"{name}: nu=0 part is not -d_{i+1}^2 tau_{i+1}")
+            continue
+        lead_exp = tuple(
+            (2 if i == j else 1) if k in (i, j) else 0 for k in range(rank)
+        )
+        got = p.terms.get(lead_exp, NuLinear()).c0
+        want = -vdot(sysr.fundamental_weights[i], sysr.fundamental_weights[j])
+        if got != want:
+            out.append(
+                f"{name}: coefficient of tau_{i+1}tau_{j+1} is {got}, "
+                f"leading law needs {want}"
             )
-            got = p.terms.get(lead_exp, NuLinear()).c0
-            want = -vdot(sysr.fundamental_weights[i], sysr.fundamental_weights[j])
-            if got != want:
-                out.append(
-                    f"A{i+1}{j+1}: coefficient of tau_{i+1}tau_{j+1} is {got}, "
-                    f"leading law needs {want}"
-                )
-        b = op.B[i]
-        over = _over_degree(b, cv, cv[i])
-        if over:
-            out.append(f"B{i+1}: weighted degree {max(over.values())} > {cv[i]}")
-        nu0 = {e: c.c0 for e, c in b.terms.items() if c.c0 != 0}
-        unit = tuple(1 if k == i else 0 for k in range(rank))
-        d2 = sysr.weight_lengths_sq[i]
-        if nu0 != {unit: -d2}:
-            out.append(f"B{i+1}: nu=0 part is not -d_{i+1}^2 tau_{i+1}")
     return tuple(out)
 
 
 def table_entries(body: dict):
-    """(entry id, term rows) of a table-file body, in file order: the rows
-    of A's upper triangle, then B."""
-    for i, row in enumerate(body["A"]):
-        for j, rows in enumerate(row, start=i):
-            yield f"A{i + 1}{j + 1}", rows
-    for i, rows in enumerate(body["B"]):
-        yield f"B{i + 1}", rows
+    """(entry id, term rows) of a table-file body, in table order; each
+    row of the file's A holds A's upper triangle from the diagonal on."""
+    for name, i, j, _ in table_slots(body["charvec"]):
+        yield name, body["B"][i] if j is None else body["A"][i][j - i]
 
 
 @lru_cache(maxsize=None)
@@ -253,30 +254,17 @@ def apply(op: AlgebraicOperator, f: MultiPoly) -> MultiPoly:
     return out
 
 
-def _over_degree(poly: MultiPoly, cv, bound: int) -> dict:
-    """exponent -> weighted degree, for the terms of poly above bound."""
-    over = {}
-    for exp in poly.terms:
-        wd = sum(c * p for c, p in zip(cv, exp))
-        if wd > bound:
-            over[exp] = wd
-    return over
-
-
 def flag_degree_check(op: AlgebraicOperator) -> dict:
-    """Weighted-degree bounds on every table entry; equivalent to h(P_n) in P_n."""
-    cv = op.cv
-    rank = op.rank
-    bad = []
+    """Weighted-degree bounds on every table entry; equivalent to h(P_n) in P_n.
 
-    def check(entry, poly, bound):
-        for exp, wd in _over_degree(poly, cv, bound).items():
-            bad.append({"entry": entry, "exp": list(exp), "wdeg": wd, "bound": bound})
-
-    for i in range(rank):
-        for j in range(i, rank):
-            check(f"A{i+1}{j+1}", op.A[i][j], cv[i] + cv[j])
-        check(f"B{i+1}", op.B[i], cv[i])
+    Each term above its entry's bound is a violation, in table order.
+    """
+    bad = [
+        {"entry": name, "exp": list(exp), "wdeg": wd, "bound": bound}
+        for name, i, j, bound in table_slots(op.cv)
+        for exp in (op.B[i] if j is None else op.A[i][j]).terms
+        if (wd := grade(op.cv, exp)) > bound
+    ]
     return {"ok": not bad, "violations": bad}
 
 
@@ -335,20 +323,17 @@ def enumerate_flag_basis(kind: str, n: int) -> FlagBasis:
         for p in weighted_monomials(cv, n)
     }
 
-    def grade(p):
-        return sum(c * e for c, e in zip(cv, p))
-
     ordered: list[tuple[int, ...]] = []
     by_grade: dict[int, list] = {}
     for p in heights:
-        by_grade.setdefault(grade(p), []).append(p)
+        by_grade.setdefault(grade(cv, p), []).append(p)
     for g in sorted(by_grade):
         ordered.extend(_dominance_sorted(sorted(by_grade[g]), heights))
     return FlagBasis(
         n=n,
         cv=cv,
         monomials=tuple(ordered),
-        grades=tuple(grade(p) for p in ordered),
+        grades=tuple(grade(cv, p) for p in ordered),
     )
 
 
@@ -496,10 +481,9 @@ def _wp_lines(params: dict[str, Fraction]) -> list[tuple[int, MultiPoly]]:
             + c("d7_6") * t[2] * t[3],
         ),
     ]
-    cv = E7_CV
     for a, g in lines:
         for exp in g.terms:
-            if sum(c_ * e for c_, e in zip(cv, exp)) != cv[a - 1]:
+            if grade(E7_CV, exp) != E7_CV[a - 1]:
                 raise ValueError(f"line {a} correction is not grade homogeneous")
             if exp[a - 1]:
                 raise ValueError(f"line {a} correction involves tau_{a}")

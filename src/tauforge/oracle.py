@@ -39,7 +39,7 @@ from .exactpoly import (
     weighted_monomials,
 )
 from .fixedpoint import complex_qr_solve, qr_solve, to_fixed
-from .operator import AlgebraicOperator, _entry_indices
+from .operator import AlgebraicOperator, _entry_indices, table_slots
 from .rootsys import RootSystem, _read_only, build_system, deformed_weyl_vector, orbit_rows
 
 DEFAULT_NU_LIST = (Fraction(0), Fraction(1, 2), Fraction(5, 2))
@@ -431,12 +431,6 @@ def _geom_double(sysr: RootSystem, y_arr: np.ndarray, beta: float) -> NumericFra
     return NumericFrame(taus, jacs, laps, cotg)
 
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:
-    _mpz = int
-
-
 @dataclass(frozen=True)
 class _HpPlan:
     """The hp kernel's two-block split of the orbit rows, built once per system.
@@ -582,8 +576,8 @@ def _geom_hp(sysr: RootSystem, y, beta) -> NumericFrame:
     with mp.workprec(shift + 16):
         theta = [beta * yk / scale for yk in y]
         table = [mp.cos_sin(u * theta[k]) for k, u in plan.keys]
-    fixed = [[_mpz(to_fixed(v, shift)) for v in cs] for cs in table]
-    tab_c, tab_s = np.array(fixed + [[_mpz(1 << shift), _mpz(0)]], dtype=object).T
+    fixed = [[to_fixed(v, shift) for v in cs] for cs in table]
+    tab_c, tab_s = np.array(fixed + [[1 << shift, 0]], dtype=object).T
     tab_p, tab_m = tab_c + tab_s, tab_s - tab_c
     halves = []
     for factors in plan.factors:  # each half-row's factors, then 1s (see _HpPlan)
@@ -806,15 +800,15 @@ def verify_tables(
         nubs = [_param(nu, hp) for nu in nu_list]
         # A is nu-free and compiled at nu = 0; B once per nu of the list
         nu0 = mpf(0) if hp else 0.0
+        slots = table_slots(op.cv)
         checks = [
-            (("A", i, j), [(nu0, compile_poly(op.A[i][j], conv, nu0))])
-            for i in range(rank) for j in range(i, rank)
-        ] + [
             (("B", i, None), [(nub, compile_poly(op.B[i], conv, nub)) for nub in nubs])
-            for i in range(rank)
+            if j is None else
+            (("A", i, j), [(nu0, compile_poly(op.A[i][j], conv, nu0))])
+            for _, i, j, _ in slots
         ]
         top = top_exponents([terms for _, row in checks for _, terms in row], rank)
-        names = [f"A{i+1}{j+1}" if j is not None else f"B{i+1}" for (_, i, j), _ in checks]
+        names = [name for name, *_ in slots]
         worst = dict.fromkeys(names, 0.0)
         # the entry of each residual: A once, B once per nu
         checked = [name for name, (_, row) in zip(names, checks) for _ in row]

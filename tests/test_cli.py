@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -101,6 +102,22 @@ def test_reports_are_byte_identical_across_runs(capsys):
     _, first = run(capsys, "tau-eval", "--samples", "3", "--seed", "6")
     _, second = run(capsys, "tau-eval", "--samples", "3", "--seed", "6")
     assert first == second
+
+
+def test_a2_tau_eval_in_double_keeps_the_imaginary_parts(capsys):
+    # A2 lacks -1, so its orbit sums are complex; double prints them whole
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, double = run_json(capsys, "tau-eval", "--system", "A2", "--samples", "2")
+    _, hp = run_json(
+        capsys, "tau-eval", "--system", "A2", "--samples", "2", "--precision", "hp"
+    )
+    assert code == 0
+    for d, h in zip(double["result"]["points"], hp["result"]["points"], strict=True):
+        got = [complex(t) for t in d["tau"]]
+        want = [complex(t.replace(" ", "")) for t in h["tau"]]
+        assert all(abs(z.imag) > 1e-6 for z in got)
+        assert all(abs(z - w) < 1e-12 for z, w in zip(got, want, strict=True))
 
 
 def test_tau_eval_hp_carries_the_working_precision(capsys):

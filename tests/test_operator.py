@@ -27,8 +27,11 @@ from tauforge.operator import (
     operator_to_json,
     spectrum,
     stored_data_report,
+    table_entries,
+    table_slots,
     weighted_projective_check,
 )
+from tauforge.oracle import verify_tables
 from tauforge.rootsys import (
     build_system,
     characteristic_vector,
@@ -128,6 +131,43 @@ def test_degree_violations_name_each_entry_at_its_top_degree():
     assert sorted((v["entry"], v["wdeg"]) for v in over) == [
         ("A12", 6), ("A12", 8), ("B1", 4),
     ]
+
+
+def test_violations_follow_the_table_order_all_of_a_then_b():
+    # B1 comes after every A entry, so A22 is listed first
+    can = e7_operator("canonical")
+    a22 = can.A[1][1] + MultiPoly.variable(7, 7) ** 2
+    rows = [list(r) for r in can.A]
+    rows[1][1] = a22
+    b1 = can.B[0] + MultiPoly(7, {(0,) * 6 + (1,): NuLinear(0, 1)})
+    broken = replace(can, A=tuple(map(tuple, rows)), B=(b1,) + can.B[1:])
+    assert stored_data_report(broken) == (
+        "A22: weighted degree 8 > 4",
+        "B1: weighted degree 4 > 1",
+    )
+    over = flag_degree_check(broken)["violations"]
+    assert [(v["entry"], v["wdeg"], v["bound"]) for v in over] == [("A22", 8, 4), ("B1", 4, 1)]
+
+
+def test_e7_table_slots_are_a_row_by_row_then_b_with_their_bounds():
+    slots = table_slots(E7_CV)
+    want = [
+        (f"A{i + 1}{j + 1}", i, j, E7_CV[i] + E7_CV[j]) for i in range(7) for j in range(i, 7)
+    ] + [(f"B{i + 1}", i, None, E7_CV[i]) for i in range(7)]
+    assert len(slots) == 35 and slots == want
+    assert slots[:8] == [
+        ("A11", 0, 0, 2), ("A12", 0, 1, 3), ("A13", 0, 2, 3), ("A14", 0, 3, 3),
+        ("A15", 0, 4, 4), ("A16", 0, 5, 4), ("A17", 0, 6, 5), ("A22", 1, 1, 4),
+    ]
+    assert slots[27:] == [
+        ("A77", 6, 6, 8), ("B1", 0, None, 1), ("B2", 1, None, 2), ("B3", 2, None, 2),
+        ("B4", 3, None, 2), ("B5", 4, None, 3), ("B6", 5, None, 3), ("B7", 6, None, 4),
+    ]
+    ids = [name for name, *_ in slots]
+    raw = json.loads(operator._data_text("e7_operator_raw.json"))
+    assert [name for name, _ in table_entries(raw)] == ids
+    rep = verify_tables(e7_operator("raw"), samples=1)
+    assert [row["entry"] for row in rep["entries"]] == ids
 
 
 def test_flag_matrix_small():

@@ -467,15 +467,6 @@ def test_each_nonzero_gradient_entry_falls_in_exactly_one_group(kind):
         assert dict(got) == want
 
 
-def _random_ints(rng, size):
-    """size random Python ints of up to 320 bits, as an object array."""
-    return np.array(
-        [int(rng.integers(-3, 4)) * (1 << int(rng.integers(0, 320))) + int(rng.integers(-1000, 1000))
-         for _ in range(size)],
-        dtype=object,
-    )
-
-
 @pytest.mark.parametrize("kind", ["E7", "A1", "A2", "G2"])
 def test_grouped_gradient_sums_equal_the_row_matmul(kind):
     # sum_u g1[u1] g2[u2] and sum_u u_k g1[u1] g2[u2] per orbit, assembled
