@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -104,11 +103,10 @@ def test_reports_are_byte_identical_across_runs(capsys):
     assert first == second
 
 
+@pytest.mark.filterwarnings("error")
 def test_a2_tau_eval_in_double_keeps_the_imaginary_parts(capsys):
     # A2 lacks -1, so its orbit sums are complex; double prints them whole
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, double = run_json(capsys, "tau-eval", "--system", "A2", "--samples", "2")
+    code, double = run_json(capsys, "tau-eval", "--system", "A2", "--samples", "2")
     _, hp = run_json(
         capsys, "tau-eval", "--system", "A2", "--samples", "2", "--precision", "hp"
     )
