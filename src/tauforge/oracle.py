@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import fzero, ftwo, from_float, mpf_add, mpf_cos_sin, mpf_div, mpf_mul
 
 from .exactpoly import (
     _HP_DIGITS,
@@ -40,7 +41,14 @@ from .exactpoly import (
 )
 from .fixedpoint import complex_qr_solve, qr_solve, to_fixed
 from .operator import AlgebraicOperator, _entry_indices, table_slots
-from .rootsys import RootSystem, _read_only, build_system, deformed_weyl_vector, orbit_rows
+from .rootsys import (
+    RootSystem,
+    _read_only,
+    build_system,
+    characteristic_vector,
+    deformed_weyl_vector,
+    orbit_rows,
+)
 
 DEFAULT_NU_LIST = (Fraction(0), Fraction(1, 2), Fraction(5, 2))
 DEFAULT_BETA_LIST = (1.0,)
@@ -79,8 +87,8 @@ def hp_digits() -> int:
 # least FORK_MIN_DOUBLE_POINTS points.  On a 2-CPU x86-64 host a fork of a
 # warm E7 process costs 20-30 ms, copy-on-write faults included.  Timed in
 # one process on one CPU of that host, an E7 hp point (17,642 rows) costs
-# 12-23 ms as a refit frame at 70 digits, 15-24 ms in hp verify-tables and
-# 0.13-0.26 s in hp flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
+# 5.7-6.2 ms as a refit frame at 70 digits, 6.8-7.0 ms in hp verify-tables
+# and 0.13-0.26 s in hp flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
 # An E7 double point costs 0.8-1.5 ms in verify-tables and 2.6-3.5 ms in
 # flatness, so fit's 20-point screen and the default 10-point flatness
 # gain less than a fork costs; a ground-state residual costs 0.02-0.03 ms,
@@ -292,9 +300,11 @@ def _root_mp(kind: str, dps: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _root_support(kind: str) -> tuple:
-    """Per positive root, the indices of its nonzero y coordinates."""
-    return tuple(tuple(np.flatnonzero(r).tolist()) for r in _root_array(kind))
+def _root_terms(kind: str) -> tuple:
+    """Per positive root, (k, alpha_k) for its nonzero y coordinates, each
+    alpha_k as an exact _mpf_ tuple."""
+    return tuple(tuple((k, from_float(r[k])) for k in np.flatnonzero(r).tolist())
+                 for r in _root_array(kind).tolist())
 
 
 def _converter(hp: bool):
@@ -438,12 +448,18 @@ class _HpPlan:
     Rows u are the orbit vectors times `scale`; when `paired`, only rows whose
     first nonzero u_k is positive are kept, each standing for itself and -u.
     A kept row is (u1, u2), its first y_dim // 2 entries and the rest.
-    `factors` lists per half each distinct half-row's factors (k, u_k != 0)
-    as indices in `keys`, in k order and then len(keys), the factor 1, up to
-    one column more than the half has entries.  The rows run in (orbit, u1)
-    groups: group_u1 is each group's u1 (u1s its entries, as ints), rows_u2
-    each row's u2, and group_starts and orbit_starts say where each group's
-    rows and each orbit's groups start; w2 is each orbit's one sum_k g_k u_k^2.
+    `keys` are the factors (k, u_k != 0) in (k, u_k) order, and len(keys)
+    stands for the factor 1; `angles` are the distinct (k, |u_k|) and
+    key_angles each key's angle.  `tries` holds per half the prefix trie of
+    its distinct half-rows' factor chains, in k order, as (firsts, steps,
+    leaves): the level-1 nodes are the keys `firsts` (1 for an empty
+    half-row), each later level is a pair (parent, key) of arrays whose
+    node is its parent's value, in the level before, times its key, and
+    leaves gives each distinct half-row's final node, counting the nodes
+    level by level.  The rows run in (orbit, u1) groups: group_u1 is each
+    group's u1 (u1s its entries, as ints), rows_u2 each row's u2, and
+    group_starts and orbit_starts say where each group's rows and each
+    orbit's groups start; w2 is each orbit's one sum_k g_k u_k^2.
     grads[j] groups, for _grouped_sums, the rows whose second-half entry u_k,
     k = len(u1) + j, is nonzero by (group, u_k), indexed by their u2.
     """
@@ -451,7 +467,9 @@ class _HpPlan:
     scale: int
     paired: bool
     keys: tuple
-    factors: tuple
+    angles: tuple
+    key_angles: tuple
+    tries: tuple
     group_u1: np.ndarray
     u1s: np.ndarray
     rows_u2: np.ndarray
@@ -459,6 +477,23 @@ class _HpPlan:
     orbit_starts: np.ndarray
     w2: tuple
     grads: tuple
+
+
+def _build_trie(factors: np.ndarray, one: int) -> tuple:
+    """(firsts, steps, leaves) of _HpPlan.tries for rows of key indices,
+    each row's keys in k order and then `one`s; arrays read-only."""
+    firsts, node = np.unique(factors[:, 0], return_inverse=True)
+    leaves, steps, count = node.copy(), [], len(firsts)
+    for key in factors.T[1:]:
+        at = np.flatnonzero(key < one)  # rows whose chain goes on
+        if not len(at):
+            break
+        # a node is its (parent, key) pair; np.unique numbers them in order
+        codes, node[at] = np.unique(node[at] * (one + 1) + key[at], return_inverse=True)
+        steps.append(tuple(map(_read_only, divmod(codes, one + 1))))
+        leaves[at] = count + node[at]
+        count += len(codes)
+    return _read_only(firsts), tuple(steps), _read_only(leaves)
 
 
 def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
@@ -495,12 +530,15 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
     entry = np.arange(dim) * radix + bound + rows  # each u_k's factor (k, u_k) as a code
     # the distinct codes; np.unique without a return_* flag would import numpy.ma (1.2 MiB)
     used = np.flatnonzero(np.bincount(entry[rows != 0]))
-    keys = tuple((int(c) // radix, int(c) % radix - bound) for c in used)
-    one, factors = len(used), []  # `one` is the table index of the factor 1
+    ks, us = np.divmod(used, radix)
+    us -= bound
+    keys = tuple(zip(ks.tolist(), us.tolist()))
+    angles, key_angles = np.unique(ks * radix + np.abs(us), return_inverse=True)
+    one, tries = len(used), []  # `one` is the table index of the factor 1
     for at, ks in ((at1, slice(0, split)), (at2, slice(split, dim))):
         f = np.where(rows[at, ks] != 0, np.searchsorted(used, entry[at, ks]), one)
         # keys sort by k, so a sorted row lists its factors in k order, then 1s
-        factors.append(_read_only(np.sort(np.column_stack([f, np.full(len(at), one)]), axis=1)))
+        tries.append(_build_trie(np.sort(np.column_stack([f, np.full(len(at), one)]), axis=1), one))
     # each (orbit, u1) group is a run of the sorted rows
     codes, group_starts, group = np.unique(orbit * len(at1) + u1, True, True)
     grads = []
@@ -515,8 +553,10 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
     u1s = rows[group_starts, :split].astype(object)
     orbit_starts = np.flatnonzero(np.diff(codes // len(at1), prepend=-1))
     arrays = codes % len(at1), u1s, u2, group_starts, orbit_starts
+    angles = tuple(divmod(c, radix) for c in angles.tolist())
     return _HpPlan(
-        scale, paired, keys, tuple(factors), *map(_read_only, arrays), tuple(w2s), tuple(grads)
+        scale, paired, keys, angles, tuple(key_angles.tolist()), tuple(tries),
+        *map(_read_only, arrays), tuple(w2s), tuple(grads),
     )
 
 
@@ -560,14 +600,20 @@ def _geom_hp(sysr: RootSystem, y, beta) -> NumericFrame:
 
     Phase factors e^{i beta u.y / M} are products of per-coordinate roots
     e^{i beta y_k / M} raised to small integer powers, in integer arithmetic
-    with 64 guard bits.  A row u = (u1, u2) (see _HpPlan) has the factor
-    g1[u1] g2[u2], and each half-row's product is formed once, its factors
-    multiplied in k order and each step rounded (_trie_step, on the tables c,
-    s, c + s and s - c).  Per (orbit, u1) group the g2, and the u_k g2 of each
-    second-half k, are summed exactly; tau, J = sum_u u_k f(u) and the
-    Laplacian w2 tau are exact sums of g1 times those sums, at scale
-    2^(2 shift), each rounded once into mpf.  For systems containing -1 the
-    row of -u is the conjugate of the row of u, so half-orbit sums double.
+    with 64 guard bits.  The table of factors takes one mp.cos_sin per (k,
+    |u_k|): cos and sin of -x are cos x and -sin x bit for bit, as mpmath
+    flips the sine's sign before it rounds.  A row u = (u1, u2) (see
+    _HpPlan) has the factor g1[u1] g2[u2], and each half-row's product is
+    its trie's final node: each node is formed once, its parent times its
+    factor rounded (_trie_step, on the tables c, s, c + s and s - c), so a
+    half-row's factors are multiplied in k order and each step rounded.
+    Per (orbit, u1) group the g2, and the u_k g2 of each second-half k, are
+    summed exactly; tau, J = sum_u u_k f(u) and the Laplacian w2 tau are
+    exact sums of g1 times those sums, at scale 2^(2 shift), each rounded
+    once into mpf.  For systems containing -1 the row of -u is the
+    conjugate of the row of u, so half-orbit sums double.  The cotangent
+    sum runs the mpf operations of (beta / 2) cot(beta alpha.y / 2) alpha
+    as libmp calls on _mpf_ tuples, in the same order and rounding.
     """
     dim = sysr.y_dim
     plan = _hp_plan(sysr.kind)
@@ -575,18 +621,23 @@ def _geom_hp(sysr: RootSystem, y, beta) -> NumericFrame:
     shift = mp.prec + 64
     with mp.workprec(shift + 16):
         theta = [beta * yk / scale for yk in y]
-        table = [mp.cos_sin(u * theta[k]) for k, u in plan.keys]
+        cos_sin = [mp.cos_sin(u * theta[k]) for k, u in plan.angles]
+        # -s is exact at this precision, and to_fixed(-s) can differ from
+        # -to_fixed(s) at a rounding tie
+        table = [(c, -s) if u < 0 else (c, s)
+                 for (_, u), (c, s) in zip(plan.keys, map(cos_sin.__getitem__, plan.key_angles))]
     fixed = [[to_fixed(v, shift) for v in cs] for cs in table]
     tab_c, tab_s = np.array(fixed + [[1 << shift, 0]], dtype=object).T
     tab_p, tab_m = tab_c + tab_s, tab_s - tab_c
     halves = []
-    for factors in plan.factors:  # each half-row's factors, then 1s (see _HpPlan)
-        fc, fs = tab_c[factors[:, 0]], tab_s[factors[:, 0]]
-        for key in factors.T[1:]:
-            at = np.flatnonzero(key < len(plan.keys))
-            k = key[at]
-            fc[at], fs[at] = _trie_step(fc[at], fs[at], tab_c[k], tab_p[k], tab_m[k], shift)
-        halves.append((fc, fs))
+    for firsts, steps, leaves in plan.tries:  # per half, level by level (see _HpPlan)
+        nc, ns = [tab_c[firsts]], [tab_s[firsts]]
+        for parent, key in steps:
+            c, s = _trie_step(nc[-1][parent], ns[-1][parent], tab_c[key], tab_p[key], tab_m[key],
+                              shift)
+            nc.append(c)
+            ns.append(s)
+        halves.append((np.concatenate(nc)[leaves], np.concatenate(ns)[leaves]))
     (g1c, g1s), (g2c, g2s) = halves
     a_c, a_s = g1c[plan.group_u1], g1s[plan.group_u1]
     b_c, b_s = (np.add.reduceat(g[plan.rows_u2], plan.group_starts) for g in (g2c, g2s))
@@ -611,13 +662,19 @@ def _geom_hp(sysr: RootSystem, y, beta) -> NumericFrame:
             jacs.append([-beta * to_mpf(s, scale) + 1j * beta * to_mpf(c, scale)
                          for s, c in zip(jac_s[a], jac_c[a])])
             laps.append(-(beta**2) * cplx(w2 * tau_c, w2 * tau_s, scale**2))
-    cotg = [mpf(0)] * dim
-    for r, nz in zip(_root_mp(sysr.kind, mp.dps), _root_support(sysr.kind)):
-        c, s = mp.cos_sin(beta * sum(r[k] * y[k] for k in nz) / 2)
-        ct = (beta / 2) * c / s
-        for k in nz:
-            cotg[k] += ct * r[k]
-    return NumericFrame(taus, jacs, laps, cotg)
+    prec, rnd = mp._prec_rounding
+    b, ys = beta._mpf_, [v._mpf_ for v in y]
+    half_b = mpf_div(b, ftwo, prec, rnd)
+    cotg = [fzero] * dim
+    for terms in _root_terms(sysr.kind):
+        x = fzero  # sum() starts from 0
+        for k, r in terms:
+            x = mpf_add(x, mpf_mul(r, ys[k], prec, rnd), prec, rnd)
+        c, s = mpf_cos_sin(mpf_div(mpf_mul(b, x, prec, rnd), ftwo, prec, rnd), prec, rnd)
+        ct = mpf_div(mpf_mul(half_b, c, prec, rnd), s, prec, rnd)
+        for k, r in terms:
+            cotg[k] = mpf_add(cotg[k], mpf_mul(ct, r, prec, rnd), prec, rnd)
+    return NumericFrame(taus, jacs, laps, [mp.make_mpf(v) for v in cotg])
 
 
 def build_frame(sysr: RootSystem, point: SamplePoint) -> NumericFrame:
@@ -644,13 +701,13 @@ def chain_rule_oracle(sysr: RootSystem, point: SamplePoint, nu):
     nu = _param(nu, hp)
     rank = sysr.rank
     A = [[None] * rank for _ in range(rank)]
-    for i in range(rank):
-        for j in range(i, rank):
+    B = [None] * rank
+    for _, i, j, _ in table_slots(characteristic_vector(sysr)):
+        if j is None:
+            base, slope = _oracle_ab(frame, gw, b2, ("B", i, None))
+            B[i] = base + nu * slope
+        else:
             A[i][j] = A[j][i] = _oracle_ab(frame, gw, b2, ("A", i, j))
-    B = []
-    for i in range(rank):
-        base, slope = _oracle_ab(frame, gw, b2, ("B", i, None))
-        B.append(base + nu * slope)
     return A, B
 
 
@@ -865,7 +922,8 @@ def _fit_plan(op: AlgebraicOperator, which: str):
     nu^1 part, so frames = ceil(rows / 2).
     """
     kind_, i, j = _entry_indices(which, op.rank)
-    bound = op.cv[i] + op.cv[j] if kind_ == "A" else op.cv[i]
+    slot = (i, j) if j is None else tuple(sorted((i, j)))  # A71 is A17
+    bound = next(b for _, *ij, b in table_slots(op.cv) if tuple(ij) == slot)
     basis = weighted_monomials(op.cv, bound)
     rows = 2 * len(basis) + 8
     return kind_, i, j, basis, rows if kind_ == "A" else (rows + 1) // 2

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -14,10 +16,16 @@ from mpmath import qr_solve as mp_qr_solve
 from tauforge import oracle
 from tauforge.cli import SYSTEMS
 from tauforge.derive import derive_operator
-from tauforge.exactpoly import MultiPoly, compile_poly, eval_compiled, top_exponents
+from tauforge.exactpoly import (
+    MultiPoly,
+    compile_poly,
+    eval_compiled,
+    top_exponents,
+    weighted_monomials,
+)
 from tauforge.geometry import sabotaged
 from tauforge.fixedpoint import complex_qr_solve, qr_solve, to_fixed
-from tauforge.operator import build_operator, e7_operator
+from tauforge.operator import build_operator, e7_operator, table_slots
 from tauforge.oracle import (
     CancellationError,
     ClearanceError,
@@ -303,21 +311,36 @@ def test_hp_kernel_matches_the_stack_walk_at_ten_e7_points(dps):
             assert [repr(v) for v in got] == [repr(v) for v in want], (dps, i)
 
 
-# sha256 of repr(tuple(_geom_hp(E7, y, 1))) at the first seed-23 hp sample point,
-# recorded from the kernel that multiplied out every orbit element in full
-# (no pairing, no shared prefixes); the fixed-point products must not change.
-@pytest.mark.parametrize(
-    "dps,digest",
-    [
-        (50, "daed92e3536aaaf6810bdd321de90637f47703bba3a7b92e1d0d6826a1201a0d"),
-        (70, "2d12a0f64f6252201792fe08dbbb53598c04f0dcd223d4f8b720bedf61996645"),
-    ],
-)
-def test_hp_kernel_golden_bits(dps, digest):
+# sha256 of repr(tuple(_geom_hp(sysr, y, beta))) at the first seed-23 hp sample
+# point of each (kind, dps, beta).  The E7 rows at beta 1 and 50 and 70 digits
+# were recorded from the kernel that multiplied out every orbit element in
+# full (no pairing, no shared prefixes), the others from the two-block split
+# kernel; the fixed-point products must not change.
+GOLDEN_HP = {
+    ("E7", 50, "1"): "daed92e3536aaaf6810bdd321de90637f47703bba3a7b92e1d0d6826a1201a0d",
+    ("E7", 70, "1"): "2d12a0f64f6252201792fe08dbbb53598c04f0dcd223d4f8b720bedf61996645",
+    ("E7", 90, "1"): "b2d5e895b446dfcc76152c0459b499b483e0ef9a4d8d245378e9ef9bff9fab91",
+    ("E7", 50, "1.3"): "82a691ae3ca612dbad3bb69a00df5048c0cf2337acad14f888cbbb3d0e428b99",
+    ("A2", 50, "1"): "eeea3feec66c4e2a680e376762686627eafe3e45cd45e44eb100169863a2c46c",
+}
+
+
+def _golden_hp_id(value):
+    """An E7 row at beta 1 reads as its dps alone, as it did before kind and beta."""
+    if isinstance(value, tuple):
+        kind, dps, beta = value
+        return str(dps) if (kind, beta) == ("E7", "1") else f"{kind}-{dps}-beta{beta}"
+    return value
+
+
+@pytest.mark.parametrize("key,digest", GOLDEN_HP.items(), ids=_golden_hp_id)
+def test_hp_kernel_golden_bits(key, digest):
     # sample_points rounds hp coordinates at 50 digits by default
+    kind, dps, beta = key
+    sysr = build_system(kind)
     with mp.workdps(dps):
-        y = sample_points(E7, 1, seed=23, precision="hp")[0].y
-        frame = tuple(_geom_hp(E7, y, mp.mpf(1)))
+        y = sample_points(sysr, 1, seed=23, precision="hp")[0].y
+        frame = tuple(_geom_hp(sysr, y, mp.mpf(beta)))
         got = hashlib.sha256(repr(frame).encode()).hexdigest()
     assert got == digest
 
@@ -362,20 +385,26 @@ def test_hp_plan_rejects_rows_whose_codes_overflow_int64():
 
 
 def _half_rows(plan):
-    """Per half, its distinct half-rows u1 or u2, rebuilt from their factors."""
+    """Per half, its distinct half-rows u1 or u2, rebuilt from their tries."""
     widths = plan.u1s.shape[1], len(plan.grads)
+    one = len(plan.keys)
     halves = []
-    for factors, k0, width in zip(plan.factors, (0, widths[0]), widths):
-        assert factors.shape[1] == width + 1
+    for (firsts, steps, leaves), k0, width in zip(plan.tries, (0, widths[0]), widths):
+        # each node's factors: a level-1 node's key (none for the factor 1),
+        # a later one's parent's factors and then its key
+        level = [[] if f == one else [f] for f in firsts.tolist()]
+        chains = list(level)
+        for parent, key in steps:
+            assert all(k < one for k in key.tolist())
+            level = [level[p] + [k] for p, k in zip(parent.tolist(), key.tolist())]
+            chains += level
+        assert len(set(map(tuple, chains))) == len(chains)  # each prefix is one node
         rows = []
-        for f in factors.tolist():
-            # the factors (k, u_k) in k order, then the factor 1, len(keys)
-            n = sum(i < len(plan.keys) for i in f)
-            assert f[n:] == [len(plan.keys)] * (width + 1 - n)
-            ks = [plan.keys[i][0] for i in f[:n]]
+        for f in (chains[i] for i in leaves.tolist()):
+            ks = [plan.keys[i][0] for i in f]
             assert ks == sorted(set(ks)) and all(k0 <= k < k0 + width for k in ks)
             u = [0] * width
-            for i in f[:n]:
+            for i in f:
                 k, x = plan.keys[i]
                 u[k - k0] = x
             rows.append(u)
@@ -399,7 +428,7 @@ def _plan_rows(plan):
 def test_e7_hp_plan_puts_each_kept_row_in_one_orbit_u1_group():
     plan = _hp_plan("E7")
     assert plan.paired and plan.scale == 2 and plan.u1s.shape[1] == 3
-    assert [len(f) for f in plan.factors] == [170, 1_301]
+    assert [len(leaves) for _, _, leaves in plan.tries] == [170, 1_301]
     assert len(plan.group_starts) == 409
     assert _kept_sizes(plan) == [28, 63, 288, 378, 1008, 2016, 5040]
     rows = _plan_rows(plan)
@@ -419,6 +448,42 @@ def test_e7_hp_plan_puts_each_kept_row_in_one_orbit_u1_group():
         assert len(set(got)) == len(got)
         assert set(got) == {tuple(u) for u in m.tolist() if next(x for x in u if x) > 0}
         assert {sum(g * x * x for g, x in zip(gws, u)) for u in m.tolist()} == {w2}
+
+
+def test_an_e7_hp_frame_computes_each_value_once(monkeypatch):
+    # the tries step each distinct prefix of a half-row's factor chain once,
+    # where a chain per half-row steps all but its first factor
+    plan = _hp_plan("E7")
+    assert [sum(len(key) for _, key in steps) for _, steps, _ in plan.tries] == [176, 1_380]
+    chains = sum(max(sum(map(bool, u)) - 1, 0) for half in _half_rows(plan) for u in half)
+    assert chains == 284 + 3_152
+    steps, calls = [], []
+    step, cos_sin = oracle._trie_step, mp.cos_sin
+    monkeypatch.setattr(oracle, "_trie_step", lambda pc, *a: steps.append(len(pc)) or step(pc, *a))
+    monkeypatch.setattr(mp, "cos_sin", lambda x: calls.append(x) or cos_sin(x))
+    with mp.workdps(50):
+        y = sample_points(E7, 1, seed=23, precision="hp")[0].y
+        _geom_hp(E7, y, mpf(1))
+    assert sum(steps) == 1_556
+    # one mp.cos_sin per (k, |u_k|) of the 74 table keys
+    assert len(calls) == len(plan.angles) == 40 and len(plan.keys) == 74
+    # 3 integer products per step, 4 per (orbit, u1) group for sum f(u) and 2
+    # per group and second-half coordinate for J
+    groups = len(plan.group_starts)
+    assembly = 4 * groups + 2 * groups * len(plan.grads)
+    assert 3 * sum(steps) + assembly == 9_576
+    assert 3 * chains + assembly == 15_216
+
+
+def test_the_e7_hp_plan_builds_without_numpy_ma():
+    # a fresh process, as this one may hold numpy.ma already: a flag-free
+    # np.unique imports it, at about 1.2 MiB of peak
+    script = "import sys\nfrom tauforge.oracle import _hp_plan\n_hp_plan('E7')\nprint('numpy.ma' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 _SIGNED_400 = st.integers(-(1 << 400) + 1, (1 << 400) - 1)
@@ -476,7 +541,7 @@ def test_grouped_gradient_sums_equal_the_row_matmul(kind):
     rng = np.random.default_rng(19)
     orbit_sums = lambda v: np.add.reduceat(v, plan.orbit_starts, axis=0)
     for _ in range(2):
-        g1, g2 = (_random_ints(rng, len(f)) for f in plan.factors)
+        g1, g2 = (_random_ints(rng, len(leaves)) for _, _, leaves in plan.tries)
         a = g1[plan.group_u1]
         f = a * np.add.reduceat(g2[plan.rows_u2], plan.group_starts)
         h = [_grouped_sums(group, g2, len(a)) for group in plan.grads]
@@ -585,6 +650,16 @@ def test_pool_frames_are_build_frame_frames_at_a_non_dyadic_beta(kind):
                             precision="hp", digits=pool.dps)
         assert pool.beta == mpf("1.3")
         assert pool.frames == [build_frame(sysr, pt) for pt in pts]
+
+
+def test_the_fit_plan_reads_each_bound_from_the_table_slots():
+    # A71 and A17 are one entry, with one bound cv_1 + cv_7
+    op = e7_operator("raw")
+    for name, _, j, bound in table_slots(op.cv):
+        kind_, *_, basis, frames = _fit_plan(op, name)
+        assert basis == weighted_monomials(op.cv, bound)
+        assert frames == (2 * len(basis) + 8 if j is not None else len(basis) + 4)
+    assert _fit_plan(op, "A71")[3:] == _fit_plan(op, "A17")[3:]
 
 
 def test_fit_rejects_an_undersized_pool():

@@ -257,7 +257,9 @@ def test_cached_arrays_are_read_only(kind):
     cached += [oracle._root_array(kind), sysr.root_halves]
     plan = oracle._hp_plan(kind)
     arrays = [plan.group_u1, plan.u1s, plan.rows_u2, plan.group_starts, plan.orbit_starts]
-    arrays += list(plan.factors) + [arr for group in plan.grads for arr in group]
+    for firsts, steps, leaves in plan.tries:
+        arrays += [firsts, leaves] + [arr for step in steps for arr in step]
+    arrays += [arr for group in plan.grads for arr in group]
     assert not any(arr.flags.writeable for arr in arrays)
     # A1's u1s, of its empty first half, has no [0]
     cached += [arr for arr in arrays if arr.size]
