@@ -480,8 +480,10 @@ class _HpPlan:
 
 
 def _build_trie(factors: np.ndarray, one: int) -> tuple:
-    """(firsts, steps, leaves) of _HpPlan.tries for rows of key indices,
-    each row's keys in k order and then `one`s; arrays read-only."""
+    """(firsts, steps, leaves) of _HpPlan.tries, arrays read-only, for rows
+    of key indices with `one` in place of each missing factor."""
+    # keys sort by k, so a sorted row lists its factors in k order, then 1s
+    factors = np.sort(np.column_stack([factors, np.full(len(factors), one)]), axis=1)
     firsts, node = np.unique(factors[:, 0], return_inverse=True)
     leaves, steps, count = node.copy(), [], len(firsts)
     for key in factors.T[1:]:
@@ -537,8 +539,7 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
     one, tries = len(used), []  # `one` is the table index of the factor 1
     for at, ks in ((at1, slice(0, split)), (at2, slice(split, dim))):
         f = np.where(rows[at, ks] != 0, np.searchsorted(used, entry[at, ks]), one)
-        # keys sort by k, so a sorted row lists its factors in k order, then 1s
-        tries.append(_build_trie(np.sort(np.column_stack([f, np.full(len(at), one)]), axis=1), one))
+        tries.append(_build_trie(f, one))
     # each (orbit, u1) group is a run of the sorted rows
     codes, group_starts, group = np.unique(orbit * len(at1) + u1, True, True)
     grads = []
