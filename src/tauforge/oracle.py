@@ -532,10 +532,11 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
     entry = np.arange(dim) * radix + bound + rows  # each u_k's factor (k, u_k) as a code
     # the distinct codes; np.unique without a return_* flag would import numpy.ma (1.2 MiB)
     used = np.flatnonzero(np.bincount(entry[rows != 0]))
-    ks, us = np.divmod(used, radix)
-    us -= bound
-    keys = tuple(zip(ks.tolist(), us.tolist()))
-    angles, key_angles = np.unique(ks * radix + np.abs(us), return_inverse=True)
+    key_k, key_u = np.divmod(used, radix)
+    key_u -= bound
+    keys = tuple(zip(key_k.tolist(), key_u.tolist()))
+    angle_codes, key_angles = np.unique(key_k * radix + np.abs(key_u), return_inverse=True)
+    angles = tuple(divmod(c, radix) for c in angle_codes.tolist())
     one, tries = len(used), []  # `one` is the table index of the factor 1
     for at, ks in ((at1, slice(0, split)), (at2, slice(split, dim))):
         f = np.where(rows[at, ks] != 0, np.searchsorted(used, entry[at, ks]), one)
@@ -554,7 +555,6 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
     u1s = rows[group_starts, :split].astype(object)
     orbit_starts = np.flatnonzero(np.diff(codes // len(at1), prepend=-1))
     arrays = codes % len(at1), u1s, u2, group_starts, orbit_starts
-    angles = tuple(divmod(c, radix) for c in angles.tolist())
     return _HpPlan(
         scale, paired, keys, angles, tuple(key_angles.tolist()), tuple(tries),
         *map(_read_only, arrays), tuple(w2s), tuple(grads),
@@ -626,7 +626,7 @@ def _geom_hp(sysr: RootSystem, y, beta) -> NumericFrame:
         # -s is exact at this precision, and to_fixed(-s) can differ from
         # -to_fixed(s) at a rounding tie
         table = [(c, -s) if u < 0 else (c, s)
-                 for (_, u), (c, s) in zip(plan.keys, map(cos_sin.__getitem__, plan.key_angles))]
+                 for (_, u), (c, s) in zip(plan.keys, (cos_sin[a] for a in plan.key_angles))]
     fixed = [[to_fixed(v, shift) for v in cs] for cs in table]
     tab_c, tab_s = np.array(fixed + [[1 << shift, 0]], dtype=object).T
     tab_p, tab_m = tab_c + tab_s, tab_s - tab_c
@@ -923,8 +923,8 @@ def _fit_plan(op: AlgebraicOperator, which: str):
     nu^1 part, so frames = ceil(rows / 2).
     """
     kind_, i, j = _entry_indices(which, op.rank)
-    slot = (i, j) if j is None else tuple(sorted((i, j)))  # A71 is A17
-    bound = next(b for _, *ij, b in table_slots(op.cv) if tuple(ij) == slot)
+    # the slot of A71 is A17's
+    bound = next(b for _, si, sj, b in table_slots(op.cv) if {si, sj} == {i, j})
     basis = weighted_monomials(op.cv, bound)
     rows = 2 * len(basis) + 8
     return kind_, i, j, basis, rows if kind_ == "A" else (rows + 1) // 2
