@@ -452,11 +452,11 @@ class _HpPlan:
     stands for the factor 1; `angles` are the distinct (k, |u_k|) and
     key_angles each key's angle.  `tries` holds per half the prefix trie of
     its distinct half-rows' factor chains, in k order, as (firsts, steps,
-    leaves): the level-1 nodes are the keys `firsts` (1 for an empty
-    half-row), each later level is a pair (parent, key) of arrays whose
-    node is its parent's value, in the level before, times its key, and
-    leaves gives each distinct half-row's final node, counting the nodes
-    level by level.  The rows run in (orbit, u1) groups: group_u1 is each
+    leaves): the level-1 nodes are the keys `firsts` (len(keys) for an
+    empty half-row), each later level is a pair of arrays (parent, key),
+    each node its parent in the level before times its key, and leaves
+    gives each distinct half-row's final node, counting the nodes level
+    by level.  The rows run in (orbit, u1) groups: group_u1 is each
     group's u1 (u1s its entries, as ints), rows_u2 each row's u2, and
     group_starts and orbit_starts say where each group's rows and each
     orbit's groups start; w2 is each orbit's one sum_k g_k u_k^2.
