@@ -478,7 +478,8 @@ def test_an_e7_hp_frame_computes_each_value_once(monkeypatch):
 def test_the_e7_hp_plan_builds_without_numpy_ma():
     # a fresh process, as this one may hold numpy.ma already: a flag-free
     # np.unique imports it, at about 1.2 MiB of peak
-    script = "import sys\nfrom tauforge.oracle import _hp_plan\n_hp_plan('E7')\nprint('numpy.ma' in sys.modules)"
+    script = ("import sys\nfrom tauforge.oracle import _hp_plan\n_hp_plan('E7')\n"
+              "print('numpy.ma' in sys.modules)")
     src = os.path.dirname(os.path.dirname(oracle.__file__))
     proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
@@ -656,7 +657,7 @@ def test_the_fit_plan_reads_each_bound_from_the_table_slots():
     # A71 and A17 are one entry, with one bound cv_1 + cv_7
     op = e7_operator("raw")
     for name, _, j, bound in table_slots(op.cv):
-        kind_, *_, basis, frames = _fit_plan(op, name)
+        *_, basis, frames = _fit_plan(op, name)
         assert basis == weighted_monomials(op.cv, bound)
         assert frames == (2 * len(basis) + 8 if j is not None else len(basis) + 4)
     assert _fit_plan(op, "A71")[3:] == _fit_plan(op, "A17")[3:]
