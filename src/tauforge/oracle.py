@@ -87,7 +87,7 @@ def hp_digits() -> int:
 # least FORK_MIN_DOUBLE_POINTS points.  On a 2-CPU x86-64 host a fork of a
 # warm E7 process costs 20-30 ms, copy-on-write faults included.  Timed in
 # one process on one CPU of that host, an E7 hp point (17,642 rows) costs
-# 5.7-6.2 ms as a refit frame at 70 digits, 6.8-7.0 ms in hp verify-tables
+# 4.2-4.8 ms as a refit frame at 70 digits, 5.3-6.2 ms in hp verify-tables
 # and 0.13-0.26 s in hp flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
 # An E7 double point costs 0.8-1.5 ms in verify-tables and 2.6-3.5 ms in
 # flatness, so fit's 20-point screen and the default 10-point flatness
@@ -457,11 +457,14 @@ class _HpPlan:
     each node its parent in the level before times its key, and leaves
     gives each distinct half-row's final node, counting the nodes level
     by level.  The rows run in (orbit, u1) groups: group_u1 is each
-    group's u1 (u1s its entries, as ints), rows_u2 each row's u2, and
-    group_starts and orbit_starts say where each group's rows and each
-    orbit's groups start; w2 is each orbit's one sum_k g_k u_k^2.
-    grads[j] groups, for _grouped_sums, the rows whose second-half entry u_k,
-    k = len(u1) + j, is nonzero by (group, u_k), indexed by their u2.
+    group's u1 (u1s its entries, as ints) and orbit_starts says where each
+    orbit's groups start; w2 is each orbit's one sum_k g_k u_k^2.  Groups
+    holding the same u2 rows share one set, whose sums a frame forms once:
+    group_set is each group's set, rows_u2 the u2 of each set's rows, set by
+    set, and set_starts where each set starts (E7: 409 groups of 8,821 rows
+    share 56 sets of 1,495).  grads[j] groups, for _grouped_sums, the set
+    rows whose second-half entry u_k, k = len(u1) + j, is nonzero by (set,
+    u_k), indexed by their u2.
     """
 
     scale: int
@@ -472,8 +475,9 @@ class _HpPlan:
     tries: tuple
     group_u1: np.ndarray
     u1s: np.ndarray
+    group_set: np.ndarray
     rows_u2: np.ndarray
-    group_starts: np.ndarray
+    set_starts: np.ndarray
     orbit_starts: np.ndarray
     w2: tuple
     grads: tuple
@@ -541,20 +545,28 @@ def _build_hp_plan(scale: int, orbits, gws, paired: bool) -> _HpPlan:
     for at, ks in ((at1, slice(0, split)), (at2, slice(split, dim))):
         f = np.where(rows[at, ks] != 0, np.searchsorted(used, entry[at, ks]), one)
         tries.append(_build_trie(f, one))
-    # each (orbit, u1) group is a run of the sorted rows
-    codes, group_starts, group = np.unique(orbit * len(at1) + u1, True, True)
+    # each (orbit, u1) group is a run of the sorted rows, its u2 sorted
+    codes, group_starts = np.unique(orbit * len(at1) + u1, return_index=True)
+    sets = {}  # a group's u2 list, as bytes -> the index of its set
+    group_set = [sets.setdefault(u2[a:b].tobytes(), len(sets))
+                 for a, b in zip(group_starts.tolist(), group_starts[1:].tolist() + [len(rows)])]
+    set_u2 = [np.frombuffer(key, u2.dtype) for key in sets]
+    rows_u2 = np.concatenate(set_u2)
+    row_set = np.repeat(np.arange(len(sets)), list(map(len, set_u2)))
+    set_rows = rows[at2[rows_u2]]  # a row of each set row's u2, for its second-half entries
     grads = []
     for k in range(split, dim):
-        nz = np.flatnonzero(rows[:, k])
-        code = group[nz] * radix + bound + rows[nz, k]
+        nz = np.flatnonzero(set_rows[:, k])
+        code = row_set[nz] * radix + bound + set_rows[nz, k]
         order = np.argsort(code, kind="stable")
         code, starts = np.unique(code[order], return_index=True)
-        groups, firsts = np.unique(code // radix, return_index=True)
+        by_set, set_firsts = np.unique(code // radix, return_index=True)
         values = (code % radix - bound).astype(object)
-        grads.append(tuple(map(_read_only, (u2[nz[order]], starts, values, groups, firsts))))
+        grads.append(tuple(map(_read_only, (rows_u2[nz[order]], starts, values, by_set, set_firsts))))
     u1s = rows[group_starts, :split].astype(object)
     orbit_starts = np.flatnonzero(np.diff(codes // len(at1), prepend=-1))
-    arrays = codes % len(at1), u1s, u2, group_starts, orbit_starts
+    set_starts = np.flatnonzero(np.diff(row_set, prepend=-1))
+    arrays = codes % len(at1), u1s, np.array(group_set), rows_u2, set_starts, orbit_starts
     return _HpPlan(
         scale, paired, keys, angles, tuple(key_angles.tolist()), tuple(tries),
         *map(_read_only, arrays), tuple(w2s), tuple(grads),
@@ -588,12 +600,27 @@ def _trie_step(pc, ps, c, c_plus_s, s_minus_c, shift: int):
 
 
 def _grouped_sums(group, f: np.ndarray, size: int) -> np.ndarray:
-    """The exact sums sum_i value_i f[index_i] per group, for one `grads` entry."""
-    index, starts, values, groups, group_starts = group
+    """The exact sums sum_i value_i f[index_i] per u2 row set (`size` of them),
+    for one `grads` entry."""
+    index, starts, values, sets, set_starts = group
     sums = np.zeros(size, dtype=object)
     by_value = np.add.reduceat(f[index], starts) * values
-    sums[groups] = np.add.reduceat(by_value, group_starts)
+    sums[sets] = np.add.reduceat(by_value, set_starts)
     return sums
+
+
+def _factor_table(plan: _HpPlan, y, beta, shift: int) -> np.ndarray:
+    """(c, s): per key (k, u_k) of the plan, and last for the factor 1, the
+    cos and sin of beta u_k y_k / scale as to_fixed integers at `shift`."""
+    with mp.workprec(shift + 16):
+        theta = [beta * yk / plan.scale for yk in y]
+        cos_sin = [mp.cos_sin(u * theta[k]) for k, u in plan.angles]
+        # -s is exact at this precision, and to_fixed(-s) can differ from
+        # -to_fixed(s) at a rounding tie
+        table = [(c, -s) if u < 0 else (c, s)
+                 for (_, u), (c, s) in zip(plan.keys, (cos_sin[a] for a in plan.key_angles))]
+    fixed = [[to_fixed(v, shift) for v in cs] for cs in table]
+    return np.array(fixed + [[1 << shift, 0]], dtype=object).T
 
 
 def _geom_hp(sysr: RootSystem, y, beta) -> NumericFrame:
@@ -608,27 +635,20 @@ def _geom_hp(sysr: RootSystem, y, beta) -> NumericFrame:
     its trie's final node: each node is formed once, its parent times its
     factor rounded (_trie_step, on the tables c, s, c + s and s - c), so a
     half-row's factors are multiplied in k order and each step rounded.
-    Per (orbit, u1) group the g2, and the u_k g2 of each second-half k, are
-    summed exactly; tau, J = sum_u u_k f(u) and the Laplacian w2 tau are
-    exact sums of g1 times those sums, at scale 2^(2 shift), each rounded
-    once into mpf.  For systems containing -1 the row of -u is the
-    conjugate of the row of u, so half-orbit sums double.  The cotangent
-    sum runs the mpf operations of (beta / 2) cot(beta alpha.y / 2) alpha
-    as libmp calls on _mpf_ tuples, in the same order and rounding.
+    The g2, and the u_k g2 of each second-half k, are summed exactly once
+    per u2 row set and read per (orbit, u1) group through group_set; tau,
+    J = sum_u u_k f(u) and the Laplacian w2 tau are exact sums of g1 times
+    those sums, at scale 2^(2 shift), each rounded once into mpf.  For
+    systems containing -1 the row of -u is the conjugate of the row of u,
+    so half-orbit sums double.  The cotangent sum runs the mpf operations
+    of (beta / 2) cot(beta alpha.y / 2) alpha as libmp calls on _mpf_
+    tuples, in the same order and rounding.
     """
     dim = sysr.y_dim
     plan = _hp_plan(sysr.kind)
     scale = plan.scale
     shift = mp.prec + 64
-    with mp.workprec(shift + 16):
-        theta = [beta * yk / scale for yk in y]
-        cos_sin = [mp.cos_sin(u * theta[k]) for k, u in plan.angles]
-        # -s is exact at this precision, and to_fixed(-s) can differ from
-        # -to_fixed(s) at a rounding tie
-        table = [(c, -s) if u < 0 else (c, s)
-                 for (_, u), (c, s) in zip(plan.keys, (cos_sin[a] for a in plan.key_angles))]
-    fixed = [[to_fixed(v, shift) for v in cs] for cs in table]
-    tab_c, tab_s = np.array(fixed + [[1 << shift, 0]], dtype=object).T
+    tab_c, tab_s = _factor_table(plan, y, beta, shift)
     tab_p, tab_m = tab_c + tab_s, tab_s - tab_c
     halves = []
     for firsts, steps, leaves in plan.tries:  # per half, level by level (see _HpPlan)
@@ -641,10 +661,12 @@ def _geom_hp(sysr: RootSystem, y, beta) -> NumericFrame:
         halves.append((np.concatenate(nc)[leaves], np.concatenate(ns)[leaves]))
     (g1c, g1s), (g2c, g2s) = halves
     a_c, a_s = g1c[plan.group_u1], g1s[plan.group_u1]
-    b_c, b_s = (np.add.reduceat(g[plan.rows_u2], plan.group_starts) for g in (g2c, g2s))
+    sets = plan.group_set
+    b_c, b_s = (np.add.reduceat(g[plan.rows_u2], plan.set_starts)[sets] for g in (g2c, g2s))
     f_c, f_s = a_c * b_c - a_s * b_s, a_c * b_s + a_s * b_c  # per group, sum of f(u)
     orbit_sums = lambda v: np.add.reduceat(v, plan.orbit_starts, axis=0)
-    h = [[_grouped_sums(group, g, len(a_c)) for g in (g2c, g2s)] for group in plan.grads]
+    h = [[_grouped_sums(group, g, len(plan.set_starts))[sets] for g in (g2c, g2s)]
+         for group in plan.grads]
     # J per orbit and k: a first-half u_k is constant on a group
     jac_s = orbit_sums(np.column_stack([f_s[:, None] * plan.u1s] + [
         a_c * h_s + a_s * h_c for h_c, h_s in h]))

@@ -347,8 +347,8 @@ def test_hp_kernel_golden_bits(key, digest):
 
 def _kept_sizes(plan):
     """The number of kept rows of each orbit."""
-    group_rows = np.diff(np.append(plan.group_starts, len(plan.rows_u2)))
-    return np.add.reduceat(group_rows, plan.orbit_starts).tolist()
+    set_rows = np.diff(np.append(plan.set_starts, len(plan.rows_u2)))
+    return np.add.reduceat(set_rows[plan.group_set], plan.orbit_starts).tolist()
 
 
 def test_hp_plan_rejects_an_orbit_not_closed_under_negation():
@@ -412,24 +412,26 @@ def _half_rows(plan):
     return halves
 
 
+def _group_u2(plan):
+    """Per kept row in plan order, (group, u2): each group's set's rows in turn."""
+    ends = np.append(plan.set_starts[1:], len(plan.rows_u2))
+    return [(g, i) for g, s in enumerate(plan.group_set.tolist())
+            for i in plan.rows_u2[plan.set_starts[s]:ends[s]].tolist()]
+
+
 def _plan_rows(plan):
     """Per kept row in plan order, (orbit, group, the row u rebuilt from (u1, u2))."""
-    group_rows = np.diff(np.append(plan.group_starts, len(plan.rows_u2)))
-    groups = np.repeat(np.arange(len(plan.group_starts)), group_rows)
-    orbit_groups = np.diff(np.append(plan.orbit_starts, len(plan.group_starts)))
+    orbit_groups = np.diff(np.append(plan.orbit_starts, len(plan.group_set)))
     orbit_of_group = np.repeat(np.arange(len(plan.orbit_starts)), orbit_groups)
     u1, u2 = _half_rows(plan)
-    return [
-        (int(orbit_of_group[g]), int(g), u1[plan.group_u1[g]] + u2[i])
-        for g, i in zip(groups.tolist(), plan.rows_u2.tolist())
-    ]
+    return [(int(orbit_of_group[g]), g, u1[plan.group_u1[g]] + u2[i]) for g, i in _group_u2(plan)]
 
 
 def test_e7_hp_plan_puts_each_kept_row_in_one_orbit_u1_group():
     plan = _hp_plan("E7")
     assert plan.paired and plan.scale == 2 and plan.u1s.shape[1] == 3
     assert [len(leaves) for _, _, leaves in plan.tries] == [170, 1_301]
-    assert len(plan.group_starts) == 409
+    assert len(plan.group_set) == 409
     assert _kept_sizes(plan) == [28, 63, 288, 378, 1008, 2016, 5040]
     rows = _plan_rows(plan)
     assert len(rows) == 8_821
@@ -469,10 +471,43 @@ def test_an_e7_hp_frame_computes_each_value_once(monkeypatch):
     assert len(calls) == len(plan.angles) == 40 and len(plan.keys) == 74
     # 3 integer products per step, 4 per (orbit, u1) group for sum f(u) and 2
     # per group and second-half coordinate for J
-    groups = len(plan.group_starts)
+    groups = len(plan.group_set)
     assembly = 4 * groups + 2 * groups * len(plan.grads)
     assert 3 * sum(steps) + assembly == 9_576
     assert 3 * chains + assembly == 15_216
+
+
+def test_the_hp_plan_sums_each_distinct_u2_row_set_once():
+    # the 409 E7 groups hold 56 distinct u2 row lists: a frame sums 1,495 set
+    # rows, not 8,821, and gathers 5,014 weighted entries, not 28,876
+    plan = _hp_plan("E7")
+    ends = np.append(plan.set_starts[1:], len(plan.rows_u2))
+    sets = [tuple(plan.rows_u2[a:b].tolist()) for a, b in zip(plan.set_starts, ends)]
+    assert len(sets) == len(set(sets)) == 56 and len(plan.rows_u2) == 1_495
+    assert all(list(u) == sorted(set(u)) for u in sets)
+    assert sorted(set(plan.group_set.tolist())) == list(range(56))
+    assert sum(len(sets[s]) for s in plan.group_set.tolist()) == 8_821
+    assert [len(index) for index, *_ in plan.grads] == [1_279, 1_279, 1_279, 1_177]
+    # the small systems share no set, and run the same code
+    for kind, groups in (("A1", 1), ("A2", 4), ("G2", 4)):
+        plan = _hp_plan(kind)
+        assert plan.group_set.tolist() == list(range(groups)) == list(range(len(plan.set_starts)))
+
+
+def test_the_factor_table_negates_a_sine_tie_before_it_rounds(monkeypatch):
+    # every cos and sin sits on a tie of 2^-shift: to_fixed rounds half up,
+    # so a key with u_k < 0 takes to_fixed(-s) = -m, where -to_fixed(s) is
+    # -(m + 1)
+    plan, m = _hp_plan("E7"), 12_345
+    with mp.workdps(50):
+        shift = mp.prec + 64
+        tie = lambda x: (mp.ldexp(mpf(2 * m + 1), -shift - 1),) * 2
+        monkeypatch.setattr(mp, "cos_sin", tie)
+        tab_c, tab_s = oracle._factor_table(plan, [mpf(1)] * E7.y_dim, mpf(1), shift)
+    signs = [u > 0 for _, u in plan.keys]
+    assert not all(signs) and any(signs)
+    assert tab_c.tolist() == [m + 1] * len(signs) + [1 << shift]
+    assert tab_s.tolist() == [m + 1 if pos else -m for pos in signs] + [0]
 
 
 def test_the_e7_hp_plan_builds_without_numpy_ma():
@@ -521,16 +556,20 @@ def test_each_nonzero_gradient_entry_falls_in_exactly_one_group(kind):
     rows = _plan_rows(plan)
     assert split == dim // 2 and len(plan.grads) == dim - split
     assert all(u[:split] == plan.u1s[g].tolist() for _, g, u in rows)
-    for k, (index, starts, values, groups, group_starts) in enumerate(plan.grads, split):
-        want = {(g, i): u[k] for (_, g, u), i in zip(rows, plan.rows_u2.tolist()) if u[k]}
-        group_ends = np.append(starts[1:], len(index))
-        group_of = np.repeat(groups, np.diff(np.append(group_starts, len(starts))))
+    groups_of = [np.flatnonzero(plan.group_set == s).tolist() for s in range(len(plan.set_starts))]
+    for k, (index, starts, values, sets, set_starts) in enumerate(plan.grads, split):
+        want = {(g, i): u[k] for (_, g, u), (_, i) in zip(rows, _group_u2(plan)) if u[k]}
+        value_ends = np.append(starts[1:], len(index))
+        set_of = np.repeat(sets, np.diff(np.append(set_starts, len(starts))))
         got = []
-        for lo, hi, value, g in zip(starts, group_ends, values, group_of):
+        for lo, hi, value, s in zip(starts, value_ends, values, set_of):
             assert lo < hi and value != 0
-            got += [((int(g), i), value) for i in index[lo:hi].tolist()]
-        assert len(got) == len(want) == len(dict(got))
-        assert dict(got) == want
+            got += [((int(s), i), value) for i in index[lo:hi].tolist()]
+        assert len(got) == len(dict(got))
+        # a set's entries, read by each group of the set
+        by_group = [((g, i), value) for (s, i), value in got for g in groups_of[s]]
+        assert len(by_group) == len(want) == len(dict(by_group))
+        assert dict(by_group) == want
 
 
 @pytest.mark.parametrize("kind", ["E7", "A1", "A2", "G2"])
@@ -544,11 +583,11 @@ def test_grouped_gradient_sums_equal_the_row_matmul(kind):
     for _ in range(2):
         g1, g2 = (_random_ints(rng, len(leaves)) for _, _, leaves in plan.tries)
         a = g1[plan.group_u1]
-        f = a * np.add.reduceat(g2[plan.rows_u2], plan.group_starts)
-        h = [_grouped_sums(group, g2, len(a)) for group in plan.grads]
+        f = a * np.add.reduceat(g2[plan.rows_u2], plan.set_starts)[plan.group_set]
+        h = [_grouped_sums(group, g2, len(plan.set_starts))[plan.group_set] for group in plan.grads]
         got = orbit_sums(np.column_stack([f, f[:, None] * plan.u1s] + [a * x for x in h]))
         for orbit, row in enumerate(got):
-            kept = [(g, i, u) for (b, g, u), i in zip(rows, plan.rows_u2) if b == orbit]
+            kept = [(g, i, u) for (b, g, u), (_, i) in zip(rows, _group_u2(plan)) if b == orbit]
             x = np.array([g1[plan.group_u1[g]] * g2[i] for g, i, _ in kept], dtype=object)
             U = np.array([[1] + u for _, _, u in kept], dtype=object)
             assert row.tolist() == (x @ U).tolist()

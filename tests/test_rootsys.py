@@ -256,7 +256,8 @@ def test_cached_arrays_are_read_only(kind):
     cached += list(oracle._orbit_arrays(kind)) + list(oracle._orbit_w2(kind))
     cached += [oracle._root_array(kind), sysr.root_halves]
     plan = oracle._hp_plan(kind)
-    arrays = [plan.group_u1, plan.u1s, plan.rows_u2, plan.group_starts, plan.orbit_starts]
+    arrays = [plan.group_u1, plan.u1s, plan.group_set, plan.rows_u2, plan.set_starts,
+              plan.orbit_starts]
     for firsts, steps, leaves in plan.tries:
         arrays += [firsts, leaves] + [arr for step in steps for arr in step]
     arrays += [arr for group in plan.grads for arr in group]
