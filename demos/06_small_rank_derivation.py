@@ -2,14 +2,15 @@
 Deriving the operator from scratch at small rank
 ================================================
 
-For rank <= 2 the whole construction is derived from the orbit integers:
-evaluate the orbit sums and their gradients at random points over finite
-fields, solve for each metric entry A_ij's coefficients, and rebuild the
-rationals by CRT and rational reconstruction, confirmed at a fresh
-prime.  Each B_i is then the exact gauge of A, the ground state's
-transform of the Laplace-Beltrami operator of the flat metric A.  This
-independently reproduces the published A1 form, and the numeric oracle,
-which reads B through the ground state's cotangent sums, checks B apart.
+For rank <= 2 the whole construction is derived from the orbit integers.
+Each metric entry A_ij is a Weyl-invariant exponential sum, fixed by its
+coefficients at the dominant weights; those of the monomials in the
+orbit sums are unitriangular in the dominance order, so exact back
+substitution gives A_ij's polynomial with no sample point or prime.
+Each B_i is then the exact gauge of A, the ground state's transform of
+the Laplace-Beltrami operator of the flat metric A.  This independently
+reproduces the published A1 form, and the numeric oracle, which reads B
+through the ground state's cotangent sums, checks B apart.
 """
 
 from tauforge.derive import derive_operator

@@ -647,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of entries, or 'discrepant'")
     p.set_defaults(handler=_cmd_fit)
 
-    p = sub.add_parser("derive", help="small-rank derivation by evaluation mod p")
+    p = sub.add_parser("derive", help="small-rank derivation by exact Weyl orbit sums")
     _add_common(p, seed=77, tol=1e-10, beta=None)
     p.set_defaults(handler=_cmd_derive)
 

@@ -4,7 +4,7 @@ import pytest
 
 from tauforge import derive
 from tauforge.derive import derive_operator
-from tauforge.exactpoly import MultiPoly, NuLinear, weighted_monomials
+from tauforge.exactpoly import MultiPoly, NuLinear
 from tauforge.operator import build_operator, e7_operator, operator_to_json
 from tauforge.oracle import verify_tables
 from tauforge.rootsys import build_system
@@ -101,44 +101,27 @@ def test_reloaded_tables_give_the_same_report_bits(kind, precision):
     )
 
 
-def test_a_residue_corrupted_at_the_check_prime_is_refused(monkeypatch):
-    # rank-2 coefficients reconstruct from the first prime, so the second
-    # is the check prime; a wrong residue there is never confirmed
-    solve = derive._solve_prime
-
-    def corrupted(sysr, p, *args):
-        solved = solve(sysr, p, *args)
-        if p == derive.PRIMES[1]:
-            solved["A12"][0] = (solved["A12"][0] + 1) % p
-        return solved
-
-    monkeypatch.setattr(derive, "_solve_prime", corrupted)
-    with pytest.raises(ValueError, match="^A12: no rational reconstruction is confirmed"):
-        derive_operator(G2)
-
-
-@pytest.mark.parametrize("kind", ["A1", "G2"])
+@pytest.mark.parametrize("kind", ["A1", "A2", "G2"])
 def test_a_basis_one_grade_too_small_is_refused(kind, monkeypatch):
+    slots = derive.table_slots
     monkeypatch.setattr(
-        derive, "weighted_monomials", lambda cv, bound: weighted_monomials(cv, bound - 1)
+        derive, "table_slots", lambda cv: [(n, i, j, b - 1) for n, i, j, b in slots(cv)]
     )
-    with pytest.raises(ValueError, match="no polynomial of weighted degree"):
+    with pytest.raises(ValueError, match="^A11: no polynomial of weighted degree <= 1"):
         derive_operator(build_system(kind))
 
 
-def test_a_rank_deficient_system_draws_more_points(monkeypatch):
-    solve = derive._gauss_jordan
-    rows = []
-
-    def deficient_once(values, rhs, p):
-        rows.append(len(values))
-        return (None, None) if len(rows) == 1 else solve(values, rhs, p)
-
-    monkeypatch.setattr(derive, "_gauss_jordan", deficient_once)
-    op = derive_operator(A1)
-    assert operator_to_json(op)["checksum"] == DERIVED_CHECKSUMS["A1"]
-    # A1's largest basis is 1, tau, tau^2
-    assert rows[:2] == [3 + derive.EXTRA_POINTS, 6 + derive.EXTRA_POINTS]
+def test_e7_leading_a_entries_are_canonical():
+    # past the rank guard.  A1, A2 and G2 list roots that are positive for
+    # their simple roots, E7 does not: only E7 tells a height read off the
+    # listed roots apart from the pairing with rho = sum_a w_a
+    e7 = build_system("E7")
+    canonical = e7_operator("canonical")
+    algebra = derive._OrbitAlgebra(e7)
+    for name, i, j, bound in derive.table_slots(algebra.cv)[:2]:
+        assert list(algebra.a_entry(name, i, j, bound).terms.items()) == list(
+            canonical.a_entry(i + 1, j + 1).terms.items()
+        )
 
 
 def _nu_parts(poly):
