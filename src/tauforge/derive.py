@@ -42,23 +42,15 @@ class _OrbitAlgebra:
 
     def __init__(self, sysr: RootSystem):
         self.cv = characteristic_vector(sysr)
-        self.scale, orbits = orbit_rows(sysr.kind)
-        self.metric = tuple(int(g) for g in sysr.metric_weights)
+        # the simple roots, metric and Dynkin labels of sysr.ints share the
+        # orbit rows' y coordinates and scale
+        self.roots = sysr.ints
+        _, orbits = orbit_rows(sysr.kind)
         self.orbits = [[tuple(u) for u in ints.tolist()] for ints in orbits]
-        self.simple = [tuple(int(c * self.scale) for c in sysr.y_rep(a))
-                       for a in sysr.simple_roots]
-        self.norms = [self.dot(s, s) for s in self.simple]
         self._dom = {}
         self.tops = [self.dom(rows[0]) for rows in self.orbits]
         self.rho = tuple(map(sum, zip(*self.tops)))
         self._powers = {(0,) * len(self.cv): {(0,) * len(self.rho): 1}}
-
-    def dot(self, u: tuple, v: tuple) -> int:
-        return sum(g * a * b for g, a, b in zip(self.metric, u, v))
-
-    def labels(self, u: tuple) -> tuple[int, ...]:
-        """Dynkin labels 2 (u, s_i) / (s_i, s_i) of the row u."""
-        return tuple(2 * self.dot(u, s) // n for s, n in zip(self.simple, self.norms))
 
     def dom(self, u: tuple) -> tuple:
         """The dominant row of u's orbit: u reflected at its first negative
@@ -66,7 +58,8 @@ class _OrbitAlgebra:
         d = self._dom.get(u)
         if d is None:
             d = u
-            while neg := [(l, s) for l, s in zip(self.labels(d), self.simple) if l < 0]:
+            while neg := [(l, s) for l, s in zip(self.roots.labels(d), self.roots.simple_roots)
+                          if l < 0]:
                 l, s = neg[0]
                 d = tuple(x - l * y for x, y in zip(d, s))
             self._dom[u] = d
@@ -92,13 +85,13 @@ class _OrbitAlgebra:
         rest = {}
         for lam in {self.dom(tuple(map(add, self.tops[a], v))) for v in orbit}:
             if c := -sum(
-                self.dot(u, v) for v in orbit if (u := tuple(map(sub, lam, v))) in members
+                self.roots.dot(u, v) for v in orbit if (u := tuple(map(sub, lam, v))) in members
             ):
-                rest[lam] = Fraction(c, self.scale**2)
+                rest[lam] = Fraction(c, self.roots.scale**2)
         terms = {}
         while rest:
-            lam = max(rest, key=lambda mu: self.dot(mu, self.rho))
-            p = self.labels(lam)
+            lam = max(rest, key=lambda mu: self.roots.dot(mu, self.rho))
+            p = self.roots.labels(lam)
             if grade(self.cv, p) > bound:
                 raise ValueError(f"{name}: no polynomial of weighted degree <= {bound} "
                                  f"holds its leading monomial tau^{p}")

@@ -23,16 +23,11 @@ from functools import lru_cache
 from importlib import resources
 from itertools import groupby
 from math import lcm, prod
+from operator import add
 from typing import Mapping
 
-from .exactpoly import ONE, ZERO, MultiPoly, NuLinear, grade, weighted_monomials
-from .rootsys import (
-    RootSystem,
-    build_system,
-    characteristic_vector,
-    integer_weight_coords,
-    vdot,
-)
+from .exactpoly import ZERO, MultiPoly, NuDegreeError, NuLinear, grade, weighted_monomials
+from .rootsys import RootSystem, build_system, characteristic_vector, integer_weight_coords
 
 E7_CV = (1, 2, 2, 2, 3, 3, 4)
 
@@ -169,6 +164,7 @@ def stored_data_report(op: AlgebraicOperator) -> tuple[str, ...]:
     coefficient law A_ij -> -(w_i . w_j), and B_i(nu=0) = -d_i^2 tau_i.
     """
     sysr = op.system
+    ints = sysr.ints
     rank = op.rank
     out: list[str] = []
     for name, i, j, bound in table_slots(op.cv):
@@ -188,7 +184,7 @@ def stored_data_report(op: AlgebraicOperator) -> tuple[str, ...]:
             (2 if i == j else 1) if k in (i, j) else 0 for k in range(rank)
         )
         got = p.terms.get(lead_exp, NuLinear()).c0
-        want = -vdot(sysr.fundamental_weights[i], sysr.fundamental_weights[j])
+        want = -Fraction(ints.dot(ints.weights[i], ints.weights[j]), ints.scale**2)
         if got != want:
             out.append(
                 f"{name}: coefficient of tau_{i+1}tau_{j+1} is {got}, "
@@ -338,12 +334,38 @@ def enumerate_flag_basis(kind: str, n: int) -> FlagBasis:
 
 
 def _flag_images(op: AlgebraicOperator, basis: FlagBasis) -> list[MultiPoly]:
-    """h applied to each basis monomial, in basis order.
+    """h applied to each basis monomial, in basis order: apply's results in integers.
 
-    An image may leave P_n; _flag_columns rejects any term outside the
-    basis, and flag-check reports the images' weighted degrees.
+    A term of entry (i, j) becomes (shift, a0, a1): its exponent minus 1_i
+    and 1_j, and D times its nu^0 and nu^1 coefficients, D the lcm of all
+    their denominators.  The image of tau^p gains m (a0, a1) at p + shift,
+    m = p_i for B_i, p_i (p_i - 1) for A_ii and 2 p_i p_j for A_ij, i < j;
+    each sum is divided by D once.  An image may leave P_n; _flag_columns
+    rejects a term outside the basis, and flag-check reports the degrees.
     """
-    return [apply(op, MultiPoly(op.rank, {p: ONE})) for p in basis.monomials]
+    slots = [(i, j, op.B[i] if j is None else op.A[i][j]) for _, i, j, _ in table_slots(op.cv)]
+    den = lcm(*(c.denominator for *_, p in slots for t in p.terms.values() for c in (t.c0, t.c1)))
+    entries = [(i, j, [
+        (tuple(e - (k == i) - (k == j) for k, e in enumerate(x)), int(t.c0 * den), int(t.c1 * den))
+        for x, t in p.terms.items()
+    ]) for i, j, p in slots]
+
+    # NuLinear is immutable, so one object serves every equal coefficient
+    @lru_cache(maxsize=None)
+    def coef(s0: int, s1: int) -> NuLinear:
+        return NuLinear(Fraction(s0, den), Fraction(s1, den))
+
+    images = []
+    for p in basis.monomials:
+        acc: dict[tuple[int, ...], list[int]] = {}
+        for i, j, terms in entries:
+            m = p[i] if j is None else p[i] * (p[i] - 1) if i == j else 2 * p[i] * p[j]
+            for shift, a0, a1 in terms if m else ():
+                s = acc.setdefault(tuple(map(add, p, shift)), [0, 0])
+                s[0] += m * a0
+                s[1] += m * a1
+        images.append(MultiPoly._of(op.rank, {e: coef(*s) for e, s in acc.items()}))
+    return images
 
 
 def _flag_columns(basis: FlagBasis, images: list[MultiPoly]) -> list[dict[int, NuLinear]]:
@@ -495,14 +517,29 @@ def _line_matrix(basis: FlagBasis, images: list[MultiPoly]) -> list[dict[int, Nu
 
     The image of p is the image of p / tau_k times images[k-1], tau_k the
     last variable in p: p / tau_k is in P_n and of lower grade, so it comes
-    earlier in the basis.  Raises if an image leaves P_n.
+    earlier in the basis.  Each image is held as integer numerators over
+    one denominator, the product of its factors' lcms, and is reduced
+    once.  Raises if an image leaves P_n, NuDegreeError if one has nu.
     """
+    if not all(img.is_nu_free() for img in images):
+        raise NuDegreeError("substitution images must be nu-free")
+    dens = [lcm(*(t.c0.denominator for t in img.terms.values())) for img in images]
+    factors = [({e: int(t.c0 * d) for e, t in g.terms.items()}, d) for g, d in zip(images, dens)]
     one, *rest = basis.monomials
-    image = {one: MultiPoly.constant(len(one), 1)}
+    image = {one: ({one: 1}, 1)}
     for p in rest:
         k = max(i for i, e in enumerate(p) if e)
-        image[p] = image[p[:k] + (p[k] - 1,) + p[k + 1:]] * images[k]
-    return _flag_columns(basis, list(image.values()))
+        (f, fd), (g, gd) = image[p[:k] + (p[k] - 1,) + p[k + 1:]], factors[k]
+        acc: dict[tuple[int, ...], int] = {}
+        for e1, c1 in f.items():
+            for e2, c2 in g.items():
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        image[p] = ({e: c for e, c in acc.items() if c}, fd * gd)
+    return _flag_columns(basis, [
+        MultiPoly._of(len(one), {e: NuLinear(Fraction(c, d)) for e, c in f.items()})
+        for f, d in image.values()
+    ])
 
 
 def exact_det(mat: list[list[Fraction]]) -> Fraction:

@@ -2,17 +2,22 @@
 
 E7 is realized in 8 coordinates on the hyperplane x7 = -x8; the small
 systems A1, A2, G2 live in their usual 2- and 3-coordinate ambient
-spaces.  Roots and weights are exact (tuples of Fraction), so dominance
-tests need no tolerances.  All of a system's Weyl orbits are walked at
-once in int64 layers of Dynkin labels, and each is kept as one read-only
-integer array.  numpy is imported only where an array is built, so the
-exact algebra (systems, dominance, characteristic vectors) runs without it.
+spaces.  Each system is built once in integers (`IntegerRoots`: roots
+and weights times 2 for E7, 3 for A2, in the y coordinates), where E7's
+certification and simple roots, the highest root, the characteristic
+vector and the integer weight coordinates are computed, so dominance
+tests need no tolerances.  The `RootSystem` fields hold the same vectors
+as exact tuples of Fraction; `dominance_leq` and `simple_root_coords`
+compute on those and are the tests' references.  All of a system's
+Weyl orbits are walked at once in int64 layers of Dynkin labels, and
+each is kept as one read-only integer array.  numpy is imported only
+where an array is built, so the exact algebra runs without it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -22,12 +27,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 Vec = tuple[Fraction, ...]
-
-HALF = Fraction(1, 2)
-
-
-def vec(*coords) -> Vec:
-    return tuple(Fraction(c) for c in coords)
+Row = tuple[int, ...]
 
 
 def vdot(u: Vec, v: Vec) -> Fraction:
@@ -57,6 +57,61 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     """a, made read-only: cached arrays are shared by every later caller."""
     a.flags.writeable = False
     return a
+
+
+def _solve(m: list[list[int]], rhs: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(d, x) with m x = d rhs and d = |det m| > 0, for a nonsingular integer m,
+    by fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
+    each division by the previous pivot is exact, so x is an integer matrix."""
+    n = len(m)
+    a = [list(r) + list(b) for r, b in zip(m, rhs)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            raise ValueError("singular Gram matrix")
+        a[k], a[piv] = a[piv], a[k]
+        p = a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
+
+@dataclass(frozen=True)
+class IntegerRoots:
+    """A system's roots and weights in the y coordinates times `scale`, as
+    ints, the orbit rows' scale; `dot` is scale^2 times the exact pairing."""
+
+    scale: int
+    metric: Row
+    positive_roots: tuple[Row, ...]
+    simple_roots: tuple[Row, ...]
+    weights: tuple[Row, ...]
+
+    def dot(self, u: Row, v: Row) -> int:
+        return sum(g * a * b for g, a, b in zip(self.metric, u, v))
+
+    @cached_property
+    def norms(self) -> Row:
+        return tuple(self.dot(s, s) for s in self.simple_roots)
+
+    def labels(self, u: Row) -> Row:
+        """Dynkin labels 2 (u, alpha_i) / (alpha_i, alpha_i) of a weight-lattice row u."""
+        return tuple(2 * self.dot(u, s) // n for s, n in zip(self.simple_roots, self.norms))
+
+    @cached_property
+    def highest_root(self) -> tuple[int, int]:
+        """(sign, k): sign times positive root k is the highest root, the
+        longest dominant root (G2's other one is the highest short root)."""
+        return max(
+            ((sign, k) for k, r in enumerate(self.positive_roots) for sign in (1, -1)
+             if all(sign * self.dot(r, s) >= 0 for s in self.simple_roots)),
+            key=lambda c: self.dot(self.positive_roots[c[1]], self.positive_roots[c[1]]),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +149,8 @@ class RootSystem:
     weight_lengths_sq: tuple[Fraction, ...]
     metric_weights: tuple[Fraction, ...]
     has_minus_one: bool
+    # the same roots and weights in integers, where the exact algebra runs
+    ints: IntegerRoots = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -130,70 +187,84 @@ class RootSystem:
         )
 
 
-def _e7_positive_roots() -> list[Vec]:
-    zero = Fraction(0)
-    one = Fraction(1)
-    roots: list[Vec] = []
-    for i in range(1, 6):
-        for j in range(i):
-            for sj in (one, -one):
-                r = [zero] * 8
-                r[i] = one
-                r[j] = sj
-                roots.append(tuple(r))
-    roots.append(vec(0, 0, 0, 0, 0, 0, 1, -1))
-    for signs in product((HALF, -HALF), repeat=6):
-        if sum(1 for s in signs if s > 0) % 2 == 1:
-            roots.append(signs + (HALF, -HALF))
-    return roots
+def _e7_positive_roots() -> list[Row]:
+    """The 63 positive roots of E7 in the 8 ambient coordinates, times 2."""
+    roots = [tuple(2 * (k == i) + 2 * s * (k == j) for k in range(8))
+             for i in range(1, 6) for j in range(i) for s in (1, -1)]
+    roots.append((0, 0, 0, 0, 0, 0, 2, -2))
+    return roots + [s + (1, -1) for s in product((1, -1), repeat=6) if s.count(1) % 2]
 
 
-def _project_weight(w: Vec) -> Vec:
-    """Project onto the hyperplane orthogonal to e7 + e8."""
-    direction = vec(0, 0, 0, 0, 0, 0, 1, 1)
-    return vsub(w, vscale(vdot(w, direction) / 2, direction))
+def _project_weight(w: Row) -> Row:
+    """w projected onto the hyperplane orthogonal to e7 + e8, both times 2."""
+    half, odd = divmod(w[6] - w[7], 2)
+    if odd:
+        raise ValueError(f"table weight {w} projects off the half-integer lattice")
+    return w[:6] + (half, -half)
 
 
-# Orbit generators of the seven E7 invariants, before projection.
+# Orbit generators of the seven E7 invariants, before projection, times 2.
 _E7_TABLE_WEIGHTS = (
-    vec(0, 0, 0, 0, 0, 1, -1, 0),
-    vec(0, 0, 0, 0, 0, 0, -2, 0),
-    (HALF, HALF, HALF, HALF, HALF, HALF, Fraction(-2), Fraction(0)),
-    vec(0, 0, 0, 0, 1, 1, -2, 0),
-    (-HALF, HALF, HALF, HALF, HALF, HALF, Fraction(-3), Fraction(0)),
-    vec(0, 0, 0, 1, 1, 1, -3, 0),
-    vec(0, 0, 1, 1, 1, 1, -4, 0),
+    (0, 0, 0, 0, 0, 2, -2, 0),
+    (0, 0, 0, 0, 0, 0, -4, 0),
+    (1, 1, 1, 1, 1, 1, -4, 0),
+    (0, 0, 0, 0, 2, 2, -4, 0),
+    (-1, 1, 1, 1, 1, 1, -6, 0),
+    (0, 0, 0, 2, 2, 2, -6, 0),
+    (0, 0, 2, 2, 2, 2, -8, 0),
 )
 
 
-def _dual_basis(weights: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    """Vectors g_b in span(weights) with w_a . g_b = delta_ab."""
-    n = len(weights)
-    gram = [[vdot(weights[a], weights[b]) for b in range(n)] for a in range(n)]
-    inv = _mat_inv(gram)
-    return tuple(
-        tuple(
-            sum((inv[b][c] * weights[c][k] for c in range(n)), Fraction(0))
-            for k in range(len(weights[0]))
-        )
-        for b in range(n)
+def _e7() -> RootSystem:
+    """E7 from its roots and table weights, in integers times 2, certified."""
+    roots = _e7_positive_roots()
+    if len(roots) != 63:
+        raise ValueError(f"E7 needs 63 positive roots, got {len(roots)}")
+    if any(sum(c * c for c in r) != 8 for r in roots):
+        raise ValueError("an E7 root does not have length^2 2")
+    if any(r[6] + r[7] for r in roots):
+        raise ValueError("an E7 root is off the x7 = -x8 hyperplane")
+    weights = [_project_weight(w) for w in _E7_TABLE_WEIGHTS]
+    # The dual basis g_b of the weights, w_a . g_b = delta_ab, times 2 is
+    # 4 M^-1 W, M the Gram matrix of the rows W of the doubled weights.
+    # Every g_b must itself be a root (up to sign), which certifies that
+    # the table weights are a simultaneous system of fundamental weights.
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in weights] for u in weights]
+    d, dual = _solve(gram, [[4 * c for c in w] for w in weights])
+    simple = [tuple(c // d for c in g) for g in dual]
+    root_set = set(roots) | {tuple(-c for c in r) for r in roots}
+    if any(c % d for g in dual for c in g) or not root_set.issuperset(simple):
+        raise ValueError("the E7 table weights are not a system of fundamental weights")
+    return _system("E7", 2, roots, simple, weights, True, metric=(1,) * 6 + (2,))
+
+
+def _system(kind, scale, roots, simple, weights, has_minus_one, metric=None) -> RootSystem:
+    """The RootSystem of these integer ambient rows over scale; the y
+    coordinates are the first len(metric) of them, all if metric is None."""
+    y_dim = len(metric) if metric else len(roots[0])
+    ints = IntegerRoots(scale, metric or (1,) * y_dim,
+                        *(tuple(v[:y_dim] for v in rows) for rows in (roots, simple, weights)))
+
+    def exact(rows):
+        return tuple(tuple(Fraction(c, scale) for c in v) for v in rows)
+
+    return RootSystem(
+        kind=kind,
+        ambient_dim=len(roots[0]),
+        y_dim=y_dim,
+        positive_roots=exact(roots),
+        simple_roots=exact(simple),
+        fundamental_weights=exact(weights),
+        weight_lengths_sq=tuple(Fraction(ints.dot(w, w), scale**2) for w in ints.weights),
+        metric_weights=tuple(map(Fraction, ints.metric)),
+        has_minus_one=has_minus_one,
+        ints=ints,
     )
 
 
-def _mat_inv(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+def _combos(a1: Row, a2: Row, pairs) -> list[Row]:
+    """p a1 + q a2 for each (p, q) in pairs."""
+    return [tuple(p * x + q * y for x, y in zip(a1, a2)) for p, q in pairs]
 
 
 @lru_cache(maxsize=None)
@@ -201,85 +272,19 @@ def build_system(kind: str) -> RootSystem:
     """Construct one of the supported root systems: E7, A1, A2, G2."""
     kind = kind.upper()
     if kind == "E7":
-        roots = _e7_positive_roots()
-        direction = vec(0, 0, 0, 0, 0, 0, 1, 1)
-        assert len(roots) == 63
-        assert all(vdot(r, r) == 2 for r in roots)
-        assert all(vdot(r, direction) == 0 for r in roots)
-        weights = tuple(_project_weight(w) for w in _E7_TABLE_WEIGHTS)
-        simple = _dual_basis(weights)
-        # Every dual-basis vector must itself be a root (up to sign),
-        # which certifies that the table weights are a simultaneous
-        # system of fundamental weights.
-        root_set = set(roots) | {vscale(-1, r) for r in roots}
-        assert all(g in root_set for g in simple)
-        metric = (Fraction(1),) * 6 + (Fraction(2),)
-        lengths = tuple(vdot(w, w) for w in weights)
-        return RootSystem(
-            kind="E7",
-            ambient_dim=8,
-            y_dim=7,
-            positive_roots=tuple(roots),
-            simple_roots=simple,
-            fundamental_weights=weights,
-            weight_lengths_sq=lengths,
-            metric_weights=metric,
-            has_minus_one=True,
-        )
+        return _e7()
     if kind == "A1":
-        root = vec(1, -1)
-        w = (HALF, -HALF)
-        return RootSystem(
-            kind="A1",
-            ambient_dim=2,
-            y_dim=2,
-            positive_roots=(root,),
-            simple_roots=(root,),
-            fundamental_weights=(w,),
-            weight_lengths_sq=(vdot(w, w),),
-            metric_weights=(Fraction(1), Fraction(1)),
-            has_minus_one=True,
-        )
+        # times 2: the weight is (1/2, -1/2)
+        return _system("A1", 2, [(2, -2)], [(2, -2)], [(1, -1)], True)
     if kind == "A2":
-        a1 = vec(1, -1, 0)
-        a2 = vec(0, 1, -1)
-        w1 = (Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3))
-        w2 = (Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3))
-        return RootSystem(
-            kind="A2",
-            ambient_dim=3,
-            y_dim=3,
-            positive_roots=(a1, a2, vadd(a1, a2)),
-            simple_roots=(a1, a2),
-            fundamental_weights=(w1, w2),
-            weight_lengths_sq=(vdot(w1, w1), vdot(w2, w2)),
-            metric_weights=(Fraction(1),) * 3,
-            has_minus_one=False,
-        )
+        # times 3: the weights are (2, -1, -1) / 3 and (1, 1, -2) / 3
+        a1, a2 = (3, -3, 0), (0, 3, -3)
+        return _system("A2", 3, _combos(a1, a2, [(1, 0), (0, 1), (1, 1)]), [a1, a2],
+                       [(2, -1, -1), (1, 1, -2)], False)
     if kind == "G2":
-        a1 = vec(1, -1, 0)
-        a2 = vec(-1, 2, -1)
-        positive = (
-            a1,
-            a2,
-            vadd(a1, a2),
-            vadd(vscale(2, a1), a2),
-            vadd(vscale(3, a1), a2),
-            vadd(vscale(3, a1), vscale(2, a2)),
-        )
-        w1 = vadd(vscale(2, a1), a2)
-        w2 = vadd(vscale(3, a1), vscale(2, a2))
-        return RootSystem(
-            kind="G2",
-            ambient_dim=3,
-            y_dim=3,
-            positive_roots=positive,
-            simple_roots=(a1, a2),
-            fundamental_weights=(w1, w2),
-            weight_lengths_sq=(vdot(w1, w1), vdot(w2, w2)),
-            metric_weights=(Fraction(1),) * 3,
-            has_minus_one=True,
-        )
+        a1, a2 = (1, -1, 0), (-1, 2, -1)
+        positive = _combos(a1, a2, [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)])
+        return _system("G2", 1, positive, [a1, a2], _combos(a1, a2, [(2, 1), (3, 2)]), True)
     raise ValueError(f"unsupported root system kind: {kind}")
 
 
@@ -309,7 +314,8 @@ def _orbit_walk(weights: tuple[Vec, ...], simple: tuple[Vec, ...], rep) -> tuple
     starts = []
     for k, weight in enumerate(weights):
         labels = _labels(weight, simple)
-        assert all(c.denominator == 1 for c in labels), "weight not in the weight lattice"
+        if any(c.denominator != 1 for c in labels):
+            raise ValueError(f"weight {weight} is not in the weight lattice")
         row = tuple(int(c) for c in labels) + tuple(int(c * scale) for c in rep(weight))
         while neg := [i for i in range(rank) if row[i] < 0]:
             row = tuple([x - row[neg[0]] * s for x, s in zip(row, steps[neg[0]])])
@@ -381,6 +387,22 @@ def simple_root_coords(sys: RootSystem, v: Vec) -> tuple[Fraction, ...]:
     )
 
 
+def _mat_inv(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        d = a[col][col]
+        a[col] = [x / d for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
 @lru_cache(maxsize=None)
 def _simple_gram_inv(sys: RootSystem):
     gram = [[vdot(a, b) for b in sys.simple_roots] for a in sys.simple_roots]
@@ -403,38 +425,37 @@ def integer_weight_coords(sys: RootSystem) -> tuple[tuple[int, ...], ...]:
     denominator of all rows (2 for E7).  The coordinates are linear, so
     sum q_a w_a <= sum p_a w_a in the dominance order exactly when
     sum q_a row_a <= sum p_a row_a componentwise: the same answer as
-    dominance_leq, in integer arithmetic.
+    dominance_leq, in integer arithmetic.  Solved on sys.ints, as d times
+    the coordinates over their common divisor with d.
     """
-    coords = [simple_root_coords(sys, w) for w in sys.fundamental_weights]
-    for c, w in zip(coords, sys.fundamental_weights):
+    ints = sys.ints
+    simple = ints.simple_roots
+    gram = [[ints.dot(a, b) for b in simple] for a in simple]
+    d, cols = _solve(gram, [[ints.dot(w, s) for w in ints.weights] for s in simple])
+    rows = list(zip(*cols))
+    for row, w, exact in zip(rows, ints.weights, sys.fundamental_weights):
         # dominance_leq rejects off-span differences; a weight off the
         # root span would make the integer test disagree with it
-        if vcombo(c, sys.simple_roots) != w:
-            raise ValueError(f"fundamental weight {w} is not in the root span")
-    scale = math.lcm(*(x.denominator for c in coords for x in c))
-    return tuple(tuple(int(x * scale) for x in c) for c in coords)
+        if [sum(map(math.prod, zip(row, c))) for c in zip(*simple)] != [d * x for x in w]:
+            raise ValueError(f"fundamental weight {exact} is not in the root span")
+    g = math.gcd(d, *(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows)
 
 
 def highest_root(sys: RootSystem) -> Vec:
     """The unique root that is dominant for the chosen simple system."""
-    candidates = []
-    for r in sys.positive_roots:
-        for cand in (r, vscale(-1, r)):
-            if all(vdot(cand, s) >= 0 for s in sys.simple_roots):
-                candidates.append(cand)
-    # Dominant roots are the highest root and, for non-simply-laced
-    # systems, the highest short root; take the dominance-maximal one.
-    top = candidates[0]
-    for c in candidates[1:]:
-        if dominance_leq(sys, top, c):
-            top = c
-    return top
+    sign, k = sys.ints.highest_root
+    return vscale(sign, sys.positive_roots[k])
 
 
 @lru_cache(maxsize=None)
 def characteristic_vector(sys: RootSystem) -> tuple[int, ...]:
     """Pairings of the fundamental weights with the highest coroot."""
-    theta = highest_root(sys)
-    out = [_labels(w, (theta,))[0] for w in sys.fundamental_weights]
-    assert all(p.denominator == 1 and p > 0 for p in out)
-    return tuple(int(p) for p in out)
+    ints = sys.ints
+    sign, k = ints.highest_root
+    theta = tuple(sign * c for c in ints.positive_roots[k])
+    out = [divmod(2 * ints.dot(w, theta), ints.dot(theta, theta)) for w in ints.weights]
+    if any(r or q <= 0 for q, r in out):
+        raise ValueError(f"{sys.kind}: a weight's pairing with the highest coroot "
+                         "is not a positive integer")
+    return tuple(q for q, _ in out)

@@ -780,6 +780,20 @@ GOLDEN_REPORTS = [
     (["verify-ground-state", "--system", "G2", "--precision", "hp", "--samples", "20",
       "--nu", "0.5,1.7", "--beta", "1,2"],
      "5045477ccb7d50eb6760f725afd8585c0ee5da66888e9b91367ee76adcef72c6"),
+    # exact flag reports, recorded before the flag images and the line
+    # matrices came from integer terms and the root data from integer rows
+    (["spectrum", "--system", "A2", "--n", "5", "--nu", "1/2"],
+     "f6cebe7c29611a2905c4da4fc367e9ec3debcfde9a2f0398c899e4dae454219a"),
+    (["spectrum", "--variant", "raw", "--n", "9", "--nu", "1/3"],
+     "a2cfdf1e518cd71dc626e6f7b7dff375e7b8dda4bfe1cff409ee6295154965a9"),
+    (["flag-check", "--variant", "canonical", "--n", "6"],
+     "201b7a39fe93d4c3af57a78593b948a178473830bb28aa19cae8a10b8a8e733d"),
+    (["flag-check", "--system", "G2", "--n", "6"],
+     "07e75b8a0b9ac7ad29993fe210c122d28924d9da9d35c05f78a8a6e89cee52b0"),
+    (["export", "--variant", "canonical", "--matrix-n", "5", "--nu", "5/2"],
+     "9f2179e3b336596e08c829a5f9ef55aa031d9fcb217abf65ef71e6e060980d58"),
+    (["invariance", "--n", "7", "--sets", "1", "--seed", "9"],
+     "ed5092a73a1966f57d7aad94747137abb00bf52bb3e76834fc3d795aa425e227"),
 ]
 
 

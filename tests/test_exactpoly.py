@@ -31,6 +31,22 @@ def test_nu_linear_arithmetic():
     )
 
 
+def test_a_float_nu_evaluates_the_slope_with_its_sign():
+    # c0 + c1 * nu in floats: a flipped slope would read 1 - 2 * 0.25 = 0.5
+    assert NuLinear.of(1, 2).eval(0.25) == 1.5
+    assert NuLinear.of(Fraction(-3, 2), -27).eval(0.5) == -15.0
+    assert type(NuLinear.of(1, 2).eval(0.25)) is float
+
+
+def test_nu_defaults_to_zero():
+    assert NuLinear.of() == NuLinear(Fraction(0), Fraction(0)) == NuLinear()
+    assert NuLinear.of(3) == NuLinear(Fraction(3), Fraction(0))
+    # MultiPoly.evaluate's nu is 0 unless given: 2 tau_1 here, not (2 + 5 nu) tau_1
+    f = MultiPoly(RANK, {(1, 0, 0): NuLinear.of(2, 5), (0, 0, 0): NuLinear.of(0, 1)})
+    assert f.evaluate((3, 7, 11)) == 6
+    assert f.evaluate((3, 7, 11), 1) == 22
+
+
 def test_nu_degree_guard():
     a = NuLinear.of(0, 1)
     with raises(NuDegreeError):

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from tauforge import operator
 from tauforge.cli import main
-from tauforge.exactpoly import ONE, MultiPoly, NuLinear, weighted_monomials
+from tauforge.exactpoly import ONE, MultiPoly, NuDegreeError, NuLinear, weighted_monomials
 from tauforge.operator import (
     E7_CV,
     WP_PARAM_NAMES,
     _dense,
     _flag_columns,
+    _flag_images,
     _graded_det,
     _line_matrix,
     _unit_triangular_in_order,
@@ -170,6 +171,20 @@ def test_e7_table_slots_are_a_row_by_row_then_b_with_their_bounds():
     assert [row["entry"] for row in rep["entries"]] == ids
 
 
+@pytest.mark.parametrize("which", ["raw", "canonical", "A2", "G2"])
+def test_flag_images_equal_apply_on_every_basis_monomial(which):
+    from tauforge.derive import derive_operator
+
+    op = e7_operator(which) if which in ("raw", "canonical") else derive_operator(
+        build_system(which))
+    kind = op.system.kind
+    ref = {p: apply(op, MultiPoly(op.rank, {p: ONE}))
+           for p in enumerate_flag_basis(kind, 10).monomials}
+    for n in range(11):
+        basis = enumerate_flag_basis(kind, n)
+        assert _flag_images(op, basis) == [ref[p] for p in basis.monomials]
+
+
 def test_flag_matrix_small():
     mat = flag_matrix(e7_operator("raw"), 1, Fraction(1, 3))
     assert mat == [[0, 0], [0, 3]]
@@ -188,6 +203,8 @@ def test_spectrum_on_the_two_smallest_flags():
         NuLinear.of(Fraction(-3, 2), Fraction(-27)),
     )
     assert c.at(Fraction(1, 2)) == [0, Fraction(-3, 2) - Fraction(27, 2)]
+    # a float nu evaluates each eigenvalue in floats, slope sign included
+    assert c.at(0.5) == [0.0, -15.0] and all(type(v) is float for v in c.at(0.5))
 
 
 def _unit(k):
@@ -305,6 +322,14 @@ def test_unit_triangularity_needs_the_line_order_and_a_unit_diagonal():
     assert not _unit_triangular_in_order(shear, by_tau2[::-1])
     double = _line_matrix(basis, [t[0], t[1] + t[1]] + t[2:])
     assert not _unit_triangular_in_order(double, by_tau2)
+
+
+def test_line_matrix_rejects_a_nu_dependent_image():
+    # a substitution is nu-free, as MultiPoly.substitute requires
+    basis = enumerate_flag_basis("E7", 2)
+    t = [MultiPoly.variable(7, k) for k in range(1, 8)]
+    with pytest.raises(NuDegreeError):
+        _line_matrix(basis, [t[0] * MultiPoly.constant(7, NuLinear.of(1, 1))] + t[1:])
 
 
 def test_wp_simultaneous_can_be_singular():

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +18,13 @@ from tauforge.rootsys import (
     deformed_weyl_vector,
     dominance_leq,
     highest_root,
+    integer_weight_coords,
     orbit_rows,
+    simple_root_coords,
     weyl_orbit,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 E7_SIZES = (56, 126, 576, 756, 2016, 4032, 10080)
 E7_LENGTHS = (
@@ -273,3 +280,61 @@ def test_cached_arrays_are_read_only(kind):
 def test_every_y_coordinate_has_one_metric_weight(kind):
     sysr = build_system(kind)
     assert len(sysr.metric_weights) == sysr.y_dim
+
+
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_integer_roots_are_the_exact_vectors_times_their_scale(kind):
+    sysr = build_system(kind)
+    ints = sysr.ints
+    assert ints.scale == orbit_rows(kind)[0]
+    for rows, exact in [
+        (ints.positive_roots, sysr.positive_roots),
+        (ints.simple_roots, sysr.simple_roots),
+        (ints.weights, sysr.fundamental_weights),
+    ]:
+        assert [tuple(Fraction(c, ints.scale) for c in u) for u in rows] == [
+            sysr.y_rep(v) for v in exact]
+    for u, v in zip(ints.weights, sysr.fundamental_weights):
+        for s, a in zip(ints.simple_roots, sysr.simple_roots):
+            assert Fraction(ints.dot(u, s), ints.scale**2) == sysr.dot_y(
+                sysr.y_rep(v), sysr.y_rep(a))
+
+
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_integer_weight_coords_scale_the_simple_root_coords(kind):
+    sysr = build_system(kind)
+    coords = [simple_root_coords(sysr, w) for w in sysr.fundamental_weights]
+    scale = math.lcm(*(x.denominator for c in coords for x in c))
+    got = integer_weight_coords(sysr)
+    assert got == tuple(tuple(x * scale for x in c) for c in coords)
+    assert all(type(x) is int for row in got for x in row)
+
+
+def test_orbit_walk_rejects_a_weight_off_the_weight_lattice():
+    sysr = build_system("A1")
+    third = (Fraction(1, 3), Fraction(-1, 3))
+    with pytest.raises(ValueError, match="not in the weight lattice"):
+        _orbit_walk((third,), sysr.simple_roots, sysr.y_rep)
+
+
+def test_a_corrupted_table_weight_fails_the_certificate_under_python_O():
+    # doubling w_1 halves its dual vector, which is then no root; -O strips
+    # asserts, so the certificate must raise on its own
+    script = (
+        "import sys\n"
+        "from tauforge import rootsys\n"
+        "w = rootsys._E7_TABLE_WEIGHTS\n"
+        "rootsys._E7_TABLE_WEIGHTS = (tuple(2 * c for c in w[0]),) + w[1:]\n"
+        "print(sys.flags.optimize)\n"
+        "try:\n"
+        "    rootsys.build_system('E7')\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "1", "the E7 table weights are not a system of fundamental weights"]
