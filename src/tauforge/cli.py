@@ -292,14 +292,15 @@ def _cmd_verify_ground_state(args) -> dict:
     worst = 0.0
     with mp.workdps(args.precision_digits):
         for beta in args.beta:
-            # the draw depends on beta but not on nu: one list serves every nu
+            # the draw depends on beta but not on nu: one list serves every
+            # nu, and each point's nu-free terms are formed once
             pts = oracle.sample_points(
                 sysr, args.samples, seed=args.seed, beta=beta,
                 precision=args.precision, digits=args.precision_digits,
             )
-            for nu in args.nu:
-                res = [float(oracle.ground_state_residual(sysr, pt, nu)) for pt in pts]
-                peak = max(res)
+            per_point = [oracle.ground_state_residuals(sysr, pt, args.nu) for pt in pts]
+            for nu, res in zip(args.nu, zip(*per_point)):
+                peak = max(map(float, res))
                 worst = max(worst, peak)
                 rows.append(
                     {

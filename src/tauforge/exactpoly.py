@@ -12,7 +12,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 
@@ -379,9 +378,11 @@ def table_order(cv: Sequence[int], exps: Iterable[tuple[int, ...]]) -> list[tupl
 
 
 def weighted_monomials(cv: Sequence[int], bound: int) -> list[tuple[int, ...]]:
-    """Every exponent tuple p with grade(cv, p) <= bound, in lexicographic order."""
-    return [
-        p
-        for p in product(*[range(bound // c + 1) for c in cv])
-        if grade(cv, p) <= bound
-    ]
+    """Every exponent tuple p with grade(cv, p) <= bound, in lexicographic order.
+
+    Grown a coordinate at a time, each prefix cut at the grade it leaves.
+    """
+    rows = [((), bound)] if bound >= 0 else []
+    for c in cv:
+        rows = [(p + (e,), left - c * e) for p, left in rows for e in range(left // c + 1)]
+    return [p for p, _ in rows]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import attrgetter
 
 import numpy as np
@@ -159,14 +159,23 @@ class _MetricPolys:
             return at
 
         rr = range(r)
-        self.A = np.array([[add(op.A[i][j]) for j in rr] for i in rr])
-        dA = [[[op.A[i][j].partial_derivative(k + 1) for j in rr] for i in rr] for k in rr]
-        self.dA = np.array([[[add(p) for p in row] for row in plane] for plane in dA])
-        d2A = np.array([
-            [[[add(dA[k][i][j].partial_derivative(l + 1)) for j in rr] for i in rr]
-             for l in rr]
-            for k in rr
-        ]).reshape(r * r, r, r)
+
+        def sym(f) -> list:
+            """The r x r matrix of f(i, j), f called for i <= j only."""
+            m = [[None] * r for _ in rr]
+            for i, j in combinations_with_replacement(rr, 2):
+                m[i][j] = m[j][i] = f(i, j)
+            return m
+
+        # A_ij is A_ji and mixed partials commute exactly, so each derivative
+        # is taken, and compiled, for i <= j and k <= l only; a skipped one
+        # was met earlier, so the compiled forms keep their order
+        self.A = np.array(sym(lambda i, j: add(op.A[i][j])))
+        dA = [sym(lambda i, j: op.A[i][j].partial_derivative(k + 1)) for k in rr]
+        self.dA = np.array([sym(lambda i, j: add(dA[k][i][j])) for k in rr])
+        d2A = np.array(sym(lambda k, l: sym(
+            lambda i, j: add(dA[k][i][j].partial_derivative(l + 1))
+        ))).reshape(r * r, r, r)
         # d2A_distinct holds each distinct matrix d2A[k][l] once (mixed
         # partials come in equal pairs); d2A_slot[k, l] is its position
         _, first, slot = np.unique(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -89,10 +88,11 @@ def hp_digits() -> int:
 # one process on one CPU of that host, an E7 hp point (17,642 rows) costs
 # 4.2-4.8 ms as a refit frame at 70 digits, 5.3-6.2 ms in hp verify-tables
 # and 0.13-0.26 s in hp flatness; an A1, A2 or G2 one (at most 12 rows) 1-2 ms.
-# An E7 double point costs 0.8-1.5 ms in verify-tables and 2.6-3.5 ms in
-# flatness, so fit's 20-point screen and the default 10-point flatness
-# gain less than a fork costs; a ground-state residual costs 0.02-0.03 ms,
-# so verify-ground-state never forks.
+# An E7 double point costs 0.5-0.9 ms in verify-tables (its frame: the
+# residuals of 1,000 stacked points take 7 ms) and 2.9-3.2 ms in flatness.
+# At 50 points verify-tables took 36-40 ms forked and 48-53 ms on one CPU,
+# so the bound still gains; a ground-state point costs 0.03 ms for three
+# nu, so verify-ground-state never forks.
 FORK_MIN_ORBIT_ROWS = 1_000
 FORK_MIN_DOUBLE_POINTS = 50
 
@@ -766,40 +766,47 @@ def ground_state_residual(sysr: RootSystem, point: SamplePoint, nu):
     with V = nu(nu-1) (beta^2/4) sum over positive roots of |alpha|^2/sin^2;
     both V and D log Psi0 weight each root's 1/sin^2 by |alpha|^2 / 2.
     """
+    return ground_state_residuals(sysr, point, [nu])[0]
+
+
+def ground_state_residuals(sysr: RootSystem, point: SamplePoint, nus) -> list:
+    """ground_state_residual at the point for each nu of nus, in order; the
+    nu-free terms are formed once, and each nu's arithmetic is a lone call's."""
     _require_clearance(sysr, point)
     hp = _is_mp(point.y)
-    nu = _param(nu, hp)
     beta = _param(point.beta, hp)
-    if nu == 0:
-        return 0.0
     roots = _root_mp(sysr.kind, mp.dps) if hp else _root_array(sysr.kind)
     gw = _metric_weights(sysr.kind, hp)
     half_len2 = sysr.root_halves.tolist() if hp else sysr.root_halves
     dim = sysr.y_dim
     y = point.y
-    inv_sin2 = 0 if hp else 0.0
-    grad = [mpf(0)] * dim if hp else np.zeros(dim)
     if hp:
-        for r, w in zip(roots, half_len2):
-            c, s = mp.cos_sin(beta * sum(r[k] * y[k] for k in range(dim)) / 2)
-            inv_sin2 += w / s**2
-            ct = (beta / 2) * c / s
-            for k in range(dim):
-                grad[k] += nu * ct * r[k]
-        d_log = -nu * (beta**2 / 2) * inv_sin2
-        quad = sum(g * v**2 for g, v in zip(gw, grad))
+        cs = [mp.cos_sin(beta * sum(r[k] * y[k] for k in range(dim)) / 2) for r in roots]
+        inv_sin2 = sum(w / s**2 for w, (_, s) in zip(half_len2, cs))
+        cts = [(beta / 2) * c / s for c, s in cs]
     else:
-        y_arr = np.array([float(v) for v in y])
-        th = beta * (roots @ y_arr) / 2
+        th = beta * (roots @ np.array([float(v) for v in y])) / 2
         s = np.sin(th)
         inv_sin2 = (half_len2 / s**2).sum()
-        grad = nu * (beta / 2) * ((np.cos(th) / s) @ roots)
+        cot_roots = (np.cos(th) / s) @ roots
+
+    def residual(nu):
+        if nu == 0:
+            return 0.0
+        if hp:
+            grad = [sum((nu * ct * r[k] for r, ct in zip(roots, cts)), mpf(0))
+                    for k in range(dim)]
+            quad = sum(g * v**2 for g, v in zip(gw, grad))
+        else:
+            grad = nu * (beta / 2) * cot_roots
+            quad = float((np.array(gw) * grad * grad).sum())
         d_log = -nu * (beta**2 / 2) * inv_sin2
-        quad = float((np.array(gw) * grad * grad).sum())
-    v_pot = nu * (nu - 1) * (beta**2 / 4) * inv_sin2
-    lhs = -(d_log + quad) / 2 + v_pot
-    e0 = ground_state_energy(sysr, beta, nu)
-    return abs(lhs - e0) / (abs(e0) + 1)
+        v_pot = nu * (nu - 1) * (beta**2 / 4) * inv_sin2
+        lhs = -(d_log + quad) / 2 + v_pot
+        e0 = ground_state_energy(sysr, beta, nu)
+        return abs(lhs - e0) / (abs(e0) + 1)
+
+    return [residual(_param(nu, hp)) for nu in nus]
 
 
 # ---------------------------------------------------------------------------
@@ -811,29 +818,46 @@ def _powers(tau, top) -> list[list]:
 
     These are `**` powers, not exactpoly.product_powers' repeated products:
     the two round differently, and the reports of both commands carry these
-    bits.
+    bits.  On a stack (see _stack) each power is still one point's scalar
+    `**`: numpy's array `**` squares, or calls a vectorised pow.
     """
+    if isinstance(tau[0], np.ndarray):
+        return [[np.array([x**e for x in t], t.dtype) for e in range(n + 1)]
+                for t, n in zip(tau, top)]
     return [[t**e for e in range(n + 1)] for t, n in zip(tau, top)]
 
 
-def _residuals(frame: NumericFrame, checks, top, gw, b2) -> array:
+def _stack(frames: list) -> NumericFrame:
+    """Double frames as one whose values are arrays over the points (last axis).
+
+    Complex frames (A2) stack as object arrays of the points' own complex128
+    values: numpy's complex array loops round differently from its scalars.
+    """
+    dtype = float
+    if isinstance(frames[0].tau[0], complex):
+        dtype = object
+        frames = [[[list(v) if isinstance(v, np.ndarray) else v for v in field]
+                   for field in f] for f in frames]
+    return NumericFrame(*(np.moveaxis(np.array(field, dtype), 0, -1)
+                          for field in zip(*frames)))
+
+
+def _residuals(frame: NumericFrame, checks, top, gw, b2) -> np.ndarray:
     """|got - ref| / (1 + |ref|) at the frame, as doubles in check order.
 
     checks lists (entry, [(nu, compiled entry), ...]) with entry as for
-    _oracle_ab; a B entry's ref is base + nu * slope.  One array('d'): a
-    forked point list sends every point's residuals back at once, and a
-    1000-point E7 run peaked about 4 MiB higher with (name, residual) pairs
-    and 1.0 MiB higher with lists of floats.
+    _oracle_ab; a B entry's ref is base + nu * slope.  On a stack of
+    frames each check gives a row, one residual per point.
     """
     pw = _powers(frame.tau, top)
-    out = array("d")
+    out = []
     for entry, row in checks:
         ref = _oracle_ab(frame, gw, b2, entry)
         for nu, terms in row:
             want = ref if entry[0] == "A" else ref[0] + nu * ref[1]
             got = eval_compiled(terms, pw, frame.tau)
-            out.append(float(abs(got - want) / (1 + abs(want))))
-    return out
+            out.append(abs(got - want) / (1 + abs(want)))
+    return np.array(out, dtype=float)
 
 
 def distinct_nus(nu_list) -> list:
@@ -864,11 +888,13 @@ def verify_tables(
 
     Returns a JSON-ready report; reproducible for a fixed seed.  B entries
     are checked at every nu in nu_list.  Raises ValueError if nu_list
-    repeats a value.  hp points are rounded at `digits` and run at
-    `digits`.  A large system's hp points, and its double points from
-    FORK_MIN_DOUBLE_POINTS samples on, run on every CPU (see
-    _map_sample_points).
+    repeats a value or samples is below 1.  hp points are rounded at
+    `digits` and run at `digits`.  A large system's hp points, and its
+    double points from FORK_MIN_DOUBLE_POINTS samples on, run on every CPU
+    (see _map_sample_points).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     sysr = op.system
     nu_list = distinct_nus(nu_list) if nu_list else [float(x) for x in DEFAULT_NU_LIST]
     beta_list = list(beta_list) if beta_list else list(DEFAULT_BETA_LIST)
@@ -898,14 +924,23 @@ def verify_tables(
             pts = sample_points(
                 sysr, samples, seed=seed, beta=beta, precision=precision, digits=digits,
             )
-            per_point = _map_sample_points(
-                lambda pt: _residuals(build_frame(sysr, pt), checks, top, gw, b2),
-                sysr, pts,
-            )
-            for notes in per_point:
-                for name, r in zip(checked, notes):
-                    if r > worst[name]:
-                        worst[name] = r
+            if hp:
+                # per point: one pass on object arrays of mpf ran 5-6x slower
+                res = np.transpose(list(_map_sample_points(
+                    lambda pt: _residuals(build_frame(sysr, pt), checks, top, gw, b2),
+                    sysr, pts,
+                )))
+            else:
+                # as four arrays, 500 forked E7 frames unpickle into 1.6 MB
+                # rather than 3.4 MB of lists of numpy scalars
+                frames = _map_sample_points(
+                    lambda pt: NumericFrame(*map(np.asarray, build_frame(sysr, pt))),
+                    sysr, pts,
+                )
+                res = _residuals(_stack(list(frames)), checks, top, gw, b2)
+            # fmax skips NaN: a NaN residual never becomes the worst
+            for name, r in zip(checked, np.fmax.reduce(res, axis=1, initial=0.0).tolist()):
+                worst[name] = max(worst[name], r)
 
     entries = [
         {"entry": name, "max_rel_residual": worst[name], "pass": worst[name] < tol}
@@ -1057,7 +1092,7 @@ def fit_entry(op: AlgebraicOperator, which: str, pool: FramePool) -> FitResult:
             top = top_exponents([terms for _, terms in held], sysr.rank)
             # rounding to float is monotone: this is the float of the mpf max
             worst = max(
-                max(_residuals(frame, [(entry, held)], top, gw, b2))
+                max(_residuals(frame, [(entry, held)], top, gw, b2).tolist())
                 for frame in pool.frames[-HELD_OUT_FRAMES:]
             )
         return FitResult(

@@ -10,6 +10,7 @@ from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -575,6 +576,46 @@ def test_fit_samples_zero_sizes_the_pool(capsys):
     code, rep = run_json(capsys, "fit", "--entries", "B1", "--samples", "0")
     assert code == 0
     assert rep["result"]["entries"][0]["ok"]
+
+
+def _ref_ground_state_double(sysr, pt, nu):
+    """ground_state_residual's double arithmetic as a lone call computed it
+    before the nu-free terms were shared between the nu of a sweep."""
+    from tauforge import oracle
+
+    if nu == 0:
+        return 0.0
+    roots, beta = oracle._root_array(sysr.kind), pt.beta
+    th = beta * (roots @ np.array(pt.y)) / 2
+    s = np.sin(th)
+    inv_sin2 = (sysr.root_halves / s**2).sum()
+    grad = nu * (beta / 2) * ((np.cos(th) / s) @ roots)
+    d_log = -nu * (beta**2 / 2) * inv_sin2
+    quad = float((np.array(oracle._metric_weights(sysr.kind, False)) * grad * grad).sum())
+    lhs = -(d_log + quad) / 2 + nu * (nu - 1) * (beta**2 / 4) * inv_sin2
+    e0 = oracle.ground_state_energy(sysr, beta, nu)
+    return abs(lhs - e0) / (abs(e0) + 1)
+
+
+def test_ground_state_sweeps_equal_one_residual_call_per_point_and_nu(capsys):
+    from tauforge import oracle
+    from tauforge.rootsys import build_system
+
+    code, rep = run_json(
+        capsys, "verify-ground-state", "--samples", "50", "--nu", "0,0.5,1.7",
+        "--beta", "1,2",
+    )
+    assert code == 0
+    sysr = build_system("E7")
+    want = []
+    for beta in (1.0, 2.0):
+        pts = oracle.sample_points(sysr, 50, seed=0, beta=beta)
+        for nu in (0.0, 0.5, 1.7):
+            res = [oracle.ground_state_residual(sysr, pt, nu) for pt in pts]
+            assert repr(res) == repr([_ref_ground_state_double(sysr, pt, nu) for pt in pts])
+            want.append(max(map(float, res)))
+    assert repr([row["max_residual"] for row in rep["result"]["sweeps"]]) == repr(want)
+    assert min(want[1:3] + want[4:]) > 0
 
 
 def test_hp_ground_state_runs_at_the_working_precision(capsys):

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import raises
 
-from tauforge.exactpoly import MultiPoly, NuDegreeError, NuLinear
+from tauforge.exactpoly import MultiPoly, NuDegreeError, NuLinear, grade, weighted_monomials
+from tauforge.rootsys import build_system, characteristic_vector
 
 RANK = 3
 CV = (1, 2, 3)
@@ -205,3 +208,14 @@ def test_a_negative_exponent_is_rejected():
         MultiPoly(7, {(-1, 0, 0, 0, 0, 0, 0): one})
     with raises(ValueError, match="bad exponent tuple"):
         MultiPoly(RANK, {(1, 0): one})
+
+
+@pytest.mark.parametrize("kind", ["E7", "A1", "A2", "G2"])
+def test_weighted_monomials_equal_the_filtered_exponent_box(kind):
+    # the pruned growth against the lexicographic box it replaced
+    cv = characteristic_vector(build_system(kind))
+    for bound in range(-1, 11):
+        box = [p for p in product(*[range(bound // c + 1) for c in cv])
+               if grade(cv, p) <= bound]
+        assert weighted_monomials(cv, bound) == box
+    assert len(weighted_monomials(cv, 10)) > len(cv)

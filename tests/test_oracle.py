@@ -625,6 +625,13 @@ def test_verify_tables_rejects_a_repeated_nu():
         verify_tables(op, samples=3, nu_list=[0.5, 2.5, 0.5], precision="hp")
 
 
+@pytest.mark.parametrize("precision", ["double", "hp"])
+def test_verify_tables_rejects_an_empty_point_list(precision):
+    # no point checks nothing: a report would pass vacuously
+    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+        verify_tables(e7_operator("canonical"), samples=0, precision=precision)
+
+
 def test_an_entry_with_no_residual_reports_zero():
     # at this one hp point the B2 residual is exactly zero
     rep = verify_tables(e7_operator("canonical"), samples=1, precision="hp")
@@ -903,6 +910,19 @@ def test_zero_poly_evaluates_to_zero_in_the_frame_arithmetic():
     assert got == 0 and type(got) is np.float64
 
 
+@pytest.mark.parametrize("taus", [
+    (0.5, 2.0),
+    (mpf("0.5"), mpf(2)),
+    # a stack of three points, as verify-tables' double pass evaluates it
+    np.array([[0.5, 0.25, 3.0], [2.0, 1.0, 0.5]]),
+], ids=["float", "mpf", "stack"])
+def test_an_empty_poly_is_a_zero_of_the_point_kind_and_shape(taus):
+    got = eval_compiled(compile_poly(MultiPoly.zero(2), float, 0.0), [[], []], taus)
+    assert type(got) is type(taus[0])
+    assert np.shape(got) == np.shape(taus[0])
+    assert np.all(got == 0)
+
+
 def test_cached_rho_sq_matches_the_sum_of_positive_roots():
     for kind in ("E7", "A1", "A2", "G2"):
         sysr = build_system(kind)
@@ -1123,8 +1143,9 @@ def test_e7_double_point_lists_fork_from_the_bound_on_two_cpus(
 def _ref_double_worst(op, samples: int) -> dict:
     """verify_tables' double report residuals, entry -> max over the default
     points, nus and beta, as its per-point loop computed them before the
-    oracle's checks shared one residual loop: the frame, each entry's
-    chain-rule value and |got - ref| / (1 + |ref|) of its compiled entry."""
+    oracle's checks shared one residual loop and ran as one array pass: per
+    point, the frame (complex for A2), each entry's chain-rule value and
+    |got - ref| / (1 + |ref|) of its compiled entry, all in numpy scalars."""
     sysr, rank = op.system, op.rank
     gw = oracle._metric_weights(sysr.kind, False)
     nus = [float(nu) for nu in oracle.DEFAULT_NU_LIST]
@@ -1166,6 +1187,51 @@ def test_double_verify_tables_residuals_match_the_reference_bit_for_bit(
     assert got == want
     assert repr(got) == repr(want)
     assert rep["discrepant"] == ["A17", "B1", "B2", "B3", "B4", "B5", "B6", "B7"]
+
+
+@pytest.mark.parametrize("kind,samples", [("A1", 50), ("G2", 60), ("A2", 50)])
+def test_small_system_double_residuals_match_the_reference_bit_for_bit(kind, samples):
+    # the stacked pass on real frames (float64 arrays) and on A2's complex
+    # ones (object arrays of complex128) against the per-point scalar loop
+    op = derive_operator(build_system(kind))
+    rep = verify_tables(op, samples=samples)
+    got = {row["entry"]: row["max_rel_residual"] for row in rep["entries"]}
+    want = _ref_double_worst(op, samples)
+    assert repr(got) == repr(want)
+    assert all(r > 0 for r in want.values())
+
+
+def test_a_nan_residual_never_becomes_the_worst(monkeypatch):
+    # as the per-point loop's `r > worst` did, the stacked pass skips NaN
+    real, seen = oracle._residuals, []
+
+    def every_other_point_nan(*args):
+        res = real(*args)
+        seen.append(res.copy())
+        res[:, ::2] = np.nan
+        return res
+
+    monkeypatch.setattr(oracle, "_residuals", every_other_point_nan)
+    rep = verify_tables(e7_operator("raw"), samples=6)
+    (res,) = seen
+    rows = iter(res[:, 1::2].tolist())
+    for row in rep["entries"]:
+        want = max(max(next(rows)) for _ in range(1 if row["entry"][0] == "A" else 3))
+        assert row["max_rel_residual"] == want > 0
+    assert next(rows, None) is None
+
+
+def test_a2_frames_stack_as_object_arrays_of_complex128():
+    sysr = build_system("A2")
+    frames = [oracle.build_frame(sysr, pt) for pt in sample_points(sysr, 3, seed=5)]
+    stack = oracle._stack(frames)
+    rank, dim = sysr.rank, sysr.y_dim
+    assert [f.shape for f in stack] == [(rank, 3), (rank, dim, 3), (rank, 3), (dim, 3)]
+    assert all(f.dtype == object for f in stack)
+    assert {type(v) for v in stack.tau.ravel()} == {np.complex128}
+    assert {type(v) for v in stack.jac.ravel()} == {np.complex128}
+    for k, frame in enumerate(frames):
+        assert repr(stack.jac[..., k].tolist()) == repr([list(v) for v in frame.jac])
 
 
 def test_a_forked_frame_pool_equals_the_one_cpu_pool(monkeypatch):
