@@ -10,15 +10,11 @@ unit triangular, determinant one, and it commutes with the grading.
 
 from fractions import Fraction
 
-import numpy as np
-
 from tauforge.operator import WP_PARAM_NAMES, weighted_projective_check
+from tauforge.pcg64 import wp_param_sets
 
-rng = np.random.default_rng(7)
-params = {
-    name: Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
-    for name in WP_PARAM_NAMES
-}
+# the stream of numpy's default_rng(7), drawn without numpy
+(params,) = wp_param_sets(7, 1)
 print("random rational parameters, e.g.",
       {k: str(params[k]) for k in list(params)[:4]}, "...")
 

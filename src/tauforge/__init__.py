@@ -38,7 +38,9 @@ from .rootsys import (
 # The exact modules above import no numeric library, and every command
 # loads them.  The numeric ones import numpy and mpmath, so their names
 # resolve on first use (PEP 562): `import tauforge` and the exact commands
-# load neither library.
+# load neither library.  `invariance` is one of them: its parameters come
+# from `pcg64`, numpy's generator stream in pure Python, which only the
+# draw imports.
 _NUMERIC = {
     "derive_operator": "derive",
     "SingularMetricError": "geometry",

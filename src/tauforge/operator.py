@@ -17,13 +17,14 @@ import hashlib
 import heapq
 import io
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from itertools import groupby
 from math import lcm, prod
-from operator import add
+from operator import add, le
 from typing import Mapping
 
 from .exactpoly import ZERO, MultiPoly, NuDegreeError, NuLinear, grade, weighted_monomials
@@ -273,14 +274,18 @@ def _dominance_sorted(block: list, heights: dict) -> list:
 
     q sits below p when heights[q] <= heights[p] componentwise.  The heap
     always yields the lexicographically least monomial with nothing below
-    it among those not yet placed.
+    it among those not yet placed.  Distinct monomials have distinct
+    integer heights, so q below p forces sum(heights[q]) < sum(heights[p]),
+    and only such pairs are compared.
     """
     above: dict = {p: [] for p in block}
     indegree = dict.fromkeys(block, 0)
-    for q in block:
+    by_sum = sorted(block, key=lambda p: sum(heights[p]))
+    sums = [sum(heights[p]) for p in by_sum]
+    for q, total in zip(by_sum, sums):
         hq = heights[q]
-        for p in block:
-            if p != q and all(a <= b for a, b in zip(hq, heights[p])):
+        for p in by_sum[bisect_right(sums, total):]:
+            if all(map(le, hq, heights[p])):
                 above[q].append(p)
                 indegree[p] += 1
     ready = [p for p in block if not indegree[p]]

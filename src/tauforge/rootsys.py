@@ -152,6 +152,11 @@ class RootSystem:
     # the same roots and weights in integers, where the exact algebra runs
     ints: IntegerRoots = field(compare=False, repr=False)
 
+    def __hash__(self) -> int:
+        # equal systems share their kind; the lru_caches keyed on a system
+        # look it up per call, and hashing every Fraction field took 0.4 ms
+        return hash(self.kind)
+
     @property
     def rank(self) -> int:
         return len(self.fundamental_weights)

@@ -14,7 +14,6 @@ from tauforge.exactpoly import MultiPoly, NuLinear
 from tauforge.geometry import flatness_report, sabotaged
 from tauforge.operator import (
     E7_CV,
-    WP_PARAM_NAMES,
     apply,
     e7_operator,
     enumerate_flag_basis,
@@ -30,6 +29,7 @@ from tauforge.oracle import (
     sample_points,
     verify_tables,
 )
+from tauforge.pcg64 import wp_param_sets
 from tauforge.rootsys import build_system, deformed_weyl_vector, weyl_orbit
 
 E7 = build_system("E7")
@@ -232,15 +232,8 @@ def test_criterion_08_flatness():
 
 def test_criterion_09_hidden_invariance():
     t0 = time.monotonic()
-    import numpy as np
-
-    rng = np.random.default_rng(5)
     ok = True
-    for _ in range(3):
-        params = {
-            name: Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
-            for name in WP_PARAM_NAMES
-        }
+    for params in wp_param_sets(5, 3):
         rep = weighted_projective_check(params, 6, mode="sequential")
         ok = ok and rep["ok"] and rep["det"] == "1"
         ok = ok and rep["unit_triangular_lines"]

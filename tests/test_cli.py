@@ -52,8 +52,9 @@ IMPORT_BOUNDARY = [
     (["spectrum", "--n", "3"], []),
     (["flag-check", "--n", "2"], []),
     (["export", "--format", "csv"], []),
-    # the parameter sets come from numpy's generator
-    (["invariance", "--n", "4", "--sets", "1"], ["numpy"]),
+    # the parameter sets come from numpy's generator stream, ported to
+    # pure Python, so the draw loads no numeric library
+    (["invariance", "--n", "4", "--sets", "1"], []),
     # the curvature kernel lives in geometry, so no table check compiles it
     (["verify-tables", "--variant", "canonical", "--samples", "2"],
      ["numpy", "mpmath", "tauforge.oracle"]),
@@ -660,7 +661,7 @@ def test_precision_digits_do_not_outlive_main(capsys):
     assert second["config"]["precision_digits"] == 50
 
 
-def cli_process(*argv, timeout=120, preexec_fn=None, env=None):
+def cli_process(*argv, timeout=120, preexec_fn=None, env=None, text=True):
     """The CLI in a fresh process; a hang fails the test at the timeout.
 
     `env` adds variables to this process's environment.
@@ -668,9 +669,74 @@ def cli_process(*argv, timeout=120, preexec_fn=None, env=None):
     env = dict(os.environ, PYTHONPATH=SRC, **(env or {}))
     return subprocess.run(
         [sys.executable, "-m", "tauforge.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        env=env, capture_output=True, text=text, timeout=timeout,
         preexec_fn=preexec_fn,
     )
+
+
+def _console_script(*argv, text=True):
+    """The CLI through the console script's entry function, run as the
+    wrapper that an install writes: sys.exit(entry())."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["tauforge"]
+    module, name = target.split(":")
+    script = f"import sys\nfrom {module} import {name}\nsys.argv[0] = 'tauforge'\nsys.exit({name}())\n"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=text, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("start", [cli_process, _console_script], ids=["module", "script"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["spectrum", "--n", "2"], 0),
+        (["verify-tables", "--variant", "raw", "--samples", "2"], 1),
+        (["spectrum", "--n", "-1"], 2),
+    ],
+    ids=["pass", "fail", "usage"],
+)
+def test_the_process_entry_keeps_the_exit_code(start, argv, code):
+    proc = start(*argv)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert (proc.stdout, proc.stderr.splitlines()) == (
+            "", ["tauforge spectrum: error: argument --n: must be >= 0, got -1"])
+    else:
+        assert json.loads(proc.stdout)["ok"] == (code == 0)
+        assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("start", [cli_process, _console_script], ids=["module", "script"])
+def test_a_large_report_arrives_whole_through_a_pipe(capsys, start):
+    # bytes, not text: the matrix CSV ends its rows in \r\n
+    argv = ("export", "--matrix-n", "7", "--format", "csv")
+    _, want = run(capsys, *argv)
+    proc = start(*argv, text=False)
+    assert proc.returncode == 0
+    assert len(want) > 30_000
+    assert proc.stdout == want.encode()
+
+
+def test_the_entry_freezes_after_main_returns(monkeypatch):
+    from tauforge import cli
+
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 1)
+    assert cli.entry() == 1
+    assert calls == ["main", "freeze"]
+
+    def usage():
+        calls.append("usage")
+        raise SystemExit(2)
+
+    monkeypatch.setattr(cli, "main", usage)
+    with pytest.raises(SystemExit):
+        cli.entry()
+    assert calls[2:] == ["usage", "freeze"]
 
 
 def test_the_environment_does_not_set_the_precision():

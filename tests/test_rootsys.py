@@ -134,6 +134,19 @@ def test_dominance_is_a_partial_order_on_an_orbit():
                 assert u == v
 
 
+def test_a_system_hashes_by_kind_and_compares_by_fields():
+    from dataclasses import replace
+
+    e7 = build_system("E7")
+    copy = replace(e7)
+    assert copy is not e7 and copy == e7 and hash(copy) == hash(e7) == hash("E7")
+    # the integer data stays out of equality; every other field is in it
+    assert replace(e7, ints=build_system("A2").ints) == e7
+    assert replace(e7, has_minus_one=False) != e7
+    assert replace(e7, simple_roots=e7.simple_roots[::-1]) != e7
+    assert len({build_system(kind) for kind in SYSTEMS}) == len(SYSTEMS)
+
+
 def test_y_rep_rejects_off_hyperplane_vectors():
     sysr = build_system("E7")
     with pytest.raises(ValueError):
